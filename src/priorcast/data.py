@@ -3,9 +3,11 @@
 Feature files ("DFM1") hold one matrix: 4-byte magic, rows and cols as
 u32-LE, 4 reserved zero bytes, then rows*cols float32-LE values row-major.
 Label files ("DLB1") hold class indices: magic, rows u32-LE, num_classes
-u32-LE, then rows u32-LE indices. A manifest JSON ties the files of one
-dataset together. Because the payload is float32, the synthetic generator
-rounds features to float32 precision so write/read round trips are exact.
+u32-LE, then rows u32-LE indices. Tensor files (the prior and the encoder
+checkpoints) are one JSON header line followed by DFM1 blocks. A manifest
+JSON ties the files of one dataset together. Because the payload is
+float32, the synthetic generator rounds features to float32 precision so
+write/read round trips are exact.
 """
 
 import io
@@ -176,6 +178,37 @@ def read_features_from(fh) -> np.ndarray:
 def read_features(path) -> np.ndarray:
     with open(path, "rb") as fh:
         return read_features_from(fh)
+
+
+def write_tensor_file(path, header: dict, tensors) -> None:
+    """One JSON header line (sorted keys), then each tensor as a DFM1 block.
+
+    1-D tensors are stored as one-row matrices.
+    """
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(b"\n")
+        for tensor in tensors:
+            write_features_to(fh, tensor if tensor.ndim == 2 else tensor[None, :])
+
+
+def read_tensor_file(path, count: int):
+    """Read a file written by write_tensor_file; returns (header, matrices).
+
+    The header must be a JSON object; count DFM1 matrices follow it.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"malformed header in {path}: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"malformed header in {path}: not a JSON object")
+        try:
+            return header, [read_features_from(fh) for _ in range(count)]
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_labels(path, labels: np.ndarray, num_classes: int) -> None:

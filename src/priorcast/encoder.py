@@ -6,14 +6,13 @@ The backward pass includes the Jacobian of the row normalization
 subgradient at exactly 0 as 0.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_features_from, write_features_to
+from .data import read_tensor_file, write_tensor_file
 from .errors import FormatError
-from .numerics import NORM_EPS
+from .numerics import unit_rows
 
 _TENSOR_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -55,7 +54,8 @@ class ForwardCache:
     z2: np.ndarray
     a2: np.ndarray
     z3: np.ndarray  # pre-normalization representation
-    norms: np.ndarray  # (B,) row norms of z3
+    unit: np.ndarray  # z3 rows at unit norm, zero where degenerate
+    safe: np.ndarray  # (B,) row norms of z3, 1 where degenerate
     degenerate: np.ndarray  # (B,) bool, rows with norm <= NORM_EPS
 
 
@@ -89,13 +89,9 @@ def forward(params: EncoderParams, x: np.ndarray):
     z2 = a1 @ params.w2 + params.b2
     a2 = np.maximum(z2, 0.0)
     z3 = a2 @ params.w3 + params.b3
-    norms = np.linalg.norm(z3, axis=1)
-    degenerate = norms <= NORM_EPS
-    safe = np.where(degenerate, 1.0, norms)
-    f = z3 / safe[:, None]
-    f[degenerate] = z3[degenerate]
-    cache = ForwardCache(x, z1, a1, z2, a2, z3, norms, degenerate)
-    return f, cache
+    unit, safe, degenerate = unit_rows(z3)
+    f = np.where(degenerate[:, None], z3, unit)
+    return f, ForwardCache(x, z1, a1, z2, a2, z3, unit, safe, degenerate)
 
 
 def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray) -> EncoderParams:
@@ -103,8 +99,7 @@ def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray) -> Enc
     d_f = np.asarray(d_f, dtype=np.float64)
     if d_f.shape != cache.z3.shape:
         raise ValueError(f"dJ/dF shape {d_f.shape} does not match batch {cache.z3.shape}")
-    safe = np.where(cache.degenerate, 1.0, cache.norms)
-    unit = cache.z3 / safe[:, None]
+    unit, safe = cache.unit, cache.safe
     # (I - u u^T)/||z|| applied row-wise; identity on degenerate rows
     proj = np.sum(d_f * unit, axis=1, keepdims=True)
     d_z3 = (d_f - proj * unit) / safe[:, None]
@@ -139,29 +134,14 @@ def save_checkpoint(path, params: EncoderParams, modality_name: str) -> None:
         "output_dim": params.output_dim,
         "tensors": list(_TENSOR_ORDER),
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for tensor in params.tensors():
-            mat = tensor if tensor.ndim == 2 else tensor[None, :]
-            write_features_to(fh, mat)
+    write_tensor_file(path, header, params.tensors())
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, header dict)."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"malformed checkpoint header: {exc}") from exc
-        tensors = []
-        for name in _TENSOR_ORDER:
-            mat = read_features_from(fh)
-            if name.startswith("b"):
-                mat = mat[0]
-            tensors.append(mat)
-    params = EncoderParams(*tensors)
+    header, mats = read_tensor_file(path, len(_TENSOR_ORDER))
+    params = EncoderParams(*[m[0] if name.startswith("b") else m
+                             for name, m in zip(_TENSOR_ORDER, mats)])
     for key, got in (
         ("input_dim", params.input_dim),
         ("hidden_dim", params.hidden_dim),

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import MultimodalDataset
 from .encoder import EncoderParams, forward
-from .numerics import NORM_EPS
+from .numerics import unit_rows
 
 
 @dataclass
@@ -40,20 +40,12 @@ def embed(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     return f
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
-    safe = np.where(norms <= NORM_EPS, 1.0, norms)
-    out = x / safe[:, None]
-    out[norms <= NORM_EPS] = 0.0
-    return out
-
-
 def rank_gallery(query: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     """Gallery indices by descending cosine to the query; ties keep index order."""
     if gallery.ndim != 2 or gallery.shape[0] == 0:
         raise ValueError("gallery must be a nonempty matrix")
-    qn = _unit_rows(query[None, :])[0]
-    sims = _unit_rows(gallery) @ qn
+    qn = unit_rows(query[None, :])[0][0]
+    sims = unit_rows(gallery)[0] @ qn
     return np.argsort(-sims, kind="stable")
 
 
@@ -88,6 +80,50 @@ def _resolve_n_rank(n_rank, gallery_size: int) -> int:
     return min(n_rank, gallery_size)
 
 
+def _rank_pair(queries: np.ndarray, query_labels: np.ndarray,
+               gallery: np.ndarray, gallery_labels: np.ndarray,
+               n_rank, curve: bool):
+    """Rank the gallery once per query and score each ranking.
+
+    Similarity is the cosine over unit rows; a stable argsort of its
+    negation breaks ties by ascending gallery index. Returns (result, pr):
+    the MAP over the top n_rank, and the query-averaged PR curve if curve
+    is set (else None).
+    """
+    if gallery.ndim != 2 or gallery.shape[0] == 0:
+        raise ValueError("gallery must be a nonempty matrix")
+    if len(query_labels) != len(queries) or len(gallery_labels) != len(gallery):
+        raise ValueError("labels do not match embeddings")
+    n_g = gallery.shape[0]
+    depth = _resolve_n_rank(n_rank, n_g)
+    sims = unit_rows(queries)[0] @ unit_rows(gallery)[0].T
+    g_labels = np.asarray(gallery_labels)
+    aps = np.empty(len(queries))
+    k = np.arange(1, n_g + 1, dtype=np.float64)
+    recall_sum = np.zeros(n_g)
+    precision_sum = np.zeros(n_g)
+    count = 0
+    for i in range(len(queries)):
+        order = np.argsort(-sims[i], kind="stable")
+        rel = (g_labels[order] == query_labels[i]).astype(np.float64)
+        aps[i] = average_precision(rel, depth)
+        total = rel.sum()
+        if not curve or total == 0:
+            continue
+        cum = np.cumsum(rel)
+        recall_sum += cum / total
+        precision_sum += cum / k
+        count += 1
+    result = RetrievalResult(aps=aps, n_rank=depth, map=float(np.mean(aps)))
+    if not curve:
+        return result, None
+    if count == 0:
+        raise ValueError("no query has any relevant gallery item")
+    return result, PrCurve(rank=np.arange(1, n_g + 1),
+                           recall=recall_sum / count,
+                           precision=precision_sum / count)
+
+
 def map_score(queries: np.ndarray, query_labels: np.ndarray,
               gallery: np.ndarray, gallery_labels: np.ndarray,
               n_rank="all") -> RetrievalResult:
@@ -96,19 +132,7 @@ def map_score(queries: np.ndarray, query_labels: np.ndarray,
     n_rank is "all" (whole gallery) or a positive depth, clamped to the
     gallery size. APs are accumulated in query index order.
     """
-    if gallery.ndim != 2 or gallery.shape[0] == 0:
-        raise ValueError("gallery must be a nonempty matrix")
-    if len(query_labels) != len(queries) or len(gallery_labels) != len(gallery):
-        raise ValueError("labels do not match embeddings")
-    depth = _resolve_n_rank(n_rank, gallery.shape[0])
-    sims = _unit_rows(queries) @ _unit_rows(gallery).T
-    g_labels = np.asarray(gallery_labels)
-    aps = np.empty(len(queries))
-    for i in range(len(queries)):
-        order = np.argsort(-sims[i], kind="stable")
-        rel = (g_labels[order] == query_labels[i]).astype(np.float64)
-        aps[i] = average_precision(rel, depth)
-    return RetrievalResult(aps=aps, n_rank=depth, map=float(np.mean(aps)))
+    return _rank_pair(queries, query_labels, gallery, gallery_labels, n_rank, False)[0]
 
 
 def pr_curve(queries: np.ndarray, query_labels: np.ndarray,
@@ -119,30 +143,7 @@ def pr_curve(queries: np.ndarray, query_labels: np.ndarray,
     retrieved-relevant / k, each averaged across queries at that k. Queries
     with no relevant gallery item have no defined recall and are left out.
     """
-    if gallery.ndim != 2 or gallery.shape[0] == 0:
-        raise ValueError("gallery must be a nonempty matrix")
-    n_g = gallery.shape[0]
-    sims = _unit_rows(queries) @ _unit_rows(gallery).T
-    g_labels = np.asarray(gallery_labels)
-    k = np.arange(1, n_g + 1, dtype=np.float64)
-    recall_sum = np.zeros(n_g)
-    precision_sum = np.zeros(n_g)
-    count = 0
-    for i in range(len(queries)):
-        order = np.argsort(-sims[i], kind="stable")
-        rel = (g_labels[order] == query_labels[i]).astype(np.float64)
-        total = rel.sum()
-        if total == 0:
-            continue
-        cum = np.cumsum(rel)
-        recall_sum += cum / total
-        precision_sum += cum / k
-        count += 1
-    if count == 0:
-        raise ValueError("no query has any relevant gallery item")
-    return PrCurve(rank=np.arange(1, n_g + 1),
-                   recall=recall_sum / count,
-                   precision=precision_sum / count)
+    return _rank_pair(queries, query_labels, gallery, gallery_labels, "all", True)[1]
 
 
 def embed_split(encoders: Dict[str, EncoderParams], dataset: MultimodalDataset,
@@ -156,30 +157,37 @@ def embed_split(encoders: Dict[str, EncoderParams], dataset: MultimodalDataset,
     return out
 
 
-def table_from_embeddings(embedded: dict, n_rank="all") -> dict:
-    """MAP for every ordered modality pair, plus the grand average."""
+def table_from_embeddings(embedded: dict, n_rank="all", curves: bool = False):
+    """MAP for every ordered modality pair, plus the grand average.
+
+    Returns (table, pr): with curves set, pr maps each (query, gallery)
+    pair to its PR curve from the same ranking pass; otherwise it is empty.
+    """
     names = list(embedded)
     pairs = []
+    pr = {}
     for a in names:
         for b in names:
             if a == b:
                 continue
             qe, ql = embedded[a]
             ge, gl = embedded[b]
-            result = map_score(qe, ql, ge, gl, n_rank)
+            result, curve = _rank_pair(qe, ql, ge, gl, n_rank, curves)
             pairs.append({"query": a, "gallery": b, "map": result.map})
+            if curves:
+                pr[(a, b)] = curve
     if not pairs:
         raise ValueError("need at least two modalities for cross-modal retrieval")
     avg = float(np.mean([p["map"] for p in pairs]))
     label = "all" if n_rank == "all" else int(n_rank)
-    return {"pairs": pairs, "avg": avg, "n_rank": label}
+    return {"pairs": pairs, "avg": avg, "n_rank": label}, pr
 
 
 def cross_modal_eval(encoders: Dict[str, EncoderParams],
                      dataset: MultimodalDataset, split: str = "test",
                      n_rank="all") -> dict:
     """Embed one split and score every ordered cross-modal pair."""
-    return table_from_embeddings(embed_split(encoders, dataset, split), n_rank)
+    return table_from_embeddings(embed_split(encoders, dataset, split), n_rank)[0]
 
 
 def write_map_table(path, table: dict) -> None:

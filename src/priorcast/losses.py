@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NORM_EPS, softmax
+from .numerics import softmax, unit_rows
 
 
 @dataclass
@@ -103,16 +103,6 @@ def mse_loss(f: np.ndarray, y: np.ndarray, l: np.ndarray):
     return loss, (2.0 / b) * diff
 
 
-def _normalize_rows(x: np.ndarray):
-    """Unit rows with the degenerate-row convention: zero rows stay zero."""
-    norms = np.linalg.norm(x, axis=1)
-    degenerate = norms <= NORM_EPS
-    safe = np.where(degenerate, 1.0, norms)
-    unit = x / safe[:, None]
-    unit[degenerate] = 0.0
-    return unit, safe, degenerate
-
-
 def disc_loss(f: np.ndarray, y: np.ndarray, l: np.ndarray):
     """Pairwise cosine-structure loss between embeddings and recast targets.
 
@@ -125,8 +115,8 @@ def disc_loss(f: np.ndarray, y: np.ndarray, l: np.ndarray):
     if t.shape != f.shape:
         raise ValueError(f"targets {t.shape} vs embeddings {f.shape}")
     b = f.shape[0]
-    fn, f_safe, f_deg = _normalize_rows(f)
-    tn, _, _ = _normalize_rows(t)
+    fn, f_safe, f_deg = unit_rows(f)
+    tn, _, _ = unit_rows(t)
     cf = fn @ fn.T
     ct = tn @ tn.T
     cx = tn @ fn.T  # cx[i, j] = cos(t_i, f_j)

@@ -51,6 +51,22 @@ def l2_normalize(v: np.ndarray):
     return v / norm, False
 
 
+def unit_rows(x: np.ndarray):
+    """Scale each row of x to unit Euclidean norm.
+
+    Returns (unit, safe, degenerate). A row whose norm is <= NORM_EPS is
+    degenerate: its unit row is zero and its safe norm is 1. Other rows have
+    safe equal to their norm, so unit == x / safe[:, None] on every row that
+    is not degenerate.
+    """
+    norms = np.linalg.norm(x, axis=1)
+    degenerate = norms <= NORM_EPS
+    safe = np.where(degenerate, 1.0, norms)
+    unit = x / safe[:, None]
+    unit[degenerate] = 0.0
+    return unit, safe, degenerate
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed with max-subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -107,8 +123,3 @@ def random_orthogonal(d: int, c: int, rng: np.random.Generator) -> np.ndarray:
     signs[signs == 0] = 1.0
     return q * signs
 
-
-def assert_finite(a: np.ndarray, what: str) -> None:
-    """Raise NumericError if a contains NaN or Inf."""
-    if not np.all(np.isfinite(a)):
-        raise NumericError(f"non-finite values in {what}")

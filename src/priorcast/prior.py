@@ -7,16 +7,14 @@ transformation becomes the shared prior for stage two, and its pseudo-inverse
 is the recasting matrix. The stage-one encoders are throwaway.
 """
 
-import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
 
 from .config import RunConfig
-from .data import ModalityData, MultimodalDataset, minibatch_iter, read_features_from, write_features_to
+from .data import ModalityData, MultimodalDataset, minibatch_iter, read_tensor_file, write_tensor_file
 from .encoder import backward, forward, init_params, sgd_step
 from .errors import FormatError
 from .losses import QSchedule, prior_loss, q_at, quality_score
@@ -86,14 +84,12 @@ def select_prior(candidates: Dict[str, np.ndarray], scores: Dict[str, float]) ->
     return best
 
 
-def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int,
-            threads: int = 1):
+def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
     """Learn and select the shared prior from the training split.
 
     With cfg.skip_spl the shared random orthogonal initialization is used
-    directly (unscored). Per-modality trainings are independent (own encoder,
-    own derived seed), so the thread count cannot change the selection.
-    Returns (PriorMatrix, SplReport).
+    directly (unscored). Each modality trains its own encoder from its own
+    derived seed. Returns (PriorMatrix, SplReport).
     """
     t0 = time.perf_counter()
     w0 = random_orthogonal(cfg.embed_dim, dataset.num_classes,
@@ -104,22 +100,11 @@ def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int,
                            wall_seconds=time.perf_counter() - t0)
         return prior, report
 
-    mods = dataset.splits["train"]
-    jobs = [(mod, make_rng(split_seed(seed, "spl", mod.name))) for mod in mods]
-
-    def one(job):
-        mod, rng = job
-        return train_prior_for_modality(mod, w0, cfg, rng)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(job) for job in jobs]
-
     candidates: Dict[str, np.ndarray] = {}
     scores: Dict[str, float] = {}
-    for mod, (w, _, score) in zip(mods, results):
+    for mod in dataset.splits["train"]:
+        rng = make_rng(split_seed(seed, "spl", mod.name))
+        w, _, score = train_prior_for_modality(mod, w0, cfg, rng)
         candidates[mod.name] = w
         scores[mod.name] = score
     best = select_prior(candidates, scores)
@@ -139,24 +124,13 @@ def save_prior(path, prior: PriorMatrix) -> None:
         "score": prior.score,
         "source_modality": prior.source_modality,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        write_features_to(fh, prior.w)
-        write_features_to(fh, prior.l)
+    write_tensor_file(path, header, (prior.w, prior.l))
 
 
 def load_prior(path) -> PriorMatrix:
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"bad prior header in {path}: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != "PRIOR1":
-            raise FormatError(f"{path} is not a prior file")
-        w = read_features_from(fh)
-        l = read_features_from(fh)
+    header, (w, l) = read_tensor_file(path, 2)
+    if header.get("format") != "PRIOR1":
+        raise FormatError(f"{path} is not a prior file")
     d, c = header.get("embed_dim"), header.get("num_classes")
     if w.shape != (d, c) or l.shape != (c, d):
         raise FormatError(f"prior tensor shapes {w.shape}/{l.shape} do not match "

@@ -8,7 +8,6 @@ encoder follows the combined objective from the losses module with plain SGD.
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -132,16 +131,13 @@ def train_rsc_for_modality(mod: ModalityData, prior: PriorMatrix,
     return params, epochs
 
 
-def train_all(dataset: MultimodalDataset, cfg: RunConfig, seed: int,
-              threads: int = 1):
+def train_all(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
     """Full training: learn/select the prior, then one encoder per modality.
 
-    Returns (prior, encoders, report). Modalities train on disjoint state
-    with independently derived seeds, so the thread count never changes the
-    result, only the wall-clock.
+    Returns (prior, encoders, report).
     """
     prior, spl_report = run_spl(dataset, cfg, seed)
-    encoders, report = train_rsc_all(dataset, prior, cfg, seed, threads=threads)
+    encoders, report = train_rsc_all(dataset, prior, cfg, seed)
     report["spl"] = {
         "scores": spl_report.scores,
         "selected": spl_report.selected,
@@ -152,24 +148,16 @@ def train_all(dataset: MultimodalDataset, cfg: RunConfig, seed: int,
 
 
 def train_rsc_all(dataset: MultimodalDataset, prior: PriorMatrix,
-                  cfg: RunConfig, seed: int, threads: int = 1):
-    """Stage two only, for all modalities. Returns (encoders, report)."""
-    mods = dataset.splits["train"]
-    jobs = [(mod, make_rng(split_seed(seed, "rsc", mod.name))) for mod in mods]
+                  cfg: RunConfig, seed: int):
+    """Stage two only, for all modalities, each from its own derived seed.
 
-    def one(job):
-        mod, rng = job
-        return train_rsc_for_modality(mod, prior, cfg, rng)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(job) for job in jobs]
-
+    Returns (encoders, report).
+    """
     encoders: Dict[str, EncoderParams] = {}
     report = {"seed": seed, "modalities": []}
-    for mod, (params, epochs) in zip(mods, results):
+    for mod in dataset.splits["train"]:
+        rng = make_rng(split_seed(seed, "rsc", mod.name))
+        params, epochs = train_rsc_for_modality(mod, prior, cfg, rng)
         encoders[mod.name] = params
         report["modalities"].append({"name": mod.name, "epochs": epochs})
     return encoders, report

@@ -111,7 +111,8 @@ def test_c2_gradient_oracle():
             _, cache = forward(params, x)
             if (np.abs(cache.z1).min() > 1e-4
                     and np.abs(cache.z2).min() > 1e-4
-                    and cache.norms.min() > 1e-2):
+                    and not cache.degenerate.any()
+                    and cache.safe.min() > 1e-2):
                 break
         r = rng.standard_normal((4, 3))
         grads = backward(params, cache, r)

@@ -147,3 +147,61 @@ def test_seed_flag_changes_result(tmp_path):
     main(["pipeline", "--config", run, "--out", str(out_a), "--seed", "1"])
     main(["pipeline", "--config", run, "--out", str(out_b), "--seed", "2"])
     assert (out_a / "prior.bin").read_bytes() != (out_b / "prior.bin").read_bytes()
+
+
+def _synth_data(tmp_path, name="data", **over):
+    cfg = _synth_cfg(tmp_path, **over)
+    data = tmp_path / name
+    assert main(["synth", "--config", cfg, "--out", str(data)]) == 0
+    return str(data / "manifest.json")
+
+
+def test_pipeline_matches_stages_run_one_by_one(tmp_path):
+    run = _run_cfg(tmp_path, _synth_data(tmp_path))
+    staged, piped = tmp_path / "staged", tmp_path / "piped"
+    for command in ("spl", "train", "eval"):
+        assert main([command, "--config", run, "--out", str(staged)]) == 0
+    assert main(["pipeline", "--config", run, "--out", str(piped)]) == 0
+    # the reports and run manifests carry wall-clock; every artifact must match
+    artifacts = sorted(n for n in os.listdir(staged)
+                       if n.endswith((".bin", ".csv")) or n == "map_table.json")
+    assert len(artifacts) == 1 + 2 + 1 + 2
+    for name in artifacts:
+        assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
+    manifest = json.loads((piped / "run_manifest.json").read_text())
+    assert manifest["command"] == "pipeline"
+    assert [s["stage"] for s in manifest["stages"]] == ["spl", "train", "eval"]
+    assert all(s["wall_seconds"] >= 0 for s in manifest["stages"])
+    assert set(artifacts) <= set(manifest["outputs"])
+    assert manifest["outputs"] == sorted(n for s in manifest["stages"] for n in s["outputs"])
+    # files the pipeline wrote itself are outputs, not inputs
+    assert "prior.bin" not in manifest["inputs"]
+    assert "manifest.json" in manifest["inputs"]
+
+
+def test_eval_rejects_checkpoint_of_other_feature_dim(tmp_path, capsys):
+    run = _run_cfg(tmp_path, _synth_data(tmp_path))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", run, "--out", str(out)]) == 0
+    other = _synth_data(tmp_path, "other", feature_dims=[9, 8])
+    run = _run_cfg(tmp_path, other)
+    assert main(["eval", "--config", run, "--out", str(out)]) == 3
+    assert "encoder_mod0.bin" in capsys.readouterr().err
+
+
+def test_train_rejects_prior_of_other_embed_dim(tmp_path, capsys):
+    manifest = _synth_data(tmp_path)
+    out = tmp_path / "run"
+    assert main(["spl", "--config", _run_cfg(tmp_path, manifest), "--out", str(out)]) == 0
+    run = _run_cfg(tmp_path, manifest, embed_dim=8)
+    assert main(["train", "--config", run, "--out", str(out)]) == 3
+    assert "prior.bin" in capsys.readouterr().err
+
+
+def test_train_rejects_prior_of_other_class_count(tmp_path, capsys):
+    out = tmp_path / "run"
+    run = _run_cfg(tmp_path, _synth_data(tmp_path))
+    assert main(["spl", "--config", run, "--out", str(out)]) == 0
+    run = _run_cfg(tmp_path, _synth_data(tmp_path, "other", num_classes=4))
+    assert main(["train", "--config", run, "--out", str(out)]) == 3
+    assert "prior.bin" in capsys.readouterr().err

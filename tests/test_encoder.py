@@ -28,6 +28,17 @@ def test_forward_shapes_and_norms():
     assert np.allclose(np.linalg.norm(f, axis=1), 1.0, atol=1e-12)
 
 
+def test_forward_passes_degenerate_rows_through():
+    params, x, _ = _toy()
+    params.b3 = np.full(4, 1e-14)
+    x[0] = 0.0  # zero biases elsewhere: z3[0] == b3, below NORM_EPS
+    f, cache = forward(params, x)
+    assert np.array_equal(f[0], params.b3)
+    assert cache.degenerate.tolist() == [True] + [False] * 5
+    assert np.array_equal(cache.unit[0], np.zeros(4))
+    assert np.allclose(np.linalg.norm(f[1:], axis=1), 1.0, atol=1e-12)
+
+
 def test_forward_batch_independent():
     # no batch statistics: a row's embedding does not depend on its batch.
     # (BLAS may route 1-row products through a different kernel, so compare
@@ -102,6 +113,10 @@ def test_checkpoint_deterministic_bytes(tmp_path):
 
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a checkpoint\n")
-    with pytest.raises(FormatError):
-        load_checkpoint(path)
+    save_checkpoint(path, _toy()[0], "m")
+    tensors = path.read_bytes().split(b"\n", 1)[1]
+    # valid JSON, valid tensors, but the header is not an object
+    for data in (b"not a checkpoint\n", b"[1, 2]\n" + tensors):
+        path.write_bytes(data)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)

@@ -131,6 +131,15 @@ def test_quality_score_range_and_ceiling():
     assert s_hot > 0.99
 
 
+def test_quality_score_is_mean_target_class_probability():
+    # logits ln 4 on the diagonal: each row's softmax is 2/3 on its own
+    # class and 1/6 elsewhere; the second row's target is not its top class
+    f = np.eye(3)
+    w = np.log(4.0) * np.eye(3)
+    y = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert quality_score(f, y, w) == pytest.approx((2 / 3 + 1 / 6 + 2 / 3) / 3, abs=1e-15)
+
+
 # --- mse ---
 
 def test_mse_hand_case():

@@ -10,6 +10,7 @@ from priorcast.numerics import (
     random_orthogonal,
     softmax,
     split_seed,
+    unit_rows,
 )
 
 
@@ -124,3 +125,11 @@ def test_split_seed_streams():
     # key order matters
     d = make_rng(split_seed(base, "mod0", "spl")).standard_normal(4)
     assert not np.allclose(a, d)
+
+
+def test_unit_rows_degenerate_row_convention():
+    x = np.array([[3.0, 4.0], [0.0, 0.0], [1e-13, 0.0]])
+    unit, safe, degenerate = unit_rows(x)
+    assert np.array_equal(unit, [[0.6, 0.8], [0.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(safe, [5.0, 1.0, 1.0])
+    assert degenerate.tolist() == [False, True, True]
