@@ -91,6 +91,13 @@ class MultimodalDataset:
         for split in SPLIT_NAMES:
             if [m.name for m in self.splits[split]] != names:
                 raise FormatError("splits disagree on modality names or order")
+        for split in SPLIT_NAMES[1:]:
+            for train, mod in zip(self.splits["train"], self.splits[split]):
+                if mod.feature_dim != train.feature_dim:
+                    raise FormatError(
+                        f"modality {mod.name!r}: {split} features are {mod.feature_dim} "
+                        f"wide, train features {train.feature_dim}"
+                    )
 
 
 @dataclass
@@ -405,3 +412,38 @@ def minibatch_iter(modality: ModalityData, batch_size: int, rng: np.random.Gener
         tail = batches.pop()
         batches[-1] = np.concatenate([batches[-1], tail])
     return batches
+
+
+def lockstep_map(modalities, rngs, train):
+    """Run train(members, member_rngs) once per group of modalities that can
+    train in lockstep; returns its per-member results in modality order.
+
+    Modalities with equal sample counts get equal batch sizes from
+    minibatch_iter, so they form one group (in order of first appearance).
+    """
+    groups = {}
+    for pos, mod in enumerate(modalities):
+        groups.setdefault(mod.num_samples, []).append(pos)
+    results = [None] * len(modalities)
+    for group in groups.values():
+        out = train([modalities[pos] for pos in group], [rngs[pos] for pos in group])
+        for pos, result in zip(group, out):
+            results[pos] = result
+    return results
+
+
+def lockstep_batches(modalities, batch_size: int, rngs, num_classes: int):
+    """One epoch of minibatches for K modalities of equal size, in lockstep.
+
+    Each modality draws its own order from its own generator, as
+    minibatch_iter does for it alone. Each step yields the K feature
+    matrices of that step's batches and their one-hot label rows as one
+    (K, B, C) stack.
+    """
+    eye = np.eye(num_classes)
+    labels = np.stack([mod.labels for mod in modalities])
+    rows = np.arange(len(modalities))[:, None]
+    orders = [minibatch_iter(mod, batch_size, rng) for mod, rng in zip(modalities, rngs)]
+    for batch in zip(*orders):
+        yield ([mod.features[idx] for mod, idx in zip(modalities, batch)],
+               eye[labels[rows, np.array(batch)]])

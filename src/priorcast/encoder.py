@@ -6,7 +6,9 @@ The backward pass includes the Jacobian of the row normalization
 subgradient at exactly 0 as 0.
 """
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +48,11 @@ class EncoderParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediate state of one forward pass, consumed by backward."""
+    """Intermediate state of one forward pass, consumed by backward.
+
+    On a stack every array gains a leading K axis and x is the sequence of
+    the K input matrices.
+    """
 
     x: np.ndarray
     z1: np.ndarray
@@ -77,52 +83,128 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
     )
 
 
-def forward(params: EncoderParams, x: np.ndarray):
+def forward(params: EncoderParams, x):
     """Embed a batch; returns (F, cache) with F row-normalized.
 
-    Rows whose pre-normalization norm is <= NORM_EPS pass through unchanged
-    and are flagged in cache.degenerate.
+    For one encoder x is a (B, D) matrix and F is (B, d). For an
+    EncoderStack's params x is a sequence of K (B, D_k) matrices, one per
+    modality, and F is (K, B, d), each slice equal bit for bit to the
+    one-encoder result. Rows whose pre-normalization norm is <= NORM_EPS
+    pass through unchanged and are flagged in cache.degenerate.
     """
-    x = np.asarray(x, dtype=np.float64)
-    z1 = x @ params.w1 + params.b1
+    # biases are added in place: one (B, H) temporary less per layer
+    if isinstance(params.w1, tuple):
+        z1 = np.empty((len(x), x[0].shape[0], params.b1.shape[-1]))
+        for x_k, w1_k, z1_k in zip(x, params.w1, z1):
+            np.matmul(x_k, w1_k, out=z1_k)
+    else:
+        x = np.asarray(x, dtype=np.float64)
+        z1 = x @ params.w1
+    z1 += params.b1
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params.w2 + params.b2
+    z2 = a1 @ params.w2
+    z2 += params.b2
     a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ params.w3 + params.b3
+    z3 = a2 @ params.w3
+    z3 += params.b3
     unit, safe, degenerate = unit_rows(z3)
-    f = np.where(degenerate[:, None], z3, unit)
+    f = np.where(degenerate[..., None], z3, unit)
     return f, ForwardCache(x, z1, a1, z2, a2, z3, unit, safe, degenerate)
 
 
-def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray) -> EncoderParams:
-    """Exact gradients of a scalar loss wrt all parameters, given dJ/dF."""
+def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray,
+             out: Optional[EncoderParams] = None) -> EncoderParams:
+    """Exact gradients of a scalar loss wrt all parameters, given dJ/dF.
+
+    Works on one encoder or a stack, like forward. The gradients are written
+    into out (an EncoderParams shaped like params; required for a stack,
+    whose EncoderStack.grads serves) or else into a new EncoderParams, which
+    is returned.
+    """
     d_f = np.asarray(d_f, dtype=np.float64)
     if d_f.shape != cache.z3.shape:
         raise ValueError(f"dJ/dF shape {d_f.shape} does not match batch {cache.z3.shape}")
+    stacked = isinstance(params.w1, tuple)
+    grads = out if out is not None else EncoderParams(*map(np.empty_like, params.tensors()))
     unit, safe = cache.unit, cache.safe
     # (I - u u^T)/||z|| applied row-wise; identity on degenerate rows
-    proj = np.sum(d_f * unit, axis=1, keepdims=True)
-    d_z3 = (d_f - proj * unit) / safe[:, None]
-    d_z3[cache.degenerate] = d_f[cache.degenerate]
+    proj = np.add.reduce(d_f * unit, axis=-1, keepdims=True)
+    d_z3 = (d_f - proj * unit) / safe[..., None]
+    np.copyto(d_z3, d_f, where=cache.degenerate[..., None])
 
-    d_w3 = cache.a2.T @ d_z3
-    d_b3 = d_z3.sum(axis=0)
-    d_a2 = d_z3 @ params.w3.T
-    d_z2 = d_a2 * (cache.z2 > 0)
-    d_w2 = cache.a1.T @ d_z2
-    d_b2 = d_z2.sum(axis=0)
-    d_a1 = d_z2 @ params.w2.T
-    d_z1 = d_a1 * (cache.z1 > 0)
-    d_w1 = cache.x.T @ d_z1
-    d_b1 = d_z1.sum(axis=0)
-    return EncoderParams(d_w1, d_b1, d_w2, d_b2, d_w3, d_b3)
+    np.matmul(cache.a2.swapaxes(-1, -2), d_z3, out=grads.w3)
+    np.add.reduce(d_z3, axis=-2, keepdims=stacked, out=grads.b3)
+    d_z2 = np.matmul(d_z3, params.w3.swapaxes(-1, -2))
+    d_z2 *= cache.z2 > 0
+    np.matmul(cache.a1.swapaxes(-1, -2), d_z2, out=grads.w2)
+    np.add.reduce(d_z2, axis=-2, keepdims=stacked, out=grads.b2)
+    d_z1 = np.matmul(d_z2, params.w2.swapaxes(-1, -2))
+    d_z1 *= cache.z1 > 0
+    if stacked:
+        for x_k, d_k, g_k in zip(cache.x, d_z1, grads.w1):
+            np.matmul(x_k.T, d_k, out=g_k)
+    else:
+        np.matmul(cache.x.T, d_z1, out=grads.w1)
+    np.add.reduce(d_z1, axis=-2, keepdims=stacked, out=grads.b1)
+    return grads
 
 
 def sgd_step(params: EncoderParams, grads: EncoderParams, lr: float) -> EncoderParams:
-    """Plain gradient descent: theta <- theta - lr * g."""
+    """Plain gradient descent on one encoder: theta <- theta - lr * g."""
     return EncoderParams(
         *[p - lr * g for p, g in zip(params.tensors(), grads.tensors())]
     )
+
+
+class EncoderStack:
+    """K encoders of one hidden and output width, trained in lockstep.
+
+    All parameters live in one flat float64 vector and their gradients in a
+    second vector of the same layout: each modality's w1, then b1, w2, b2,
+    w3, b3 as (K, ...) blocks with the biases (K, 1, .) so that they
+    broadcast over a (K, B, .) batch, then the optional per-modality extra
+    tensor (stage one's candidate transformations). `params` and `grads`
+    view the vectors as stacked EncoderParams whose w1 is a tuple of K
+    matrices (input widths may differ); `members[k]` views modality k as an
+    ordinary EncoderParams. `step` updates everything in place, so a
+    training step constructs no EncoderParams.
+    """
+
+    def __init__(self, members, extra: Optional[np.ndarray] = None):
+        k = len(members)
+        hidden, out_dim = members[0].hidden_dim, members[0].output_dim
+        shapes = [m.w1.shape for m in members] + [
+            (k, 1, hidden), (k, hidden, hidden), (k, 1, hidden),
+            (k, hidden, out_dim), (k, 1, out_dim)]
+        if extra is not None:
+            shapes.append(extra.shape)
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        self.flat = np.empty(ends[-1])
+        self.grad = np.zeros(ends[-1])
+        p, g = ([part.reshape(shape) for part, shape in zip(np.split(vec, ends[:-1]), shapes)]
+                for vec in (self.flat, self.grad))
+        self.params = EncoderParams(tuple(p[:k]), *p[k:k + 5])
+        self.grads = EncoderParams(tuple(g[:k]), *g[k:k + 5])
+        for w1, m in zip(self.params.w1, members):
+            w1[...] = m.w1
+        for name in _TENSOR_ORDER[1:]:
+            block = getattr(self.params, name)
+            block[...] = np.stack([getattr(m, name) for m in members]).reshape(block.shape)
+        self.extra = self.extra_grad = None
+        if extra is not None:
+            self.extra, self.extra_grad = p[-1], g[-1]
+            self.extra[...] = extra
+        s = self.params
+        self.members = [EncoderParams(s.w1[i], s.b1[i, 0], s.w2[i], s.b2[i, 0],
+                                      s.w3[i], s.b3[i, 0]) for i in range(k)]
+
+    def step(self, lr: float) -> None:
+        """SGD on every parameter in place: theta <- theta - lr * g.
+
+        Consumes the gradients (they are scaled by lr in place).
+        """
+        self.grad *= lr
+        self.flat -= self.grad
 
 
 def save_checkpoint(path, params: EncoderParams, modality_name: str) -> None:

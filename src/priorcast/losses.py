@@ -5,6 +5,11 @@ The label-side terms use a generalized cross-entropy form
 softmax over logits f W puts on the (possibly soft) target. As q -> 0 this
 approaches -ln p; at q = 1 it is the bounded 1 - p. All losses are computed
 per mini-batch, with the batch size standing in for the modality size.
+
+Every loss also takes a (K, B, .) stack of K batches, f and y stacked and
+the other matrices shared (prior_loss: one w per slice). Each slice's
+gradient then equals the one-batch result bit for bit, and each value
+becomes a (K,) array of the one-batch values.
 """
 
 from dataclasses import dataclass
@@ -44,6 +49,11 @@ def _check_q(q: float) -> None:
         raise ValueError(f"q must be > 0, got {q}")
 
 
+def _value(x):
+    """A loss value: a float for one batch, a (K,) array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def gce_from_logits(logits: np.ndarray, y: np.ndarray, q: float):
     """Core generalized cross-entropy on raw logits.
 
@@ -52,24 +62,24 @@ def gce_from_logits(logits: np.ndarray, y: np.ndarray, q: float):
     _check_q(q)
     if logits.shape != y.shape:
         raise ValueError(f"logits {logits.shape} vs targets {y.shape}")
-    b = logits.shape[0]
+    b = logits.shape[-2]
     s = softmax(logits)
-    p = np.maximum(np.sum(y * s, axis=1), 1e-300)
-    loss = float(np.sum(1.0 - p**q) / (q * b))
+    p = np.maximum(np.add.reduce(y * s, axis=-1), 1e-300)
+    loss = _value(np.add.reduce(1.0 - p**q, axis=-1) / (q * b))
     # dJ/dp_i = -p^(q-1)/B; dp_i/dl_ij = s_ij (y_ij - p_i)
     coef = -(p ** (q - 1.0)) / b
-    d_logits = coef[:, None] * s * (y - p[:, None])
+    d_logits = coef[..., None] * s * (y - p[..., None])
     return loss, d_logits, p
 
 
 def prior_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, q: float):
     """Classification-style loss steering both embeddings and the weight matrix.
 
-    Returns (value, d_f, d_w).
+    On a stack, w holds one (d, C) matrix per slice. Returns (value, d_f, d_w).
     """
     logits = f @ w
     loss, d_logits, _ = gce_from_logits(logits, y, q)
-    return loss, d_logits @ w.T, f.T @ d_logits
+    return loss, d_logits @ w.swapaxes(-1, -2), f.swapaxes(-1, -2) @ d_logits
 
 
 def quality_score(f: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
@@ -78,15 +88,24 @@ def quality_score(f: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     return float(np.mean(np.sum(y * s, axis=1)))
 
 
+def _check_soft_labels(y: np.ndarray) -> None:
+    if np.any(y < 0):
+        raise ValueError("soft labels must be nonnegative")
+
+
 def label_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, q: float):
     """Same form as prior_loss with soft targets; w is held fixed.
 
     Returns (value, d_f).
     """
-    if np.any(y < 0):
-        raise ValueError("soft labels must be nonnegative")
+    _check_soft_labels(y)
     loss, d_logits, _ = gce_from_logits(f @ w, y, q)
     return loss, d_logits @ w.T
+
+
+def _check_targets(f: np.ndarray, t: np.ndarray) -> None:
+    if t.shape != f.shape:
+        raise ValueError(f"targets {t.shape} vs embeddings {f.shape}")
 
 
 def mse_loss(f: np.ndarray, y: np.ndarray, l: np.ndarray):
@@ -94,12 +113,14 @@ def mse_loss(f: np.ndarray, y: np.ndarray, l: np.ndarray):
 
     Returns (value, d_f).
     """
-    t = y @ l
-    if t.shape != f.shape:
-        raise ValueError(f"targets {t.shape} vs embeddings {f.shape}")
+    return _mse_from_targets(f, y @ l)
+
+
+def _mse_from_targets(f, t):
+    _check_targets(f, t)
     diff = f - t
-    b = f.shape[0]
-    loss = float(np.sum(diff * diff) / b)
+    b = f.shape[-2]
+    loss = _value(np.add.reduce(diff * diff, axis=(-2, -1)) / b)
     return loss, (2.0 / b) * diff
 
 
@@ -111,27 +132,82 @@ def disc_loss(f: np.ndarray, y: np.ndarray, l: np.ndarray):
     asymmetry between target-to-embedding and embedding-to-target
     similarities. Returns (value, d_f).
     """
-    t = y @ l
-    if t.shape != f.shape:
-        raise ValueError(f"targets {t.shape} vs embeddings {f.shape}")
-    b = f.shape[0]
+    return _disc_from_targets(f, y @ l)
+
+
+# Elements in each (slices, B, B) buffer of disc_loss: as many slices of a
+# stack share one batched call as fit, e.g. all of them at B = 32 and one at
+# a time at B = 256, so a stack takes no more memory for them than one batch.
+_GRAM_BUDGET = 256 * 256
+
+
+def _disc_from_targets(f, t):
+    _check_targets(f, t)
+    b, d = f.shape[-2:]
     fn, f_safe, f_deg = unit_rows(f)
     tn, _, _ = unit_rows(t)
-    cf = fn @ fn.T
-    ct = tn @ tn.T
-    cx = tn @ fn.T  # cx[i, j] = cos(t_i, f_j)
-    diff_gram = ct - cf
-    diff_cross = cx - cx.T
-    loss = float((np.sum(diff_gram**2) + np.sum(diff_cross**2)) / (b * b))
-
-    g_cf = (2.0 / (b * b)) * (cf - ct)
-    g_cx = (4.0 / (b * b)) * diff_cross
-    d_fn = 2.0 * g_cf @ fn + g_cx.T @ tn
+    fn_s, tn_s = fn.reshape(-1, b, d), tn.reshape(-1, b, d)
+    k = len(fn_s)
+    chunk = max(1, min(k, _GRAM_BUDGET // (b * b)))
+    loss = np.empty(k)
+    gram_part, cross_part = np.empty_like(fn_s), np.empty_like(fn_s)
+    buffers = [np.empty((chunk, b, b)) for _ in range(5)]
+    for lo in range(0, k, chunk):
+        hi = min(lo + chunk, k)
+        cf, ct, cx, diff_gram, diff_cross = (buf[:hi - lo] for buf in buffers)
+        fk, tk = fn_s[lo:hi], tn_s[lo:hi]
+        np.matmul(fk, fk.swapaxes(-1, -2), out=cf)
+        np.matmul(tk, tk.swapaxes(-1, -2), out=ct)
+        np.matmul(tk, fk.swapaxes(-1, -2), out=cx)  # cx[i, j] = cos(t_i, f_j)
+        np.subtract(ct, cf, out=diff_gram)
+        np.subtract(cx, cx.swapaxes(-1, -2), out=diff_cross)
+        g_cf = np.subtract(cf, ct, out=cf)
+        g_cf *= 2.0 / (b * b)
+        np.square(diff_gram, out=ct)
+        np.square(diff_cross, out=cx)
+        loss[lo:hi] = (np.add.reduce(ct.reshape(hi - lo, -1), axis=-1)
+                       + np.add.reduce(cx.reshape(hi - lo, -1), axis=-1)) / (b * b)
+        g_cx = np.multiply(diff_cross, 4.0 / (b * b), out=diff_cross)
+        np.matmul(np.multiply(g_cf, 2.0, out=g_cf), fk, out=gram_part[lo:hi])
+        np.matmul(g_cx.swapaxes(-1, -2), tk, out=cross_part[lo:hi])
+    d_fn = (gram_part + cross_part).reshape(f.shape)
     # through row normalization; degenerate rows use the constant-zero convention
-    proj = np.sum(d_fn * fn, axis=1, keepdims=True)
-    d_f = (d_fn - proj * fn) / f_safe[:, None]
+    proj = np.add.reduce(d_fn * fn, axis=-1, keepdims=True)
+    d_f = (d_fn - proj * fn) / f_safe[..., None]
     d_f[f_deg] = 0.0
-    return loss, d_f
+    return _value(loss.reshape(f.shape[:-2])), d_f
+
+
+def objective(f: np.ndarray, y: np.ndarray, w: np.ndarray, logits: np.ndarray,
+              t: np.ndarray, q: float, alpha: float, beta: float, *,
+              drop_label: bool = False, drop_disc: bool = False,
+              drop_mse: bool = False):
+    """total_loss given the label logits f w and the recast targets t = y l.
+
+    A caller that needs either product for more than the loss computes it
+    once and passes it in. Returns what total_loss returns.
+    """
+    if alpha < 0 or beta < 0:
+        raise ValueError("alpha and beta must be >= 0")
+    d_f = np.zeros_like(f)
+    parts = {"label": 0.0, "disc": 0.0, "mse": 0.0}
+    value = 0.0
+    if not drop_label:
+        j, d_logits, _ = gce_from_logits(logits, y, q)
+        parts["label"] = j
+        value += j
+        d_f += d_logits @ w.T
+    if not drop_disc:
+        j, g = _disc_from_targets(f, t)
+        parts["disc"] = j
+        value += alpha * j
+        d_f += alpha * g
+    if not drop_mse:
+        j, g = _mse_from_targets(f, t)
+        parts["mse"] = j
+        value += beta * j
+        d_f += beta * g
+    return value, d_f, parts
 
 
 def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, l: np.ndarray,
@@ -144,24 +220,7 @@ def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, l: np.ndarray,
     objective. Returns (value, d_f, parts) where parts maps each term name
     to its unweighted value (0.0 when dropped).
     """
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be >= 0")
-    d_f = np.zeros_like(f)
-    parts = {"label": 0.0, "disc": 0.0, "mse": 0.0}
-    value = 0.0
     if not drop_label:
-        j, g = label_loss(f, y, w, q)
-        parts["label"] = j
-        value += j
-        d_f += g
-    if not drop_disc:
-        j, g = disc_loss(f, y, l)
-        parts["disc"] = j
-        value += alpha * j
-        d_f += alpha * g
-    if not drop_mse:
-        j, g = mse_loss(f, y, l)
-        parts["mse"] = j
-        value += beta * j
-        d_f += beta * g
-    return value, d_f, parts
+        _check_soft_labels(y)
+    return objective(f, y, w, f @ w, y @ l, q, alpha, beta, drop_label=drop_label,
+                     drop_disc=drop_disc, drop_mse=drop_mse)

@@ -52,17 +52,19 @@ def l2_normalize(v: np.ndarray):
 
 
 def unit_rows(x: np.ndarray):
-    """Scale each row of x to unit Euclidean norm.
+    """Scale each row (last axis) of x to unit Euclidean norm.
 
-    Returns (unit, safe, degenerate). A row whose norm is <= NORM_EPS is
-    degenerate: its unit row is zero and its safe norm is 1. Other rows have
-    safe equal to their norm, so unit == x / safe[:, None] on every row that
-    is not degenerate.
+    Returns (unit, safe, degenerate), the last two shaped x.shape[:-1], so a
+    (K, B, d) stack gives the same bits as each of its (B, d) slices. A row
+    whose norm is <= NORM_EPS is degenerate: its unit row is zero and its
+    safe norm is 1. Other rows have safe equal to their norm, so
+    unit == x / safe[..., None] on every row that is not degenerate.
     """
-    norms = np.linalg.norm(x, axis=1)
+    # np.linalg.norm(x, axis=-1) computes exactly this, with more overhead
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1))
     degenerate = norms <= NORM_EPS
     safe = np.where(degenerate, 1.0, norms)
-    unit = x / safe[:, None]
+    unit = x / safe[..., None]
     unit[degenerate] = 0.0
     return unit, safe, degenerate
 
@@ -70,9 +72,9 @@ def unit_rows(x: np.ndarray):
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed with max-subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

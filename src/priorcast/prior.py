@@ -4,7 +4,9 @@ Every modality trains its own encoder jointly with a transformation matrix
 that starts from one shared random orthogonal initialization. After training,
 each candidate gets a quality score on its training split; the highest-scoring
 transformation becomes the shared prior for stage two, and its pseudo-inverse
-is the recasting matrix. The stage-one encoders are throwaway.
+is the recasting matrix. The stage-one encoders are throwaway. Modalities of
+equal training-split size train in lockstep as one EncoderStack, each with
+the result it would get alone.
 """
 
 import time
@@ -14,8 +16,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from .config import RunConfig
-from .data import ModalityData, MultimodalDataset, minibatch_iter, read_tensor_file, write_tensor_file
-from .encoder import backward, forward, init_params, sgd_step
+from .data import (ModalityData, MultimodalDataset, lockstep_batches, lockstep_map,
+                   read_tensor_file, write_tensor_file)
+from .encoder import EncoderStack, backward, forward, init_params
 from .errors import FormatError
 from .losses import QSchedule, prior_loss, q_at, quality_score
 from .numerics import make_rng, pseudo_inverse, random_orthogonal, split_seed
@@ -49,28 +52,37 @@ class SplReport:
     wall_seconds: float = 0.0
 
 
-def train_prior_for_modality(mod: ModalityData, w0: np.ndarray, cfg: RunConfig,
-                             rng: np.random.Generator):
-    """Joint SGD over one modality's encoder and its candidate transformation.
+def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
+    """Joint SGD over each modality's encoder and candidate transformation.
 
-    Returns (w, params, score) with the score measured on the full split.
+    The modalities must have equal training-split sizes; they train in
+    lockstep as one EncoderStack, each from its own generator, and each
+    result equals that of training the modality alone. Returns one
+    (w, params) per modality.
     """
-    x = mod.features
-    y = mod.one_hot(w0.shape[1])
-    params = init_params(x.shape[1], cfg.hidden_dim, cfg.embed_dim, rng)
-    w = w0.copy()
+    stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
+                          for mod, rng in zip(mods, rngs)],
+                         extra=np.stack([w0] * len(mods)))
+    w, grad_w = stack.extra, stack.extra_grad
     sched = QSchedule(cfg.q_start, 1.0, cfg.spl_epochs)
     sched.validate()
     for epoch in range(cfg.spl_epochs):
         q = q_at(sched, epoch)
-        for idx in minibatch_iter(mod, cfg.batch_size, rng):
-            f, cache = forward(params, x[idx])
-            _, d_f, d_w = prior_loss(f, y[idx], w, q)
-            grads = backward(params, cache, d_f)
-            params = sgd_step(params, grads, cfg.lr)
-            w = w - cfg.lr * d_w
-    f_all, _ = forward(params, x)
-    return w, params, quality_score(f_all, y, w)
+        for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, w0.shape[1]):
+            f, cache = forward(stack.params, x_b)
+            _, d_f, d_w = prior_loss(f, y_b, w, q)
+            grad_w[...] = d_w
+            backward(stack.params, cache, d_f, out=stack.grads)
+            stack.step(cfg.lr)
+    return list(zip(w, stack.members))
+
+
+def _candidate_score(mod: ModalityData, w: np.ndarray, params) -> float:
+    """quality_score of a trained candidate on the modality's full split."""
+    # drop the forward cache first, so quality_score's temporaries can
+    # reuse its memory: on a large split this is the peak of the stage
+    f_all = forward(params, mod.features)[0]
+    return quality_score(f_all, mod.one_hot(w.shape[1]), w)
 
 
 def select_prior(candidates: Dict[str, np.ndarray], scores: Dict[str, float]) -> str:
@@ -89,7 +101,8 @@ def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
 
     With cfg.skip_spl the shared random orthogonal initialization is used
     directly (unscored). Each modality trains its own encoder from its own
-    derived seed. Returns (PriorMatrix, SplReport).
+    derived seed; modalities of equal training-split size train in lockstep.
+    Returns (PriorMatrix, SplReport).
     """
     t0 = time.perf_counter()
     w0 = random_orthogonal(cfg.embed_dim, dataset.num_classes,
@@ -100,13 +113,14 @@ def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
                            wall_seconds=time.perf_counter() - t0)
         return prior, report
 
+    mods = dataset.splits["train"]
+    results = lockstep_map(mods, [make_rng(split_seed(seed, "spl", mod.name)) for mod in mods],
+                           lambda members, rngs: train_prior_stack(members, w0, cfg, rngs))
     candidates: Dict[str, np.ndarray] = {}
     scores: Dict[str, float] = {}
-    for mod in dataset.splits["train"]:
-        rng = make_rng(split_seed(seed, "spl", mod.name))
-        w, _, score = train_prior_for_modality(mod, w0, cfg, rng)
+    for mod, (w, params) in zip(mods, results):
         candidates[mod.name] = w
-        scores[mod.name] = score
+        scores[mod.name] = _candidate_score(mod, w, params)
     best = select_prior(candidates, scores)
     prior = PriorMatrix(w=candidates[best], l=pseudo_inverse(candidates[best]),
                         score=scores[best], source_modality=best)

@@ -4,9 +4,12 @@ Each modality trains a fresh encoder while the selected prior stays frozen.
 Batches are mixed (embedding-space mixup by default), soft labels are recast
 into the embedding space through the prior's recasting matrix, and the
 encoder follows the combined objective from the losses module with plain SGD.
+Modalities of equal training-split size train in lockstep as one
+EncoderStack, each with the result it would get alone.
 """
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List
@@ -14,9 +17,9 @@ from typing import Dict, List
 import numpy as np
 
 from .config import RunConfig
-from .data import ModalityData, MultimodalDataset, minibatch_iter
-from .encoder import EncoderParams, backward, forward, init_params, sgd_step
-from .losses import QSchedule, q_at, total_loss
+from .data import MultimodalDataset, lockstep_batches, lockstep_map
+from .encoder import EncoderParams, EncoderStack, backward, forward, init_params
+from .losses import QSchedule, objective, q_at
 from .numerics import make_rng, split_seed
 from .prior import PriorMatrix, run_spl
 
@@ -29,30 +32,35 @@ class AugmentedBatch:
     lam: float
 
 
-def feature_augment(f: np.ndarray, y: np.ndarray, lam: float,
-                    rng: np.random.Generator) -> AugmentedBatch:
+def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng) -> AugmentedBatch:
     """Mix each row with a random partner row: lam*x_i + (1-lam)*x_pi(i).
 
     The same permutation and factor apply to features and labels, so mixed
     label rows stay nonnegative and sum to 1. lam=1 is the exact identity.
+    On a (K, B, .) stack rng is a sequence of K generators, slice k mixes
+    within itself by a permutation drawn from rng[k], and perm indexes the
+    rows of f flattened to (K * B, .).
     """
-    b = f.shape[0]
+    b = f.shape[-2]
     if b < 2:
         raise ValueError(f"need at least 2 rows to mix, got {b}")
     if not 0 < lam <= 1:
         raise ValueError(f"mixing factor must be in (0, 1], got {lam}")
-    if y.shape[0] != b:
-        raise ValueError(f"feature rows {b} vs label rows {y.shape[0]}")
-    perm = rng.permutation(b)
-    f_mix = lam * f + (1.0 - lam) * f[perm]
-    y_mix = lam * y + (1.0 - lam) * y[perm]
+    if y.shape[-2] != b:
+        raise ValueError(f"feature rows {b} vs label rows {y.shape[-2]}")
+    if f.ndim == 2:
+        perm = rng.permutation(b)
+    else:
+        perm = np.stack([g.permutation(b) for g in rng]) + b * np.arange(len(rng))[:, None]
+    f_mix = lam * f + (1.0 - lam) * f.reshape(-1, f.shape[-1])[perm]
+    y_mix = lam * y + (1.0 - lam) * y.reshape(-1, y.shape[-1])[perm]
     return AugmentedBatch(f_mix=f_mix, y_mix=y_mix, perm=perm, lam=lam)
 
 
 def recast_invariant(y_mix: np.ndarray, prior: PriorMatrix) -> np.ndarray:
     """Soft labels recast into the embedding space: T = Y L. Not normalized."""
-    if y_mix.shape[1] != prior.num_classes:
-        raise ValueError(f"labels have {y_mix.shape[1]} classes, "
+    if y_mix.shape[-1] != prior.num_classes:
+        raise ValueError(f"labels have {y_mix.shape[-1]} classes, "
                          f"prior has {prior.num_classes}")
     return y_mix @ prior.l
 
@@ -64,71 +72,77 @@ def _effective_prior(prior: PriorMatrix, cfg: RunConfig) -> PriorMatrix:
     return prior
 
 
-def train_rsc_for_modality(mod: ModalityData, prior: PriorMatrix,
-                           cfg: RunConfig, rng: np.random.Generator):
-    """Train one encoder against the frozen prior.
+def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
+    """Train one encoder per modality against the frozen prior.
 
-    Returns (params, epochs) where epochs is a list of per-epoch records:
-    loss components, q, the label-recast gap diagnostic, and wall-clock.
+    The modalities must have equal training-split sizes; they train in
+    lockstep as one EncoderStack, each from its own generator, and each
+    result equals that of training the modality alone. Returns one
+    (params, epochs) per modality, where epochs is a list of per-epoch
+    records: loss components, q, the label-recast gap diagnostic, and the
+    stack's wall-clock for the epoch.
     """
     prior = _effective_prior(prior, cfg)
-    x = mod.features
-    y = mod.one_hot(prior.num_classes)
-    params = init_params(x.shape[1], cfg.hidden_dim, cfg.embed_dim, rng)
+    stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
+                          for mod, rng in zip(mods, rngs)])
     sched = None
     if cfg.fixed_q is None:
         sched = QSchedule(cfg.q_start, 1.0, cfg.rsc_epochs)
         sched.validate()
-    epochs: List[dict] = []
+    mix_embeddings = not (cfg.fa_off or cfg.fa_input_space)
+    epochs: List[List[dict]] = [[] for _ in mods]
     for epoch in range(cfg.rsc_epochs):
         t0 = time.perf_counter()
         q = cfg.fixed_q if sched is None else q_at(sched, epoch)
-        sums = {"label": 0.0, "disc": 0.0, "mse": 0.0, "total": 0.0, "gap": 0.0}
+        sums = {key: np.zeros(len(mods)) for key in ("label", "disc", "mse", "total", "gap")}
         n_seen = 0
-        for idx in minibatch_iter(mod, cfg.batch_size, rng):
-            x_b, y_b = x[idx], y[idx]
-            if cfg.fa_off:
-                f_t, cache = forward(params, x_b)
+        for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, prior.num_classes):
+            if cfg.fa_input_space:
+                # input widths differ within a stack: mix one modality at a time
+                augs = [feature_augment(x, y, cfg.mix_lambda, rng)
+                        for x, y, rng in zip(x_b, y_b, rngs)]
+                f_t, cache = forward(stack.params, [aug.f_mix for aug in augs])
+                y_t = np.stack([aug.y_mix for aug in augs])
+            else:
+                f_t, cache = forward(stack.params, x_b)
                 y_t = y_b
-                aug = None
-            elif cfg.fa_input_space:
-                aug = feature_augment(x_b, y_b, cfg.mix_lambda, rng)
-                f_t, cache = forward(params, aug.f_mix)
-                y_t = aug.y_mix
-            else:
-                f, cache = forward(params, x_b)
-                aug = feature_augment(f, y_b, cfg.mix_lambda, rng)
-                f_t, y_t = aug.f_mix, aug.y_mix
-            value, d_ft, parts = total_loss(
-                f_t, y_t, prior.w, prior.l, q, cfg.alpha, cfg.beta,
-                drop_label=cfg.drop_label, drop_disc=cfg.drop_disc,
-                drop_mse=cfg.drop_mse)
-            if cfg.fa_off or cfg.fa_input_space:
-                d_f = d_ft
-            else:
-                # route the mixed-embedding gradient back to both branches
+                if mix_embeddings:
+                    aug = feature_augment(f_t, y_b, cfg.mix_lambda, rngs)
+                    f_t, y_t = aug.f_mix, aug.y_mix
+            logits = f_t @ prior.w
+            value, d_ft, parts = objective(
+                f_t, y_t, prior.w, logits, recast_invariant(y_t, prior), q,
+                cfg.alpha, cfg.beta, drop_label=cfg.drop_label,
+                drop_disc=cfg.drop_disc, drop_mse=cfg.drop_mse)
+            if mix_embeddings:
+                # route the mixed-embedding gradient back to both branches;
+                # perm is a permutation, so each row receives one addition
                 d_f = aug.lam * d_ft
-                np.add.at(d_f, aug.perm, (1.0 - aug.lam) * d_ft)
-            grads = backward(params, cache, d_f)
-            params = sgd_step(params, grads, cfg.lr)
-            b = len(idx)
+                d_f.reshape(-1, d_f.shape[-1])[aug.perm] += (1.0 - aug.lam) * d_ft
+            else:
+                d_f = d_ft
+            backward(stack.params, cache, d_f, out=stack.grads)
+            stack.step(cfg.lr)
+            b = f_t.shape[1]
             n_seen += b
             for key in ("label", "disc", "mse"):
                 sums[key] += parts[key] * b
             sums["total"] += value * b
-            sums["gap"] += float(np.linalg.norm(f_t @ prior.w - y_t))
-        rec = {
-            "epoch": epoch,
-            "q": q,
-            "label": sums["label"] / n_seen,
-            "disc": sums["disc"] / n_seen,
-            "mse": sums["mse"] / n_seen,
-            "total": sums["total"] / n_seen,
-            "recast_gap": sums["gap"] / n_seen,
-            "wall_seconds": time.perf_counter() - t0,
-        }
-        epochs.append(rec)
-    return params, epochs
+            # np.linalg.norm of each (B, C) slice, which is this BLAS dot
+            sums["gap"] += [math.sqrt(r.dot(r)) for r in (logits - y_t).reshape(len(mods), -1)]
+        wall_seconds = time.perf_counter() - t0
+        for k, records in enumerate(epochs):
+            records.append({
+                "epoch": epoch,
+                "q": q,
+                "label": float(sums["label"][k] / n_seen),
+                "disc": float(sums["disc"][k] / n_seen),
+                "mse": float(sums["mse"][k] / n_seen),
+                "total": float(sums["total"][k] / n_seen),
+                "recast_gap": float(sums["gap"][k] / n_seen),
+                "wall_seconds": wall_seconds,
+            })
+    return list(zip(stack.members, epochs))
 
 
 def train_all(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
@@ -149,15 +163,17 @@ def train_all(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
 
 def train_rsc_all(dataset: MultimodalDataset, prior: PriorMatrix,
                   cfg: RunConfig, seed: int):
-    """Stage two only, for all modalities, each from its own derived seed.
+    """Stage two only, for all modalities, each from its own derived seed;
+    modalities of equal training-split size train in lockstep.
 
     Returns (encoders, report).
     """
+    mods = dataset.splits["train"]
+    results = lockstep_map(mods, [make_rng(split_seed(seed, "rsc", mod.name)) for mod in mods],
+                           lambda members, rngs: train_rsc_stack(members, prior, cfg, rngs))
     encoders: Dict[str, EncoderParams] = {}
     report = {"seed": seed, "modalities": []}
-    for mod in dataset.splits["train"]:
-        rng = make_rng(split_seed(seed, "rsc", mod.name))
-        params, epochs = train_rsc_for_modality(mod, prior, cfg, rng)
+    for mod, (params, epochs) in zip(mods, results):
         encoders[mod.name] = params
         report["modalities"].append({"name": mod.name, "epochs": epochs})
     return encoders, report

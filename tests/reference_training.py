@@ -1,0 +1,123 @@
+"""Per-modality reference loops for both training stages.
+
+One modality at a time, one batch at a time, built only on the one-encoder
+kernels (2-D forward, backward, sgd_step and the losses), with a new
+EncoderParams every step and the mixup gradient routed by np.add.at. The
+lockstep stacks in priorcast.prior and priorcast.training must reproduce
+these results bit for bit.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from priorcast.data import minibatch_iter
+from priorcast.encoder import backward, forward, init_params, sgd_step
+from priorcast.losses import QSchedule, prior_loss, q_at, quality_score, total_loss
+from priorcast.numerics import make_rng, pseudo_inverse, random_orthogonal, split_seed
+from priorcast.prior import PriorMatrix, select_prior
+from priorcast.training import feature_augment
+
+
+def train_prior_for_modality(mod, w0, cfg, rng):
+    """Returns (w, params, score) for one modality."""
+    x = mod.features
+    y = mod.one_hot(w0.shape[1])
+    params = init_params(x.shape[1], cfg.hidden_dim, cfg.embed_dim, rng)
+    w = w0.copy()
+    sched = QSchedule(cfg.q_start, 1.0, cfg.spl_epochs)
+    sched.validate()
+    for epoch in range(cfg.spl_epochs):
+        q = q_at(sched, epoch)
+        for idx in minibatch_iter(mod, cfg.batch_size, rng):
+            f, cache = forward(params, x[idx])
+            _, d_f, d_w = prior_loss(f, y[idx], w, q)
+            grads = backward(params, cache, d_f)
+            params = sgd_step(params, grads, cfg.lr)
+            w = w - cfg.lr * d_w
+    f_all, _ = forward(params, x)
+    return w, params, quality_score(f_all, y, w)
+
+
+def run_spl(dataset, cfg, seed):
+    """Returns (PriorMatrix, scores, stage-one encoders by modality name)."""
+    w0 = random_orthogonal(cfg.embed_dim, dataset.num_classes,
+                           make_rng(split_seed(seed, "spl", "shared-w")))
+    if cfg.skip_spl:
+        return PriorMatrix(w=w0, l=pseudo_inverse(w0)), {}, {}
+    candidates, scores, encoders = {}, {}, {}
+    for mod in dataset.splits["train"]:
+        rng = make_rng(split_seed(seed, "spl", mod.name))
+        candidates[mod.name], encoders[mod.name], scores[mod.name] = \
+            train_prior_for_modality(mod, w0, cfg, rng)
+    best = select_prior(candidates, scores)
+    prior = PriorMatrix(w=candidates[best], l=pseudo_inverse(candidates[best]),
+                        score=scores[best], source_modality=best)
+    return prior, scores, encoders
+
+
+def train_rsc_for_modality(mod, prior, cfg, rng):
+    """Returns (params, epochs) for one modality; epochs omit wall_seconds."""
+    if cfg.use_transpose:
+        prior = dataclasses.replace(prior, l=prior.w.T.copy())
+    x = mod.features
+    y = mod.one_hot(prior.num_classes)
+    params = init_params(x.shape[1], cfg.hidden_dim, cfg.embed_dim, rng)
+    sched = None
+    if cfg.fixed_q is None:
+        sched = QSchedule(cfg.q_start, 1.0, cfg.rsc_epochs)
+        sched.validate()
+    epochs = []
+    for epoch in range(cfg.rsc_epochs):
+        q = cfg.fixed_q if sched is None else q_at(sched, epoch)
+        sums = {"label": 0.0, "disc": 0.0, "mse": 0.0, "total": 0.0, "gap": 0.0}
+        n_seen = 0
+        for idx in minibatch_iter(mod, cfg.batch_size, rng):
+            x_b, y_b = x[idx], y[idx]
+            if cfg.fa_off:
+                f_t, cache = forward(params, x_b)
+                y_t = y_b
+            elif cfg.fa_input_space:
+                aug = feature_augment(x_b, y_b, cfg.mix_lambda, rng)
+                f_t, cache = forward(params, aug.f_mix)
+                y_t = aug.y_mix
+            else:
+                f, cache = forward(params, x_b)
+                aug = feature_augment(f, y_b, cfg.mix_lambda, rng)
+                f_t, y_t = aug.f_mix, aug.y_mix
+            value, d_ft, parts = total_loss(
+                f_t, y_t, prior.w, prior.l, q, cfg.alpha, cfg.beta,
+                drop_label=cfg.drop_label, drop_disc=cfg.drop_disc,
+                drop_mse=cfg.drop_mse)
+            if cfg.fa_off or cfg.fa_input_space:
+                d_f = d_ft
+            else:
+                d_f = aug.lam * d_ft
+                np.add.at(d_f, aug.perm, (1.0 - aug.lam) * d_ft)
+            grads = backward(params, cache, d_f)
+            params = sgd_step(params, grads, cfg.lr)
+            b = len(idx)
+            n_seen += b
+            for key in ("label", "disc", "mse"):
+                sums[key] += parts[key] * b
+            sums["total"] += value * b
+            sums["gap"] += float(np.linalg.norm(f_t @ prior.w - y_t))
+        epochs.append({
+            "epoch": epoch,
+            "q": q,
+            "label": sums["label"] / n_seen,
+            "disc": sums["disc"] / n_seen,
+            "mse": sums["mse"] / n_seen,
+            "total": sums["total"] / n_seen,
+            "recast_gap": sums["gap"] / n_seen,
+        })
+    return params, epochs
+
+
+def train_rsc_all(dataset, prior, cfg, seed):
+    """Returns (encoders, epochs) keyed by modality name."""
+    encoders, epochs = {}, {}
+    for mod in dataset.splits["train"]:
+        rng = make_rng(split_seed(seed, "rsc", mod.name))
+        encoders[mod.name], epochs[mod.name] = train_rsc_for_modality(mod, prior, cfg, rng)
+    return encoders, epochs

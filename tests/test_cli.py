@@ -205,3 +205,16 @@ def test_train_rejects_prior_of_other_class_count(tmp_path, capsys):
     run = _run_cfg(tmp_path, _synth_data(tmp_path, "other", num_classes=4))
     assert main(["train", "--config", run, "--out", str(out)]) == 3
     assert "prior.bin" in capsys.readouterr().err
+
+
+def test_pipeline_rejects_split_width_mismatch_before_any_stage(tmp_path, capsys):
+    manifest = _synth_data(tmp_path)
+    # mod0's test features one column narrower than its training features
+    with open(manifest) as fh:
+        doc = json.load(fh)
+    doc["splits"]["test"][0]["features"] = doc["splits"]["test"][1]["features"]
+    _write(manifest, doc)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", _run_cfg(tmp_path, manifest), "--out", str(out)]) == 3
+    assert "'mod0': test features are 8 wide, train features 10" in capsys.readouterr().err
+    assert not (out / "prior.bin").exists()

@@ -109,6 +109,17 @@ def test_manifest_rejects_class_mismatch(tmp_path):
         load_manifest(manifest)
 
 
+def test_manifest_rejects_feature_width_differing_across_splits(tmp_path):
+    ds = synth_generate(SynthConfig(num_modalities=2, num_classes=3,
+                                    feature_dims=[10, 8], samples_per_class=10,
+                                    noise=[0.1, 0.2], seed=4))
+    test0 = ds.splits["test"][0]
+    ds.splits["test"][0] = ModalityData(test0.name, test0.features[:, :7], test0.labels)
+    manifest = write_dataset(ds, tmp_path)
+    with pytest.raises(FormatError, match=r"'mod0': test features are 7 wide, train features 10"):
+        load_manifest(manifest)
+
+
 def test_synth_deterministic():
     cfg = SynthConfig(seed=9)
     a = synth_generate(cfg)

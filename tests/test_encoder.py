@@ -3,6 +3,7 @@ import pytest
 
 from conftest import check_grad
 from priorcast.encoder import (
+    EncoderStack,
     backward,
     forward,
     init_params,
@@ -90,6 +91,53 @@ def test_sgd_step():
     assert np.allclose(new.w1, params.w1 - 0.5 * grads.w1)
     # original untouched
     assert not np.shares_memory(new.w1, params.w1)
+
+
+def _stack_toy(b, seed=0):
+    """Three encoders of input widths 5/3/6, one with a degenerate output
+    row: a zero input row with zero hidden biases gives z3 == b3."""
+    rng = make_rng(seed)
+    members = [init_params(d_in, 7, 4, rng) for d_in in (5, 3, 6)]
+    members[1].b3 = np.full(4, 1e-14)
+    xs = [rng.standard_normal((b, m.input_dim)) for m in members]
+    xs[1][0] = 0.0
+    return members, xs, rng.standard_normal((3, b, 4))
+
+
+@pytest.mark.parametrize("b", [6, 7])  # a batch and a merged tail batch of B + 1
+def test_stacked_forward_backward_match_each_slice(b):
+    members, xs, d_f = _stack_toy(b)
+    stack = EncoderStack(members)
+    f, cache = forward(stack.params, xs)
+    backward(stack.params, cache, d_f, out=stack.grads)
+    g = stack.grads
+    assert cache.degenerate[1].tolist() == [True] + [False] * (b - 1)
+    for k, (params, x) in enumerate(zip(members, xs)):
+        f_k, cache_k = forward(params, x)
+        assert np.array_equal(f[k], f_k)
+        assert np.array_equal(cache.degenerate[k], cache_k.degenerate)
+        want = backward(params, cache_k, d_f[k])
+        got = (g.w1[k], g.b1[k, 0], g.w2[k], g.b2[k, 0], g.w3[k], g.b3[k, 0])
+        for tg, tw in zip(got, want.tensors()):
+            assert tg.shape == tw.shape
+            assert np.array_equal(tg, tw)
+
+
+def test_stack_step_matches_sgd_step_in_place():
+    members, xs, d_f = _stack_toy(6, seed=2)
+    stack = EncoderStack(members)
+    views = stack.members
+    for view, params in zip(views, members):
+        for tv, tp in zip(view.tensors(), params.tensors()):
+            assert np.array_equal(tv, tp)
+    _, cache = forward(stack.params, xs)
+    backward(stack.params, cache, d_f, out=stack.grads)
+    stack.step(0.5)
+    for k, (view, params, x) in enumerate(zip(views, members, xs)):
+        want = sgd_step(params, backward(params, forward(params, x)[1], d_f[k]), 0.5)
+        for tv, tw in zip(view.tensors(), want.tensors()):
+            assert np.shares_memory(tv, stack.flat)
+            assert np.array_equal(tv, tw)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -245,3 +245,34 @@ def test_total_loss_gradients():
     q = float(rng.uniform(0.05, 1.0))
     _, grad, _ = total_loss(f, y, w, l, q, 0.25, 0.15)
     check_grad(lambda: total_loss(f, y, w, l, q, 0.25, 0.15)[0], f, grad)
+
+
+@pytest.mark.parametrize("b", [6, 7, 150])
+def test_stacked_losses_match_each_slice(b):
+    # 7: a merged tail batch of B + 1; 150: the B x B work of disc_loss runs
+    # in chunks of two slices, the last one short
+    rng = make_rng(12)
+    k, d, c, q = 3, 5, 4, 0.7
+    f = rng.standard_normal((k, b, d))
+    f[1, 2] = 0.0  # a degenerate row
+    y = np.eye(c)[rng.integers(0, c, (k, b))]
+    w = rng.standard_normal((d, c))
+    l = np.linalg.pinv(w)
+    ws = rng.standard_normal((k, d, c))
+
+    def same(stacked, per_slice):
+        for i, one in enumerate(per_slice):
+            for a, e in zip(stacked, one):
+                assert np.array_equal(np.asarray(a)[i], e)
+
+    same(gce_from_logits(f @ w, y, q), [gce_from_logits(f[i] @ w, y[i], q) for i in range(k)])
+    same(mse_loss(f, y, l), [mse_loss(f[i], y[i], l) for i in range(k)])
+    same(disc_loss(f, y, l), [disc_loss(f[i], y[i], l) for i in range(k)])
+    same(label_loss(f, y, w, q), [label_loss(f[i], y[i], w, q) for i in range(k)])
+    same(prior_loss(f, y, ws, q), [prior_loss(f[i], y[i], ws[i], q) for i in range(k)])
+    value, grad, parts = total_loss(f, y, w, l, q, 0.25, 0.15)
+    for i in range(k):
+        value_i, grad_i, parts_i = total_loss(f[i], y[i], w, l, q, 0.25, 0.15)
+        assert value[i] == value_i
+        assert np.array_equal(grad[i], grad_i)
+        assert {key: part[i] for key, part in parts.items()} == parts_i

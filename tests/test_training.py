@@ -5,7 +5,7 @@ import pytest
 
 from conftest import check_grad
 from priorcast.config import RunConfig, apply_ablation
-from priorcast.data import SynthConfig, synth_generate
+from priorcast.data import ModalityData, SynthConfig, synth_generate
 from priorcast.losses import total_loss
 from priorcast.numerics import make_rng, split_seed
 from priorcast.prior import PriorMatrix, run_spl
@@ -14,7 +14,7 @@ from priorcast.training import (
     recast_invariant,
     train_all,
     train_rsc_all,
-    train_rsc_for_modality,
+    train_rsc_stack,
 )
 
 
@@ -148,13 +148,22 @@ def test_rsc_deterministic():
 
 def test_rsc_modality_independence():
     # a modality's outcome does not depend on which other modalities train
-    ds = _dataset()
+    # beside it: mod0 and mod2 share a training-split size and train as one
+    # stack, mod1 (3 rows fewer) trains alone
+    ds = synth_generate(SynthConfig(num_modalities=3, num_classes=3,
+                                    feature_dims=[12, 10, 7], samples_per_class=12,
+                                    noise=[0.2, 0.2, 0.2], seed=0))
+    mod1 = ds.splits["train"][1]
+    ds.splits["train"][1] = ModalityData(mod1.name, mod1.features[:-3], mod1.labels[:-3])
     prior, _ = run_spl(ds, _cfg(), seed=0)
-    both, _ = train_rsc_all(ds, prior, _cfg(), seed=2)
-    solo_rng = make_rng(split_seed(2, "rsc", "mod1"))
-    solo, _ = train_rsc_for_modality(ds.splits["train"][1], prior, _cfg(), solo_rng)
-    for ta, tb in zip(both["mod1"].tensors(), solo.tensors()):
-        assert np.array_equal(ta, tb)
+    together, report = train_rsc_all(ds, prior, _cfg(), seed=2)
+    for mod, entry in zip(ds.splits["train"], report["modalities"]):
+        solo_rng = make_rng(split_seed(2, "rsc", mod.name))
+        [(solo, epochs)] = train_rsc_stack([mod], prior, _cfg(), [solo_rng])
+        for ta, tb in zip(together[mod.name].tensors(), solo.tensors()):
+            assert np.array_equal(ta, tb)
+        for a, b in zip(entry["epochs"], epochs):
+            assert {**a, "wall_seconds": 0} == {**b, "wall_seconds": 0}
 
 
 def test_prior_frozen_during_rsc():
