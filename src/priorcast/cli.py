@@ -12,14 +12,13 @@ import argparse
 import ctypes
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 import time
 
 from . import __version__
 from .config import RunConfig, apply_ablation, config_to_dict, load_config
-from .data import MultimodalDataset, load_manifest, synth_generate, write_dataset
+from .data import MultimodalDataset, load_manifest, synth_generate, write_dataset, write_json
 from .encoder import load_checkpoint, save_checkpoint
 from .errors import ConfigError, FormatError, NumericError
 from .evaluate import embed_split, table_from_embeddings, write_map_table, write_pr_csv
@@ -42,28 +41,9 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _dataset_input_files(manifest_path):
-    """The manifest plus every data file it references."""
-    files = [manifest_path]
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    for entries in raw.get("splits", {}).values():
-        for entry in entries:
-            for key in ("features", "labels"):
-                files.append(os.path.join(base, entry[key]))
-    return files
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_run_manifest(out_dir, command, cfg, inputs, stages, t0) -> None:
     """Record what ran: inputs by hash, and each stage's outputs and wall time."""
-    _write_json(os.path.join(out_dir, "run_manifest.json"), {
+    write_json(os.path.join(out_dir, "run_manifest.json"), {
         "command": command,
         "config": config_to_dict(cfg),
         "version": __version__,
@@ -72,12 +52,6 @@ def _write_run_manifest(out_dir, command, cfg, inputs, stages, t0) -> None:
         "stages": stages,
         "wall_seconds": time.perf_counter() - t0,
     })
-
-
-def _require_manifest(cfg: RunConfig) -> str:
-    if not cfg.manifest:
-        raise ConfigError("config has no 'manifest' path to a dataset")
-    return cfg.manifest
 
 
 def cmd_synth(cfg: RunConfig, out_dir, config_path, seed_override=None):
@@ -102,7 +76,7 @@ def cmd_synth(cfg: RunConfig, out_dir, config_path, seed_override=None):
 def cmd_spl(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
     prior, report = run_spl(dataset, cfg, cfg.seed)
     save_prior(os.path.join(out_dir, PRIOR_FILE), prior)
-    _write_json(os.path.join(out_dir, "spl_report.json"), dataclasses.asdict(report))
+    write_json(os.path.join(out_dir, "spl_report.json"), dataclasses.asdict(report))
     if report.skipped:
         print("prior: random orthogonal (selection skipped)")
     else:
@@ -125,7 +99,7 @@ def cmd_train(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
         ckpt = checkpoint_file(name)
         save_checkpoint(os.path.join(out_dir, ckpt), params, name)
         outputs.append(ckpt)
-    _write_json(os.path.join(out_dir, "training_report.json"), report)
+    write_json(os.path.join(out_dir, "training_report.json"), report)
     outputs.append("training_report.json")
     print(f"trained {len(encoders)} encoders "
           f"({time.perf_counter() - t0:.1f}s)")
@@ -160,9 +134,10 @@ def cmd_eval(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
 def _run_stages(command, stages, cfg: RunConfig, out_dir, config_path) -> int:
     """Load and hash the dataset once, run the stages in order, write one manifest."""
     t0 = time.perf_counter()
-    manifest = _require_manifest(cfg)
-    dataset = load_manifest(manifest)
-    inputs = [config_path] + _dataset_input_files(manifest)
+    if not cfg.manifest:
+        raise ConfigError("config has no 'manifest' path to a dataset")
+    dataset = load_manifest(cfg.manifest)
+    inputs = [config_path] + dataset.files
     records = []
     for name, stage in stages.items():
         start = time.perf_counter()

@@ -73,10 +73,7 @@ class MultimodalDataset:
 
     num_classes: int
     splits: dict = field(default_factory=dict)  # split name -> list[ModalityData]
-
-    @property
-    def num_modalities(self) -> int:
-        return len(self.splits["train"])
+    files: list = field(default_factory=list)  # manifest and data files, in read order
 
     def modality_names(self) -> list:
         return [m.name for m in self.splits["train"]]
@@ -150,6 +147,30 @@ def write_features(path, features: np.ndarray) -> None:
         write_features_to(fh, features)
 
 
+def _read_payload(fh, want: int, claim: str) -> bytes:
+    """Read the want payload bytes a header claims (claim names its shape).
+
+    A seekable stream is checked against its size first, so a header that
+    claims more than the file holds is refused before anything is allocated.
+    """
+    if fh.seekable():
+        pos = fh.tell()
+        end = fh.seek(0, io.SEEK_END)
+        fh.seek(pos)
+        if want > end - pos:
+            raise FormatError(
+                f"truncated payload: header claims {claim} but only "
+                f"{end - pos} payload bytes remain"
+            )
+    payload = fh.read(want)
+    if len(payload) != want:
+        raise FormatError(
+            f"truncated payload: header claims {claim} but only "
+            f"{len(payload)} of {want} payload bytes present"
+        )
+    return payload
+
+
 def read_features_from(fh) -> np.ndarray:
     """Read one DFM1 matrix from an open binary stream, consuming exactly its bytes."""
     magic = fh.read(4)
@@ -163,22 +184,7 @@ def read_features_from(fh) -> np.ndarray:
         raise FormatError(f"dimension overflow: invalid shape {rows}x{cols}")
     if rows * cols > _MAX_ELEMS:
         raise FormatError(f"dimension overflow: {rows}x{cols} exceeds element cap")
-    want = rows * cols * 4
-    if fh.seekable():
-        pos = fh.tell()
-        end = fh.seek(0, io.SEEK_END)
-        fh.seek(pos)
-        if want > end - pos:
-            raise FormatError(
-                f"truncated payload: header claims {rows}x{cols} but only "
-                f"{end - pos} payload bytes remain"
-            )
-    payload = fh.read(want)
-    if len(payload) != want:
-        raise FormatError(
-            f"truncated payload: header claims {rows}x{cols} but only "
-            f"{len(payload)} of {want} payload bytes present"
-        )
+    payload = _read_payload(fh, rows * cols * 4, f"{rows}x{cols}")
     return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, cols)
 
 
@@ -242,11 +248,7 @@ def read_labels(path):
         if len(header) != 8:
             raise FormatError("truncated payload: incomplete label header")
         rows, num_classes = struct.unpack("<II", header)
-        payload = fh.read(rows * 4)
-        if len(payload) != rows * 4:
-            raise FormatError(
-                f"truncated payload: header claims {rows} labels but payload is short"
-            )
+        payload = _read_payload(fh, rows * 4, f"{rows} labels")
         labels = np.frombuffer(payload, dtype="<u4").astype(np.int64)
     if rows and labels.max() >= num_classes:
         raise FormatError(f"label index outside [0, {num_classes})")
@@ -269,19 +271,27 @@ def load_manifest(path) -> MultimodalDataset:
     num_classes = doc["num_classes"]
     if not isinstance(num_classes, int) or num_classes < 1:
         raise FormatError("manifest num_classes must be a positive integer")
+    if not isinstance(doc["splits"], dict):
+        raise FormatError("manifest splits must be an object")
     base = os.path.dirname(os.path.abspath(path))
     splits = {}
+    files = [path]
     for split in SPLIT_NAMES:
         entries = doc["splits"].get(split)
         if not isinstance(entries, list) or not entries:
             raise FormatError(f"manifest split {split!r} missing or empty")
         mods = []
         for entry in entries:
+            if not isinstance(entry, dict):
+                raise FormatError(f"manifest split {split!r}: entry {entry!r} is not an object")
             for key in ("name", "features", "labels"):
-                if key not in entry:
-                    raise FormatError(f"manifest entry missing key {key!r}")
-            features = read_features(os.path.join(base, entry["features"]))
-            labels, file_classes = read_labels(os.path.join(base, entry["labels"]))
+                if not isinstance(entry.get(key), str):
+                    raise FormatError(f"manifest entry needs a string {key!r}")
+            feat_path = os.path.join(base, entry["features"])
+            lab_path = os.path.join(base, entry["labels"])
+            files += [feat_path, lab_path]
+            features = read_features(feat_path)
+            labels, file_classes = read_labels(lab_path)
             if file_classes != num_classes:
                 raise FormatError(
                     f"label file for {entry['name']!r} declares {file_classes} classes, "
@@ -289,9 +299,16 @@ def load_manifest(path) -> MultimodalDataset:
                 )
             mods.append(ModalityData(entry["name"], features, labels))
         splits[split] = mods
-    dataset = MultimodalDataset(num_classes=num_classes, splits=splits)
+    dataset = MultimodalDataset(num_classes=num_classes, splits=splits, files=files)
     dataset.validate()
     return dataset
+
+
+def write_json(path, doc) -> None:
+    """Write doc as UTF-8 JSON: 2-space indent, sorted keys, trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_dataset(dataset: MultimodalDataset, out_dir) -> str:
@@ -309,9 +326,7 @@ def write_dataset(dataset: MultimodalDataset, out_dir) -> str:
                 {"name": mod.name, "features": feat_name, "labels": lab_name}
             )
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, doc)
     return manifest_path
 
 
@@ -340,12 +355,6 @@ def synth_generate(cfg: SynthConfig) -> MultimodalDataset:
     centers = rng_centers.standard_normal((cfg.num_classes, latent_dim))
     dists = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
     min_dist = dists[~np.eye(cfg.num_classes, dtype=bool)].min()
-    attempts = 0
-    while min_dist <= 0 and attempts < 16:
-        centers = rng_centers.standard_normal((cfg.num_classes, latent_dim))
-        dists = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
-        min_dist = dists[~np.eye(cfg.num_classes, dtype=bool)].min()
-        attempts += 1
     if min_dist <= 0:
         raise ConfigError("could not draw distinct class centers")
     if min_dist < cfg.separation:

@@ -5,13 +5,12 @@ deterministic tie-break (ascending gallery index), so results are
 bit-reproducible across runs and platforms.
 """
 
-import json
 from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 
-from .data import MultimodalDataset
+from .data import MultimodalDataset, write_json
 from .encoder import EncoderParams, forward
 from .numerics import unit_rows
 
@@ -38,15 +37,6 @@ def embed(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     """Row embeddings for a feature matrix. Rows come back unit-norm."""
     f, _ = forward(params, features)
     return f
-
-
-def rank_gallery(query: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """Gallery indices by descending cosine to the query; ties keep index order."""
-    if gallery.ndim != 2 or gallery.shape[0] == 0:
-        raise ValueError("gallery must be a nonempty matrix")
-    qn = unit_rows(query[None, :])[0][0]
-    sims = unit_rows(gallery)[0] @ qn
-    return np.argsort(-sims, kind="stable")
 
 
 def average_precision(relevance, n_rank: int) -> float:
@@ -191,9 +181,7 @@ def cross_modal_eval(encoders: Dict[str, EncoderParams],
 
 
 def write_map_table(path, table: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, table)
 
 
 def write_pr_csv(path, curve: PrCurve) -> None:

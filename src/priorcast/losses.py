@@ -6,42 +6,24 @@ softmax over logits f W puts on the (possibly soft) target. As q -> 0 this
 approaches -ln p; at q = 1 it is the bounded 1 - p. All losses are computed
 per mini-batch, with the batch size standing in for the modality size.
 
-Every loss also takes a (K, B, .) stack of K batches, f and y stacked and
-the other matrices shared (prior_loss: one w per slice). Each slice's
-gradient then equals the one-batch result bit for bit, and each value
-becomes a (K,) array of the one-batch values.
+Every loss also takes a (K, B, .) stack of K batches, f, y and the recast
+targets t stacked and the other matrices shared (prior_loss: one w per
+slice). Each slice's gradient then equals the one-batch result bit for
+bit, and each value becomes a (K,) array of the one-batch values.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import softmax, unit_rows
 
 
-@dataclass
-class QSchedule:
-    """Linear ramp of the hardness factor q across training epochs."""
-
-    q_start: float = 0.01
-    q_end: float = 1.0
-    total_epochs: int = 100
-
-    def validate(self) -> None:
-        if not 0 < self.q_start <= self.q_end <= 1:
-            raise ValueError(f"need 0 < q_start <= q_end <= 1, got {self.q_start}, {self.q_end}")
-        if self.total_epochs < 1:
-            raise ValueError("total_epochs must be >= 1")
-
-
-def q_at(schedule: QSchedule, epoch: int) -> float:
-    """q for one epoch: linear from q_start to q_end over the schedule."""
-    if not 0 <= epoch < schedule.total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {schedule.total_epochs})")
-    if schedule.total_epochs == 1:
-        return schedule.q_end
-    frac = epoch / (schedule.total_epochs - 1)
-    return schedule.q_start + (schedule.q_end - schedule.q_start) * frac
+def q_at(q_start: float, epochs: int, epoch: int) -> float:
+    """q for one epoch of a stage: linear from q_start to 1 over its epochs."""
+    if not 0 <= epoch < epochs:
+        raise ValueError(f"epoch {epoch} outside [0, {epochs})")
+    if epochs == 1:
+        return 1.0
+    return q_start + (1.0 - q_start) * (epoch / (epochs - 1))
 
 
 def _check_q(q: float) -> None:
@@ -89,7 +71,8 @@ def quality_score(f: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
 
 
 def _check_soft_labels(y: np.ndarray) -> None:
-    if np.any(y < 0):
+    # y.min() costs a third of np.any(y < 0) on a training batch
+    if y.size and y.min() < 0:
         raise ValueError("soft labels must be nonnegative")
 
 
@@ -108,31 +91,16 @@ def _check_targets(f: np.ndarray, t: np.ndarray) -> None:
         raise ValueError(f"targets {t.shape} vs embeddings {f.shape}")
 
 
-def mse_loss(f: np.ndarray, y: np.ndarray, l: np.ndarray):
-    """Mean squared distance between embeddings and recast targets y L.
+def mse_loss(f: np.ndarray, t: np.ndarray):
+    """Mean squared distance between embeddings and recast targets t = y L.
 
     Returns (value, d_f).
     """
-    return _mse_from_targets(f, y @ l)
-
-
-def _mse_from_targets(f, t):
     _check_targets(f, t)
     diff = f - t
     b = f.shape[-2]
     loss = _value(np.add.reduce(diff * diff, axis=(-2, -1)) / b)
     return loss, (2.0 / b) * diff
-
-
-def disc_loss(f: np.ndarray, y: np.ndarray, l: np.ndarray):
-    """Pairwise cosine-structure loss between embeddings and recast targets.
-
-    Matches the target Gram structure within the batch (intra-class
-    compactness, inter-class separation) plus a cross term penalizing
-    asymmetry between target-to-embedding and embedding-to-target
-    similarities. Returns (value, d_f).
-    """
-    return _disc_from_targets(f, y @ l)
 
 
 # Elements in each (slices, B, B) buffer of disc_loss: as many slices of a
@@ -141,7 +109,14 @@ def disc_loss(f: np.ndarray, y: np.ndarray, l: np.ndarray):
 _GRAM_BUDGET = 256 * 256
 
 
-def _disc_from_targets(f, t):
+def disc_loss(f: np.ndarray, t: np.ndarray):
+    """Pairwise cosine-structure loss between embeddings and recast targets.
+
+    Matches the Gram structure of t = y L within the batch (intra-class
+    compactness, inter-class separation) plus a cross term penalizing
+    asymmetry between target-to-embedding and embedding-to-target
+    similarities. Returns (value, d_f).
+    """
     _check_targets(f, t)
     b, d = f.shape[-2:]
     fn, f_safe, f_deg = unit_rows(f)
@@ -178,14 +153,16 @@ def _disc_from_targets(f, t):
     return _value(loss.reshape(f.shape[:-2])), d_f
 
 
-def objective(f: np.ndarray, y: np.ndarray, w: np.ndarray, logits: np.ndarray,
-              t: np.ndarray, q: float, alpha: float, beta: float, *,
-              drop_label: bool = False, drop_disc: bool = False,
-              drop_mse: bool = False):
-    """total_loss given the label logits f w and the recast targets t = y l.
+def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray,
+               q: float, alpha: float, beta: float, *,
+               drop_label: bool = False, drop_disc: bool = False,
+               drop_mse: bool = False):
+    """Weighted sum J_label + alpha * J_disc + beta * J_mse over one batch.
 
-    A caller that needs either product for more than the loss computes it
-    once and passes it in. Returns what total_loss returns.
+    t holds the recast targets y L. The drop flags are the ablation
+    switches; defaults give the full objective. Returns (value, d_f, parts)
+    where parts maps each term name to its unweighted value (0.0 when
+    dropped).
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be >= 0")
@@ -193,34 +170,15 @@ def objective(f: np.ndarray, y: np.ndarray, w: np.ndarray, logits: np.ndarray,
     parts = {"label": 0.0, "disc": 0.0, "mse": 0.0}
     value = 0.0
     if not drop_label:
-        j, d_logits, _ = gce_from_logits(logits, y, q)
-        parts["label"] = j
-        value += j
-        d_f += d_logits @ w.T
+        parts["label"], g = label_loss(f, y, w, q)
+        value += parts["label"]
+        d_f += g
     if not drop_disc:
-        j, g = _disc_from_targets(f, t)
-        parts["disc"] = j
-        value += alpha * j
+        parts["disc"], g = disc_loss(f, t)
+        value += alpha * parts["disc"]
         d_f += alpha * g
     if not drop_mse:
-        j, g = _mse_from_targets(f, t)
-        parts["mse"] = j
-        value += beta * j
+        parts["mse"], g = mse_loss(f, t)
+        value += beta * parts["mse"]
         d_f += beta * g
     return value, d_f, parts
-
-
-def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, l: np.ndarray,
-               q: float, alpha: float, beta: float, *,
-               drop_label: bool = False, drop_disc: bool = False,
-               drop_mse: bool = False):
-    """Weighted sum J_label + alpha * J_disc + beta * J_mse over one batch.
-
-    The drop flags are the ablation switches; defaults give the full
-    objective. Returns (value, d_f, parts) where parts maps each term name
-    to its unweighted value (0.0 when dropped).
-    """
-    if not drop_label:
-        _check_soft_labels(y)
-    return objective(f, y, w, f @ w, y @ l, q, alpha, beta, drop_label=drop_label,
-                     drop_disc=drop_disc, drop_mse=drop_mse)

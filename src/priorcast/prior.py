@@ -20,7 +20,7 @@ from .data import (ModalityData, MultimodalDataset, lockstep_batches, lockstep_m
                    read_tensor_file, write_tensor_file)
 from .encoder import EncoderStack, backward, forward, init_params
 from .errors import FormatError
-from .losses import QSchedule, prior_loss, q_at, quality_score
+from .losses import prior_loss, q_at, quality_score
 from .numerics import make_rng, pseudo_inverse, random_orthogonal, split_seed
 
 
@@ -64,10 +64,8 @@ def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
                           for mod, rng in zip(mods, rngs)],
                          extra=np.stack([w0] * len(mods)))
     w, grad_w = stack.extra, stack.extra_grad
-    sched = QSchedule(cfg.q_start, 1.0, cfg.spl_epochs)
-    sched.validate()
     for epoch in range(cfg.spl_epochs):
-        q = q_at(sched, epoch)
+        q = q_at(cfg.q_start, cfg.spl_epochs, epoch)
         for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, w0.shape[1]):
             f, cache = forward(stack.params, x_b)
             _, d_f, d_w = prior_loss(f, y_b, w, q)

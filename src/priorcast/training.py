@@ -19,7 +19,7 @@ import numpy as np
 from .config import RunConfig
 from .data import MultimodalDataset, lockstep_batches, lockstep_map
 from .encoder import EncoderParams, EncoderStack, backward, forward, init_params
-from .losses import QSchedule, objective, q_at
+from .losses import q_at, total_loss
 from .numerics import make_rng, split_seed
 from .prior import PriorMatrix, run_spl
 
@@ -85,15 +85,11 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
     prior = _effective_prior(prior, cfg)
     stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
                           for mod, rng in zip(mods, rngs)])
-    sched = None
-    if cfg.fixed_q is None:
-        sched = QSchedule(cfg.q_start, 1.0, cfg.rsc_epochs)
-        sched.validate()
     mix_embeddings = not (cfg.fa_off or cfg.fa_input_space)
     epochs: List[List[dict]] = [[] for _ in mods]
     for epoch in range(cfg.rsc_epochs):
         t0 = time.perf_counter()
-        q = cfg.fixed_q if sched is None else q_at(sched, epoch)
+        q = cfg.fixed_q if cfg.fixed_q is not None else q_at(cfg.q_start, cfg.rsc_epochs, epoch)
         sums = {key: np.zeros(len(mods)) for key in ("label", "disc", "mse", "total", "gap")}
         n_seen = 0
         for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, prior.num_classes):
@@ -109,9 +105,8 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
                 if mix_embeddings:
                     aug = feature_augment(f_t, y_b, cfg.mix_lambda, rngs)
                     f_t, y_t = aug.f_mix, aug.y_mix
-            logits = f_t @ prior.w
-            value, d_ft, parts = objective(
-                f_t, y_t, prior.w, logits, recast_invariant(y_t, prior), q,
+            value, d_ft, parts = total_loss(
+                f_t, y_t, prior.w, recast_invariant(y_t, prior), q,
                 cfg.alpha, cfg.beta, drop_label=cfg.drop_label,
                 drop_disc=cfg.drop_disc, drop_mse=cfg.drop_mse)
             if mix_embeddings:
@@ -128,8 +123,9 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
             for key in ("label", "disc", "mse"):
                 sums[key] += parts[key] * b
             sums["total"] += value * b
-            # np.linalg.norm of each (B, C) slice, which is this BLAS dot
-            sums["gap"] += [math.sqrt(r.dot(r)) for r in (logits - y_t).reshape(len(mods), -1)]
+            # np.linalg.norm of each (B, C) slice of f W - Y, which is this BLAS dot
+            gap = (f_t @ prior.w - y_t).reshape(len(mods), -1)
+            sums["gap"] += [math.sqrt(r.dot(r)) for r in gap]
         wall_seconds = time.perf_counter() - t0
         for k, records in enumerate(epochs):
             records.append({

@@ -13,7 +13,7 @@ import numpy as np
 
 from priorcast.data import minibatch_iter
 from priorcast.encoder import backward, forward, init_params, sgd_step
-from priorcast.losses import QSchedule, prior_loss, q_at, quality_score, total_loss
+from priorcast.losses import prior_loss, q_at, quality_score, total_loss
 from priorcast.numerics import make_rng, pseudo_inverse, random_orthogonal, split_seed
 from priorcast.prior import PriorMatrix, select_prior
 from priorcast.training import feature_augment
@@ -25,10 +25,8 @@ def train_prior_for_modality(mod, w0, cfg, rng):
     y = mod.one_hot(w0.shape[1])
     params = init_params(x.shape[1], cfg.hidden_dim, cfg.embed_dim, rng)
     w = w0.copy()
-    sched = QSchedule(cfg.q_start, 1.0, cfg.spl_epochs)
-    sched.validate()
     for epoch in range(cfg.spl_epochs):
-        q = q_at(sched, epoch)
+        q = q_at(cfg.q_start, cfg.spl_epochs, epoch)
         for idx in minibatch_iter(mod, cfg.batch_size, rng):
             f, cache = forward(params, x[idx])
             _, d_f, d_w = prior_loss(f, y[idx], w, q)
@@ -63,13 +61,9 @@ def train_rsc_for_modality(mod, prior, cfg, rng):
     x = mod.features
     y = mod.one_hot(prior.num_classes)
     params = init_params(x.shape[1], cfg.hidden_dim, cfg.embed_dim, rng)
-    sched = None
-    if cfg.fixed_q is None:
-        sched = QSchedule(cfg.q_start, 1.0, cfg.rsc_epochs)
-        sched.validate()
     epochs = []
     for epoch in range(cfg.rsc_epochs):
-        q = cfg.fixed_q if sched is None else q_at(sched, epoch)
+        q = cfg.fixed_q if cfg.fixed_q is not None else q_at(cfg.q_start, cfg.rsc_epochs, epoch)
         sums = {"label": 0.0, "disc": 0.0, "mse": 0.0, "total": 0.0, "gap": 0.0}
         n_seen = 0
         for idx in minibatch_iter(mod, cfg.batch_size, rng):
@@ -86,7 +80,7 @@ def train_rsc_for_modality(mod, prior, cfg, rng):
                 aug = feature_augment(f, y_b, cfg.mix_lambda, rng)
                 f_t, y_t = aug.f_mix, aug.y_mix
             value, d_ft, parts = total_loss(
-                f_t, y_t, prior.w, prior.l, q, cfg.alpha, cfg.beta,
+                f_t, y_t, prior.w, y_t @ prior.l, q, cfg.alpha, cfg.beta,
                 drop_label=cfg.drop_label, drop_disc=cfg.drop_disc,
                 drop_mse=cfg.drop_mse)
             if cfg.fa_off or cfg.fa_input_space:

@@ -86,21 +86,21 @@ def test_c2_gradient_oracle():
             worst.get("label_loss", 0.0),
             max_rel_err(g, numeric_grad(lambda: label_loss(f, soft, w, q)[0], f)))
 
-        _, g = mse_loss(f, y, l)
+        _, g = mse_loss(f, y @ l)
         worst["mse_loss"] = max(
             worst.get("mse_loss", 0.0),
-            max_rel_err(g, numeric_grad(lambda: mse_loss(f, y, l)[0], f)))
+            max_rel_err(g, numeric_grad(lambda: mse_loss(f, y @ l)[0], f)))
 
-        _, g = disc_loss(f, y, l)
+        _, g = disc_loss(f, y @ l)
         worst["disc_loss"] = max(
             worst.get("disc_loss", 0.0),
-            max_rel_err(g, numeric_grad(lambda: disc_loss(f, y, l)[0], f)))
+            max_rel_err(g, numeric_grad(lambda: disc_loss(f, y @ l)[0], f)))
 
-        _, g, _ = total_loss(f, soft, w, l, q, 0.1, 0.1)
+        _, g, _ = total_loss(f, soft, w, soft @ l, q, 0.1, 0.1)
         worst["total_loss"] = max(
             worst.get("total_loss", 0.0),
             max_rel_err(g, numeric_grad(
-                lambda: total_loss(f, soft, w, l, q, 0.1, 0.1)[0], f)))
+                lambda: total_loss(f, soft, w, soft @ l, q, 0.1, 0.1)[0], f)))
 
         params = init_params(4, 6, 3, rng)
         # finite differences need a generic point: keep every ReLU

@@ -72,6 +72,16 @@ def test_train_without_prior(tmp_path):
     assert main(["train", "--config", run, "--out", str(tmp_path / "run")]) == 3
 
 
+def test_malformed_manifest_shapes_exit_3(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    for doc in ({"num_classes": 3, "splits": []},
+                {"num_classes": 3, "splits": {"train": [7]}}):
+        _write(manifest, doc)
+        run = _run_cfg(tmp_path, str(manifest))
+        assert main(["spl", "--config", run, "--out", str(tmp_path / "run")]) == 3
+        assert "format error: manifest" in capsys.readouterr().err
+
+
 def test_unknown_ablation(tmp_path):
     cfg = _synth_cfg(tmp_path)
     data = tmp_path / "data"

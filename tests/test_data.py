@@ -1,5 +1,8 @@
 import json
 import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -51,7 +54,6 @@ def test_features_truncated(tmp_path):
 def test_features_dimension_overflow(tmp_path):
     path = tmp_path / "o.dfm"
     # header claims a payload far larger than anything sane
-    import struct
     path.write_bytes(b"DFM1" + struct.pack("<III", 2**20, 2**20, 0))
     with pytest.raises(FormatError, match="overflow"):
         read_features(path)
@@ -72,6 +74,30 @@ def test_labels_reject_out_of_range(tmp_path):
         write_labels(path, np.array([0, 3]), num_classes=3)
 
 
+def test_labels_header_claiming_more_than_the_file_holds(tmp_path):
+    # 0xFFFFFFFF labels would be a ~17 GB read from a 20-byte file. The
+    # reader runs in a child under a 2 GiB address-space limit, so one that
+    # allocates before checking the file size fails there with MemoryError
+    # instead of reserving the memory.
+    path = tmp_path / "huge.dlb"
+    path.write_bytes(b"DLB1" + struct.pack("<II", 0xFFFFFFFF, 3) + bytes(8))
+    code = (
+        "import resource, sys\n"
+        "limit = resource.RLIMIT_AS\n"
+        "resource.setrlimit(limit, (2 << 30, resource.getrlimit(limit)[1]))\n"
+        "from priorcast.data import read_labels\n"
+        "from priorcast.errors import FormatError\n"
+        "try:\n"
+        "    read_labels(sys.argv[1])\n"
+        "except FormatError as exc:\n"
+        "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("truncated payload: header claims 4294967295 labels")
+
+
 def test_dataset_write_load_round_trip(tmp_path):
     ds = synth_generate(SynthConfig(num_modalities=2, num_classes=3,
                                     feature_dims=[10, 8], samples_per_class=10,
@@ -84,6 +110,31 @@ def test_dataset_write_load_round_trip(tmp_path):
             assert a.name == b.name
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.labels, b.labels)
+
+
+def test_manifest_lists_the_files_it_read(tmp_path):
+    ds = synth_generate(SynthConfig(num_modalities=2, num_classes=3,
+                                    feature_dims=[10, 8], samples_per_class=10,
+                                    noise=[0.1, 0.2], seed=4))
+    manifest = write_dataset(ds, tmp_path)
+    back = load_manifest(manifest)
+    assert back.files == [manifest] + [
+        os.path.join(str(tmp_path), f"mod{k}_{split}.{ext}")
+        for split in ("train", "val", "test") for k in (0, 1) for ext in ("dfm", "dlb")]
+
+
+@pytest.mark.parametrize("splits, match", [
+    ([], "splits must be an object"),
+    ({"train": {"name": "mod0"}}, "split 'train' missing or empty"),
+    ({"train": [7]}, "entry 7 is not an object"),
+    ({"train": [{"name": "mod0", "features": 3, "labels": "a.dlb"}]}, "string 'features'"),
+    ({"train": [{"name": "mod0", "features": "a.dfm"}]}, "string 'labels'"),
+])
+def test_manifest_rejects_malformed_shapes(tmp_path, splits, match):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"num_classes": 3, "splits": splits}))
+    with pytest.raises(FormatError, match=match):
+        load_manifest(path)
 
 
 def test_manifest_rejects_missing_file(tmp_path):

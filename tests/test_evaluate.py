@@ -11,7 +11,6 @@ from priorcast.evaluate import (
     embed,
     map_score,
     pr_curve,
-    rank_gallery,
     write_map_table,
     write_pr_csv,
 )
@@ -57,27 +56,53 @@ def test_ap_range_and_perfect_ordering():
 
 
 def test_rank_gallery_orders_by_cosine():
-    q = np.array([1.0, 0.0])
+    # three copies of one query, each of the class of exactly one gallery
+    # item: its AP is 1 / (rank of that item), so the APs pin the order
+    # (cosines 1, 0.995..., 0: gallery 2, then 1, then 0)
+    queries = np.tile([1.0, 0.0], (3, 1))
     gallery = np.array([[0.0, 1.0], [1.0, 0.1], [1.0, 0.0]])
-    order = rank_gallery(q, gallery)
-    assert order[0] == 2
-    assert order[-1] == 0
+    q_labels, g_labels = np.array([0, 1, 2]), np.array([2, 1, 0])
+    result = map_score(queries, q_labels, gallery, g_labels)
+    assert np.array_equal(result.aps, [1.0, 1.0 / 2.0, 1.0 / 3.0])
+    assert result.map == pytest.approx(11.0 / 18.0, abs=1e-15)
+    curve = pr_curve(queries, q_labels, gallery, g_labels)
+    assert np.allclose(curve.recall, [1 / 3, 2 / 3, 1.0], rtol=0, atol=1e-15)
+    assert np.allclose(curve.precision, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
 
 
 def test_rank_gallery_tie_break_ascending():
-    q = np.array([1.0, 0.0])
-    gallery = np.tile(q, (4, 1))
-    assert np.array_equal(rank_gallery(q, gallery), [0, 1, 2, 3])
+    # two groups of 10 exactly tied items, interleaved: even items have
+    # cosine 1 with the query, odd items cosine 0 (numpy's default unstable
+    # argsort reorders ties here). Each group ranks by ascending index, and
+    # the copy of the query that only item j matches has AP 1 / (rank of j)
+    n = 20
+    queries = np.tile([1.0, 0.0], (n, 1))
+    gallery = np.where(np.arange(n)[:, None] % 2 == 0, [2.0, 0.0], [0.0, 3.0])
+    labels = np.arange(n)
+    rank = np.empty(n)
+    rank[0::2] = np.arange(1, 11)
+    rank[1::2] = np.arange(11, 21)
+    result = map_score(queries, labels, gallery, labels)
+    assert np.array_equal(result.aps, 1.0 / rank)
+    top2 = np.zeros(n)
+    top2[[0, 2]] = [1.0, 0.5]
+    assert np.array_equal(map_score(queries, labels, gallery, labels, n_rank=2).aps, top2)
+    curve = pr_curve(queries, labels, gallery, labels)
+    assert np.allclose(curve.recall, np.arange(1, n + 1) / n, rtol=0, atol=1e-15)
+    assert np.allclose(curve.precision, 1.0 / n, rtol=0, atol=1e-15)
 
 
 def test_rank_gallery_scale_invariant():
     rng = make_rng(1)
-    q = rng.standard_normal(5)
+    queries = np.tile(rng.standard_normal(5), (8, 1))
     gallery = rng.standard_normal((8, 5))
-    base = rank_gallery(q, gallery)
+    labels = np.arange(8)  # as above: the APs give each item's rank
+    base = map_score(queries, labels, gallery, labels).aps
+    assert sorted(np.rint(1.0 / base)) == list(range(1, 9))
     scaled = gallery.copy()
     scaled[3] *= 77.0
-    assert np.array_equal(rank_gallery(q, scaled), base)
+    assert np.array_equal(map_score(queries, labels, scaled, labels).aps, base)
+    assert np.array_equal(map_score(queries * 0.01, labels, gallery, labels).aps, base)
 
 
 def _brute_map(queries, q_labels, gallery, g_labels, n_rank):

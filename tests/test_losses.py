@@ -3,7 +3,6 @@ import pytest
 
 from conftest import check_grad
 from priorcast.losses import (
-    QSchedule,
     disc_loss,
     gce_from_logits,
     label_loss,
@@ -28,26 +27,22 @@ def _instance(seed, b=6, d=5, c=4):
 # --- q schedule ---
 
 def test_q_schedule_endpoints():
-    sched = QSchedule(0.01, 1.0, 100)
-    assert q_at(sched, 0) == pytest.approx(0.01)
-    assert q_at(sched, 99) == pytest.approx(1.0)
+    assert q_at(0.01, 100, 0) == pytest.approx(0.01)
+    assert q_at(0.01, 100, 99) == pytest.approx(1.0)
     # strictly increasing across the ramp
-    qs = [q_at(sched, e) for e in range(100)]
+    qs = [q_at(0.01, 100, e) for e in range(100)]
     assert all(b > a for a, b in zip(qs, qs[1:]))
 
 
 def test_q_schedule_single_epoch():
-    assert q_at(QSchedule(0.01, 1.0, 1), 0) == 1.0
+    assert q_at(0.01, 1, 0) == 1.0
 
 
 def test_q_schedule_rejects_out_of_range():
-    sched = QSchedule(0.01, 1.0, 10)
     with pytest.raises(ValueError):
-        q_at(sched, 10)
+        q_at(0.01, 10, 10)
     with pytest.raises(ValueError):
-        q_at(sched, -1)
-    with pytest.raises(ValueError):
-        QSchedule(0.0, 1.0, 10).validate()
+        q_at(0.01, 10, -1)
 
 
 # --- generalized cross-entropy core ---
@@ -146,22 +141,22 @@ def test_mse_hand_case():
     f = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.eye(2)
     l = np.zeros((2, 2))  # targets are the origin
-    loss, grad = mse_loss(f, y, l)
+    loss, grad = mse_loss(f, y @ l)
     assert loss == pytest.approx(1.0)  # (1 + 1) / 2
     assert np.allclose(grad, f)  # (2/B)(f - 0) = f
 
 
 def test_mse_zero_at_fixed_point():
     _, y, w, l, _ = _instance(5)
-    loss, grad = mse_loss(y @ l, y, l)
+    loss, grad = mse_loss(y @ l, y @ l)
     assert loss == pytest.approx(0.0, abs=1e-28)
     assert np.allclose(grad, 0.0, atol=1e-14)
 
 
 def test_mse_gradients():
     f, y, _, l, _ = _instance(6)
-    _, grad = mse_loss(f, y, l)
-    check_grad(lambda: mse_loss(f, y, l)[0], f, grad)
+    _, grad = mse_loss(f, y @ l)
+    check_grad(lambda: mse_loss(f, y @ l)[0], f, grad)
 
 
 # --- pairwise-structure loss ---
@@ -182,14 +177,14 @@ def _disc_brute(f, y, l):
 def test_disc_matches_brute_force():
     for seed in range(5):
         f, y, _, l, _ = _instance(seed, b=5)
-        loss, _ = disc_loss(f, y, l)
+        loss, _ = disc_loss(f, y @ l)
         assert loss == pytest.approx(_disc_brute(f, y, l), abs=1e-12)
 
 
 def test_disc_zero_row_convention():
     f, y, _, l, _ = _instance(7)
     f[2] = 0.0
-    loss, grad = disc_loss(f, y, l)
+    loss, grad = disc_loss(f, y @ l)
     assert np.isfinite(loss)
     assert loss == pytest.approx(_disc_brute(f, y, l), abs=1e-12)
     assert np.array_equal(grad[2], np.zeros(f.shape[1]))
@@ -199,15 +194,15 @@ def test_disc_zero_when_structures_match():
     # embeddings equal to the recast targets give a symmetric cross term
     # and identical gram matrices
     _, y, _, l, _ = _instance(8)
-    loss, _ = disc_loss(y @ l, y, l)
+    loss, _ = disc_loss(y @ l, y @ l)
     assert loss == pytest.approx(0.0, abs=1e-24)
 
 
 def test_disc_gradients():
     for seed in range(3):
         f, y, _, l, _ = _instance(seed + 10)
-        _, grad = disc_loss(f, y, l)
-        check_grad(lambda: disc_loss(f, y, l)[0], f, grad)
+        _, grad = disc_loss(f, y @ l)
+        check_grad(lambda: disc_loss(f, y @ l)[0], f, grad)
 
 
 # --- combined objective ---
@@ -215,10 +210,10 @@ def test_disc_gradients():
 def test_total_loss_combination():
     f, y, w, l, _ = _instance(11)
     q, alpha, beta = 0.6, 0.3, 0.2
-    value, grad, parts = total_loss(f, y, w, l, q, alpha, beta)
+    value, grad, parts = total_loss(f, y, w, y @ l, q, alpha, beta)
     jl, gl = label_loss(f, y, w, q)
-    jd, gd = disc_loss(f, y, l)
-    jm, gm = mse_loss(f, y, l)
+    jd, gd = disc_loss(f, y @ l)
+    jm, gm = mse_loss(f, y @ l)
     assert value == pytest.approx(jl + alpha * jd + beta * jm, abs=1e-14)
     assert parts == {"label": jl, "disc": jd, "mse": jm}
     assert np.allclose(grad, gl + alpha * gd + beta * gm, atol=1e-14)
@@ -227,24 +222,24 @@ def test_total_loss_combination():
 @pytest.mark.parametrize("flag", ["drop_label", "drop_disc", "drop_mse"])
 def test_total_loss_drop_flags(flag):
     f, y, w, l, _ = _instance(12)
-    value, _, parts = total_loss(f, y, w, l, 0.5, 0.1, 0.1, **{flag: True})
+    value, _, parts = total_loss(f, y, w, y @ l, 0.5, 0.1, 0.1, **{flag: True})
     dropped = flag.split("_")[1]
     assert parts[dropped] == 0.0
-    full, _, _ = total_loss(f, y, w, l, 0.5, 0.1, 0.1)
+    full, _, _ = total_loss(f, y, w, y @ l, 0.5, 0.1, 0.1)
     assert value < full
 
 
 def test_total_loss_rejects_negative_weights():
     f, y, w, l, _ = _instance(13)
     with pytest.raises(ValueError):
-        total_loss(f, y, w, l, 0.5, -0.1, 0.1)
+        total_loss(f, y, w, y @ l, 0.5, -0.1, 0.1)
 
 
 def test_total_loss_gradients():
     f, y, w, l, rng = _instance(14)
     q = float(rng.uniform(0.05, 1.0))
-    _, grad, _ = total_loss(f, y, w, l, q, 0.25, 0.15)
-    check_grad(lambda: total_loss(f, y, w, l, q, 0.25, 0.15)[0], f, grad)
+    _, grad, _ = total_loss(f, y, w, y @ l, q, 0.25, 0.15)
+    check_grad(lambda: total_loss(f, y, w, y @ l, q, 0.25, 0.15)[0], f, grad)
 
 
 @pytest.mark.parametrize("b", [6, 7, 150])
@@ -266,13 +261,13 @@ def test_stacked_losses_match_each_slice(b):
                 assert np.array_equal(np.asarray(a)[i], e)
 
     same(gce_from_logits(f @ w, y, q), [gce_from_logits(f[i] @ w, y[i], q) for i in range(k)])
-    same(mse_loss(f, y, l), [mse_loss(f[i], y[i], l) for i in range(k)])
-    same(disc_loss(f, y, l), [disc_loss(f[i], y[i], l) for i in range(k)])
+    same(mse_loss(f, y @ l), [mse_loss(f[i], y[i] @ l) for i in range(k)])
+    same(disc_loss(f, y @ l), [disc_loss(f[i], y[i] @ l) for i in range(k)])
     same(label_loss(f, y, w, q), [label_loss(f[i], y[i], w, q) for i in range(k)])
     same(prior_loss(f, y, ws, q), [prior_loss(f[i], y[i], ws[i], q) for i in range(k)])
-    value, grad, parts = total_loss(f, y, w, l, q, 0.25, 0.15)
+    value, grad, parts = total_loss(f, y, w, y @ l, q, 0.25, 0.15)
     for i in range(k):
-        value_i, grad_i, parts_i = total_loss(f[i], y[i], w, l, q, 0.25, 0.15)
+        value_i, grad_i, parts_i = total_loss(f[i], y[i], w, y[i] @ l, q, 0.25, 0.15)
         assert value[i] == value_i
         assert np.array_equal(grad[i], grad_i)
         assert {key: part[i] for key, part in parts.items()} == parts_i

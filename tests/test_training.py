@@ -124,11 +124,11 @@ def test_mixed_batch_gradient():
     def loss_of_f():
         fm = lam * f + (1 - lam) * f[perm]
         ym = lam * y + (1 - lam) * y[perm]
-        return total_loss(fm, ym, prior.w, prior.l, 0.5, 0.1, 0.1)[0]
+        return total_loss(fm, ym, prior.w, ym @ prior.l, 0.5, 0.1, 0.1)[0]
 
     fm = lam * f + (1 - lam) * f[perm]
     ym = lam * y + (1 - lam) * y[perm]
-    _, d_fm, _ = total_loss(fm, ym, prior.w, prior.l, 0.5, 0.1, 0.1)
+    _, d_fm, _ = total_loss(fm, ym, prior.w, ym @ prior.l, 0.5, 0.1, 0.1)
     d_f = lam * d_fm
     np.add.at(d_f, perm, (1 - lam) * d_fm)
     check_grad(loss_of_f, f, d_f)
