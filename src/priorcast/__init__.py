@@ -1,21 +1,3 @@
 """Cross-modal retrieval by prior selection and reversible label recasting."""
 
 __version__ = "0.1.0"
-
-from .config import ABLATION_PRESETS, RunConfig, apply_ablation, load_config
-from .data import ModalityData, MultimodalDataset, SynthConfig, load_manifest, synth_generate, write_dataset
-from .errors import ConfigError, FormatError, NumericError
-from .evaluate import cross_modal_eval, map_score, pr_curve
-from .prior import PriorMatrix, load_prior, run_spl, save_prior
-from .training import train_all, train_rsc_all
-
-__all__ = [
-    "ABLATION_PRESETS", "RunConfig", "apply_ablation", "load_config",
-    "ModalityData", "MultimodalDataset", "SynthConfig", "load_manifest",
-    "synth_generate", "write_dataset",
-    "ConfigError", "FormatError", "NumericError",
-    "cross_modal_eval", "map_score", "pr_curve",
-    "PriorMatrix", "load_prior", "run_spl", "save_prior",
-    "train_all", "train_rsc_all",
-    "__version__",
-]

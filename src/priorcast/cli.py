@@ -17,11 +17,11 @@ import sys
 import time
 
 from . import __version__
-from .config import RunConfig, apply_ablation, config_to_dict, load_config
+from .config import RunConfig, apply_ablation, load_config
 from .data import MultimodalDataset, load_manifest, synth_generate, write_dataset, write_json
 from .encoder import load_checkpoint, save_checkpoint
 from .errors import ConfigError, FormatError, NumericError
-from .evaluate import embed_split, table_from_embeddings, write_map_table, write_pr_csv
+from .evaluate import embed_split, table_from_embeddings, write_pr_csv
 from .prior import load_prior, run_spl, save_prior
 from .training import train_rsc_all
 
@@ -41,13 +41,14 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_run_manifest(out_dir, command, cfg, inputs, stages, t0) -> None:
-    """Record what ran: inputs by hash, and each stage's outputs and wall time."""
+def _write_run_manifest(out_dir, command, cfg, inputs, base, stages, t0) -> None:
+    """Record what ran: inputs by hash, keyed by their paths relative to base,
+    and each stage's outputs and wall time."""
     write_json(os.path.join(out_dir, "run_manifest.json"), {
         "command": command,
-        "config": config_to_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "version": __version__,
-        "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
+        "inputs": {os.path.relpath(p, base): _sha256(p) for p in inputs},
         "outputs": sorted(name for stage in stages for name in stage["outputs"]),
         "stages": stages,
         "wall_seconds": time.perf_counter() - t0,
@@ -65,7 +66,7 @@ def cmd_synth(cfg: RunConfig, out_dir, config_path, seed_override=None):
     manifest_path = write_dataset(dataset, out_dir)
     stage = {"stage": "synth", "outputs": sorted(os.listdir(out_dir)),
              "wall_seconds": time.perf_counter() - t0}
-    _write_run_manifest(out_dir, "synth", cfg, [config_path], [stage], t0)
+    _write_run_manifest(out_dir, "synth", cfg, [config_path], out_dir, [stage], t0)
     print(f"wrote dataset manifest {manifest_path}")
     return 0
 
@@ -120,7 +121,7 @@ def cmd_eval(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
     n_rank = "all" if cfg.n_rank == 0 else cfg.n_rank
     table, curves = table_from_embeddings(embed_split(encoders, dataset, "test"),
                                           n_rank, curves=True)
-    write_map_table(os.path.join(out_dir, MAP_FILE), table)
+    write_json(os.path.join(out_dir, MAP_FILE), table)
     outputs = [MAP_FILE]
     for (a, b), curve in curves.items():
         name = f"pr_{a}_{b}.csv"
@@ -151,7 +152,8 @@ def _run_stages(command, stages, cfg: RunConfig, out_dir, config_path) -> int:
         inputs += [p for p in read if os.path.basename(p) not in made_here]
         records.append({"stage": name, "outputs": sorted(written),
                         "wall_seconds": time.perf_counter() - start})
-    _write_run_manifest(out_dir, command, cfg, inputs, records, t0)
+    base = os.path.dirname(os.path.abspath(cfg.manifest))
+    _write_run_manifest(out_dir, command, cfg, inputs, base, records, t0)
     return 0
 
 

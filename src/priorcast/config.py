@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,8 +51,8 @@ class RunConfig:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.hidden_dim < 1:
             raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.spl_epochs < 1:
             raise ConfigError(f"spl_epochs must be >= 1, got {self.spl_epochs}")
         if self.rsc_epochs < 1:
@@ -60,16 +61,16 @@ class RunConfig:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if not 0 < self.q_start <= 1:
             raise ConfigError(f"q_start must be in (0, 1], got {self.q_start}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if not 0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 <= self.beta < math.inf:
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if not 0 < self.mix_lambda <= 1:
             raise ConfigError(f"mix_lambda must be in (0, 1], got {self.mix_lambda}")
         if self.n_rank < 0:
             raise ConfigError(f"n_rank must be >= 0, got {self.n_rank}")
-        if self.fixed_q is not None and not self.fixed_q > 0:
-            raise ConfigError(f"fixed_q must be > 0, got {self.fixed_q}")
+        if self.fixed_q is not None and not 0 < self.fixed_q < math.inf:
+            raise ConfigError(f"fixed_q must be finite and > 0, got {self.fixed_q}")
         if self.fa_off and self.fa_input_space:
             raise ConfigError("fa_off and fa_input_space are mutually exclusive")
 
@@ -148,7 +149,3 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise FormatError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)

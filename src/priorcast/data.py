@@ -120,12 +120,12 @@ class SynthConfig:
             raise ConfigError("feature_dims: dimensions must be >= 1")
         if self.samples_per_class < 3:
             raise ConfigError("samples_per_class: need >= 3 so every split is nonempty")
-        if not self.separation > 0:
-            raise ConfigError("separation: must be > 0")
+        if not 0 < self.separation < np.inf:
+            raise ConfigError("separation: must be finite and > 0")
         if len(self.noise) != self.num_modalities:
             raise ConfigError("noise: need one standard deviation per modality")
-        if any(s < 0 for s in self.noise):
-            raise ConfigError("noise: standard deviations must be >= 0")
+        if not all(0 <= s < np.inf for s in self.noise):
+            raise ConfigError("noise: standard deviations must be finite and >= 0")
 
 
 def write_features_to(fh, features: np.ndarray) -> None:
@@ -305,9 +305,12 @@ def load_manifest(path) -> MultimodalDataset:
 
 
 def write_json(path, doc) -> None:
-    """Write doc as UTF-8 JSON: 2-space indent, sorted keys, trailing newline."""
+    """Write doc as UTF-8 JSON: 2-space indent, sorted keys, trailing newline.
+
+    NaN or an infinity raises ValueError: JSON has no token for them.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

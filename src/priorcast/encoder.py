@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .data import read_tensor_file, write_tensor_file
-from .errors import FormatError
+from .errors import FormatError, NumericError
 from .numerics import unit_rows
 
 _TENSOR_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -149,13 +149,6 @@ def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray,
     return grads
 
 
-def sgd_step(params: EncoderParams, grads: EncoderParams, lr: float) -> EncoderParams:
-    """Plain gradient descent on one encoder: theta <- theta - lr * g."""
-    return EncoderParams(
-        *[p - lr * g for p, g in zip(params.tensors(), grads.tensors())]
-    )
-
-
 class EncoderStack:
     """K encoders of one hidden and output width, trained in lockstep.
 
@@ -205,6 +198,11 @@ class EncoderStack:
         """
         self.grad *= lr
         self.flat -= self.grad
+
+    def check_finite(self, losses, where: str) -> None:
+        """Raise NumericError unless the losses and every parameter are finite."""
+        if not (np.isfinite(losses).all() and np.isfinite(self.flat).all()):
+            raise NumericError(f"{where}: loss or parameters not finite")
 
 
 def save_checkpoint(path, params: EncoderParams, modality_name: str) -> None:

@@ -10,7 +10,7 @@ from typing import Dict
 
 import numpy as np
 
-from .data import MultimodalDataset, write_json
+from .data import MultimodalDataset
 from .encoder import EncoderParams, forward
 from .numerics import unit_rows
 
@@ -21,22 +21,12 @@ class RetrievalResult:
     n_rank: int
     map: float
 
-    @property
-    def n_queries(self) -> int:
-        return len(self.aps)
-
 
 @dataclass
 class PrCurve:
     rank: np.ndarray
     recall: np.ndarray
     precision: np.ndarray
-
-
-def embed(params: EncoderParams, features: np.ndarray) -> np.ndarray:
-    """Row embeddings for a feature matrix. Rows come back unit-norm."""
-    f, _ = forward(params, features)
-    return f
 
 
 def average_precision(relevance, n_rank: int) -> float:
@@ -70,15 +60,19 @@ def _resolve_n_rank(n_rank, gallery_size: int) -> int:
     return min(n_rank, gallery_size)
 
 
-def _rank_pair(queries: np.ndarray, query_labels: np.ndarray,
-               gallery: np.ndarray, gallery_labels: np.ndarray,
-               n_rank, curve: bool):
+def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
+              gallery: np.ndarray, gallery_labels: np.ndarray,
+              n_rank="all", curve: bool = False):
     """Rank the gallery once per query and score each ranking.
 
     Similarity is the cosine over unit rows; a stable argsort of its
     negation breaks ties by ascending gallery index. Returns (result, pr):
-    the MAP over the top n_rank, and the query-averaged PR curve if curve
-    is set (else None).
+    result holds each query's AP over the top n_rank ("all", or a depth
+    clamped to the gallery size) in query order, and their mean, the MAP.
+    pr is None unless curve is set; then it is precision and recall at each
+    rank cutoff k, averaged over queries: recall = retrieved-relevant /
+    total-relevant, precision = retrieved-relevant / k. Queries with no
+    relevant gallery item have no defined recall and are left out.
     """
     if gallery.ndim != 2 or gallery.shape[0] == 0:
         raise ValueError("gallery must be a nonempty matrix")
@@ -114,36 +108,14 @@ def _rank_pair(queries: np.ndarray, query_labels: np.ndarray,
                            precision=precision_sum / count)
 
 
-def map_score(queries: np.ndarray, query_labels: np.ndarray,
-              gallery: np.ndarray, gallery_labels: np.ndarray,
-              n_rank="all") -> RetrievalResult:
-    """Mean AP over all queries against one gallery.
-
-    n_rank is "all" (whole gallery) or a positive depth, clamped to the
-    gallery size. APs are accumulated in query index order.
-    """
-    return _rank_pair(queries, query_labels, gallery, gallery_labels, n_rank, False)[0]
-
-
-def pr_curve(queries: np.ndarray, query_labels: np.ndarray,
-             gallery: np.ndarray, gallery_labels: np.ndarray) -> PrCurve:
-    """Precision and recall per rank cutoff, averaged over queries.
-
-    At cutoff k: recall = retrieved-relevant / total-relevant and precision =
-    retrieved-relevant / k, each averaged across queries at that k. Queries
-    with no relevant gallery item have no defined recall and are left out.
-    """
-    return _rank_pair(queries, query_labels, gallery, gallery_labels, "all", True)[1]
-
-
 def embed_split(encoders: Dict[str, EncoderParams], dataset: MultimodalDataset,
                 split: str = "test"):
-    """Per-modality (embeddings, labels) for one split, in modality order."""
+    """Per-modality (unit-row embeddings, labels) for one split, in modality order."""
     out = {}
     for mod in dataset.splits[split]:
         if mod.name not in encoders:
             raise ValueError(f"no encoder for modality {mod.name!r}")
-        out[mod.name] = (embed(encoders[mod.name], mod.features), mod.labels)
+        out[mod.name] = (forward(encoders[mod.name], mod.features)[0], mod.labels)
     return out
 
 
@@ -162,7 +134,7 @@ def table_from_embeddings(embedded: dict, n_rank="all", curves: bool = False):
                 continue
             qe, ql = embedded[a]
             ge, gl = embedded[b]
-            result, curve = _rank_pair(qe, ql, ge, gl, n_rank, curves)
+            result, curve = rank_pair(qe, ql, ge, gl, n_rank, curves)
             pairs.append({"query": a, "gallery": b, "map": result.map})
             if curves:
                 pr[(a, b)] = curve
@@ -171,17 +143,6 @@ def table_from_embeddings(embedded: dict, n_rank="all", curves: bool = False):
     avg = float(np.mean([p["map"] for p in pairs]))
     label = "all" if n_rank == "all" else int(n_rank)
     return {"pairs": pairs, "avg": avg, "n_rank": label}, pr
-
-
-def cross_modal_eval(encoders: Dict[str, EncoderParams],
-                     dataset: MultimodalDataset, split: str = "test",
-                     n_rank="all") -> dict:
-    """Embed one split and score every ordered cross-modal pair."""
-    return table_from_embeddings(embed_split(encoders, dataset, split), n_rank)[0]
-
-
-def write_map_table(path, table: dict) -> None:
-    write_json(path, table)
 
 
 def write_pr_csv(path, curve: PrCurve) -> None:

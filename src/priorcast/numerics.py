@@ -38,19 +38,6 @@ def split_seed(seed: int, *keys) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def l2_normalize(v: np.ndarray):
-    """Scale v to unit Euclidean norm.
-
-    Returns (normalized, degenerate). If ||v|| <= NORM_EPS the vector is
-    returned unchanged and degenerate is True.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= NORM_EPS:
-        return v.copy(), True
-    return v / norm, False
-
-
 def unit_rows(x: np.ndarray):
     """Scale each row (last axis) of x to unit Euclidean norm.
 
@@ -75,19 +62,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.add.reduce(e, axis=-1, keepdims=True)
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity clamped to [-1, 1]; 0 if either vector is degenerate."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na <= NORM_EPS or nb <= NORM_EPS:
-        return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def pseudo_inverse(w: np.ndarray) -> np.ndarray:

@@ -66,12 +66,15 @@ def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
     w, grad_w = stack.extra, stack.extra_grad
     for epoch in range(cfg.spl_epochs):
         q = q_at(cfg.q_start, cfg.spl_epochs, epoch)
+        loss_sum = 0.0
         for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, w0.shape[1]):
             f, cache = forward(stack.params, x_b)
-            _, d_f, d_w = prior_loss(f, y_b, w, q)
+            loss, d_f, d_w = prior_loss(f, y_b, w, q)
+            loss_sum += loss
             grad_w[...] = d_w
             backward(stack.params, cache, d_f, out=stack.grads)
             stack.step(cfg.lr)
+        stack.check_finite(loss_sum, f"stage one, epoch {epoch}")
     return list(zip(w, stack.members))
 
 

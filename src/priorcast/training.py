@@ -11,7 +11,6 @@ EncoderStack, each with the result it would get alone.
 import dataclasses
 import math
 import time
-from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -21,25 +20,17 @@ from .data import MultimodalDataset, lockstep_batches, lockstep_map
 from .encoder import EncoderParams, EncoderStack, backward, forward, init_params
 from .losses import q_at, total_loss
 from .numerics import make_rng, split_seed
-from .prior import PriorMatrix, run_spl
+from .prior import PriorMatrix
 
 
-@dataclass
-class AugmentedBatch:
-    f_mix: np.ndarray
-    y_mix: np.ndarray
-    perm: np.ndarray
-    lam: float
-
-
-def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng) -> AugmentedBatch:
+def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng):
     """Mix each row with a random partner row: lam*x_i + (1-lam)*x_pi(i).
 
-    The same permutation and factor apply to features and labels, so mixed
-    label rows stay nonnegative and sum to 1. lam=1 is the exact identity.
-    On a (K, B, .) stack rng is a sequence of K generators, slice k mixes
-    within itself by a permutation drawn from rng[k], and perm indexes the
-    rows of f flattened to (K * B, .).
+    Returns (f_mix, y_mix, perm). The same permutation and factor apply to
+    features and labels, so mixed label rows stay nonnegative and sum to 1.
+    lam=1 is the exact identity. On a (K, B, .) stack rng is a sequence of
+    K generators, slice k mixes within itself by a permutation drawn from
+    rng[k], and perm indexes the rows of f flattened to (K * B, .).
     """
     b = f.shape[-2]
     if b < 2:
@@ -54,7 +45,7 @@ def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng) -> AugmentedB
         perm = np.stack([g.permutation(b) for g in rng]) + b * np.arange(len(rng))[:, None]
     f_mix = lam * f + (1.0 - lam) * f.reshape(-1, f.shape[-1])[perm]
     y_mix = lam * y + (1.0 - lam) * y.reshape(-1, y.shape[-1])[perm]
-    return AugmentedBatch(f_mix=f_mix, y_mix=y_mix, perm=perm, lam=lam)
+    return f_mix, y_mix, perm
 
 
 def recast_invariant(y_mix: np.ndarray, prior: PriorMatrix) -> np.ndarray:
@@ -95,16 +86,15 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
         for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, prior.num_classes):
             if cfg.fa_input_space:
                 # input widths differ within a stack: mix one modality at a time
-                augs = [feature_augment(x, y, cfg.mix_lambda, rng)
-                        for x, y, rng in zip(x_b, y_b, rngs)]
-                f_t, cache = forward(stack.params, [aug.f_mix for aug in augs])
-                y_t = np.stack([aug.y_mix for aug in augs])
+                f_mix, y_mix, _ = zip(*(feature_augment(x, y, cfg.mix_lambda, rng)
+                                        for x, y, rng in zip(x_b, y_b, rngs)))
+                f_t, cache = forward(stack.params, f_mix)
+                y_t = np.stack(y_mix)
             else:
                 f_t, cache = forward(stack.params, x_b)
                 y_t = y_b
                 if mix_embeddings:
-                    aug = feature_augment(f_t, y_b, cfg.mix_lambda, rngs)
-                    f_t, y_t = aug.f_mix, aug.y_mix
+                    f_t, y_t, perm = feature_augment(f_t, y_b, cfg.mix_lambda, rngs)
             value, d_ft, parts = total_loss(
                 f_t, y_t, prior.w, recast_invariant(y_t, prior), q,
                 cfg.alpha, cfg.beta, drop_label=cfg.drop_label,
@@ -112,8 +102,8 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
             if mix_embeddings:
                 # route the mixed-embedding gradient back to both branches;
                 # perm is a permutation, so each row receives one addition
-                d_f = aug.lam * d_ft
-                d_f.reshape(-1, d_f.shape[-1])[aug.perm] += (1.0 - aug.lam) * d_ft
+                d_f = cfg.mix_lambda * d_ft
+                d_f.reshape(-1, d_f.shape[-1])[perm] += (1.0 - cfg.mix_lambda) * d_ft
             else:
                 d_f = d_ft
             backward(stack.params, cache, d_f, out=stack.grads)
@@ -126,6 +116,7 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
             # np.linalg.norm of each (B, C) slice of f W - Y, which is this BLAS dot
             gap = (f_t @ prior.w - y_t).reshape(len(mods), -1)
             sums["gap"] += [math.sqrt(r.dot(r)) for r in gap]
+        stack.check_finite(list(sums.values()), f"stage two, epoch {epoch}")
         wall_seconds = time.perf_counter() - t0
         for k, records in enumerate(epochs):
             records.append({
@@ -139,22 +130,6 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
                 "wall_seconds": wall_seconds,
             })
     return list(zip(stack.members, epochs))
-
-
-def train_all(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
-    """Full training: learn/select the prior, then one encoder per modality.
-
-    Returns (prior, encoders, report).
-    """
-    prior, spl_report = run_spl(dataset, cfg, seed)
-    encoders, report = train_rsc_all(dataset, prior, cfg, seed)
-    report["spl"] = {
-        "scores": spl_report.scores,
-        "selected": spl_report.selected,
-        "skipped": spl_report.skipped,
-        "wall_seconds": spl_report.wall_seconds,
-    }
-    return prior, encoders, report
 
 
 def train_rsc_all(dataset: MultimodalDataset, prior: PriorMatrix,

@@ -1,5 +1,7 @@
 import numpy as np
 
+from priorcast.numerics import NORM_EPS
+
 
 def numeric_grad(fn, x, h=1e-6):
     """Central-difference gradient of scalar fn() w.r.t. array x (in place)."""
@@ -26,3 +28,16 @@ def max_rel_err(analytic, numeric):
 def check_grad(fn, x, analytic, tol=1e-5, h=1e-6):
     err = max_rel_err(analytic, numeric_grad(fn, x, h))
     assert err <= tol, f"gradient mismatch: max rel err {err:.3e} > {tol:.0e}"
+
+
+def cosine(a, b):
+    """Cosine similarity clamped to [-1, 1]; 0 if either vector is degenerate."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na <= NORM_EPS or nb <= NORM_EPS:
+        return 0.0
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))

@@ -12,11 +12,18 @@ import dataclasses
 import numpy as np
 
 from priorcast.data import minibatch_iter
-from priorcast.encoder import backward, forward, init_params, sgd_step
+from priorcast.encoder import EncoderParams, backward, forward, init_params
 from priorcast.losses import prior_loss, q_at, quality_score, total_loss
 from priorcast.numerics import make_rng, pseudo_inverse, random_orthogonal, split_seed
 from priorcast.prior import PriorMatrix, select_prior
 from priorcast.training import feature_augment
+
+
+def sgd_step(params, grads, lr):
+    """Plain gradient descent on one encoder: theta <- theta - lr * g."""
+    return EncoderParams(
+        *[p - lr * g for p, g in zip(params.tensors(), grads.tensors())]
+    )
 
 
 def train_prior_for_modality(mod, w0, cfg, rng):
@@ -72,13 +79,11 @@ def train_rsc_for_modality(mod, prior, cfg, rng):
                 f_t, cache = forward(params, x_b)
                 y_t = y_b
             elif cfg.fa_input_space:
-                aug = feature_augment(x_b, y_b, cfg.mix_lambda, rng)
-                f_t, cache = forward(params, aug.f_mix)
-                y_t = aug.y_mix
+                f_mix, y_t, _ = feature_augment(x_b, y_b, cfg.mix_lambda, rng)
+                f_t, cache = forward(params, f_mix)
             else:
                 f, cache = forward(params, x_b)
-                aug = feature_augment(f, y_b, cfg.mix_lambda, rng)
-                f_t, y_t = aug.f_mix, aug.y_mix
+                f_t, y_t, perm = feature_augment(f, y_b, cfg.mix_lambda, rng)
             value, d_ft, parts = total_loss(
                 f_t, y_t, prior.w, y_t @ prior.l, q, cfg.alpha, cfg.beta,
                 drop_label=cfg.drop_label, drop_disc=cfg.drop_disc,
@@ -86,8 +91,8 @@ def train_rsc_for_modality(mod, prior, cfg, rng):
             if cfg.fa_off or cfg.fa_input_space:
                 d_f = d_ft
             else:
-                d_f = aug.lam * d_ft
-                np.add.at(d_f, aug.perm, (1.0 - aug.lam) * d_ft)
+                d_f = cfg.mix_lambda * d_ft
+                np.add.at(d_f, perm, (1.0 - cfg.mix_lambda) * d_ft)
             grads = backward(params, cache, d_f)
             params = sgd_step(params, grads, cfg.lr)
             b = len(idx)

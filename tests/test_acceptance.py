@@ -13,7 +13,7 @@ from priorcast.cli import main
 from priorcast.config import RunConfig, apply_ablation
 from priorcast.data import SynthConfig, synth_generate
 from priorcast.encoder import backward, forward, init_params
-from priorcast.evaluate import average_precision, cross_modal_eval, map_score
+from priorcast.evaluate import average_precision, embed_split, rank_pair, table_from_embeddings
 from priorcast.losses import (
     disc_loss,
     gce_from_logits,
@@ -24,12 +24,19 @@ from priorcast.losses import (
 )
 from priorcast.numerics import make_rng, pseudo_inverse, random_orthogonal
 from priorcast.prior import run_spl
-from priorcast.training import train_all
+from priorcast.training import train_rsc_all
 
 
 def _verdict(num, desc, ok):
     print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {num}: {desc}")
     assert ok, f"criterion {num} failed: {desc}"
+
+
+def _test_map_table(ds, cfg, seed):
+    """Both training stages, then the MAP table of the test split."""
+    prior, _ = run_spl(ds, cfg, seed)
+    encoders, _ = train_rsc_all(ds, prior, cfg, seed)
+    return table_from_embeddings(embed_split(encoders, ds, "test"))[0]
 
 
 def _rel(a, b):
@@ -175,7 +182,7 @@ def test_c3_map_oracle():
         ql = rng.integers(0, 4, n_q)
         gl = rng.integers(0, 4, n_g)
         depth = int(rng.integers(1, n_g + 1))
-        got = map_score(queries, ql, gallery, gl, depth).map
+        got = rank_pair(queries, ql, gallery, gl, depth)[0].map
         ref = _brute_map(queries, ql, gallery, gl, depth)
         worst = max(worst, abs(got - ref))
     hand = abs(average_precision([1, 0, 1], 3) - 5.0 / 6.0)
@@ -207,8 +214,7 @@ def test_c5_end_to_end_retrieval():
     t0 = time.perf_counter()
     ds = synth_generate(SynthConfig(seed=11))  # K=3, C=5, 40/class, noise 0.1
     cfg = RunConfig()  # d=16 and desk defaults
-    prior, encoders, _ = train_all(ds, cfg, seed=0)
-    table = cross_modal_eval(encoders, ds, "test")
+    table = _test_map_table(ds, cfg, seed=0)
     elapsed = time.perf_counter() - t0
     cells = {f"{p['query']}->{p['gallery']}": p["map"] for p in table["pairs"]}
     lowest = min(cells.values())
@@ -240,8 +246,7 @@ def test_c7_prior_beats_random():
             cfg = RunConfig(rsc_epochs=25)
             if skip:
                 cfg = apply_ablation(cfg, "no-spl")
-            prior, encoders, _ = train_all(ds, cfg, seed=seed)
-            bucket.append(cross_modal_eval(encoders, ds, "test")["avg"])
+            bucket.append(_test_map_table(ds, cfg, seed)["avg"])
     mean_spl = float(np.mean(spl_maps))
     mean_rand = float(np.mean(rand_maps))
     ok = mean_spl >= mean_rand
@@ -261,8 +266,7 @@ def test_c8_ablation_harness():
         cfg = RunConfig()
         if name:
             cfg = apply_ablation(cfg, name)
-        prior, encoders, _ = train_all(ds, cfg, seed=0)
-        table = cross_modal_eval(encoders, ds, "test")
+        table = _test_map_table(ds, cfg, seed=0)
         assert len(table["pairs"]) == 6 and np.isfinite(table["avg"])
         avgs[name or "full"] = table["avg"]
     listing = ", ".join(f"{k} {v:.3f}" for k, v in avgs.items())

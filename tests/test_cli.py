@@ -1,6 +1,9 @@
 import json
 import os
 
+import numpy as np
+import pytest
+
 from priorcast.cli import main
 
 
@@ -228,3 +231,46 @@ def test_pipeline_rejects_split_width_mismatch_before_any_stage(tmp_path, capsys
     assert main(["pipeline", "--config", _run_cfg(tmp_path, manifest), "--out", str(out)]) == 3
     assert "'mod0': test features are 8 wide, train features 10" in capsys.readouterr().err
     assert not (out / "prior.bin").exists()
+
+
+@pytest.mark.parametrize("ablation,stage,unwritten", [
+    (["--ablation", "no-spl"], "stage two", "training_report.json"),
+    ([], "stage one", "prior.bin"),
+], ids=["stage-two", "stage-one"])
+def test_pipeline_exits_4_when_training_goes_non_finite(tmp_path, capsys, ablation, stage,
+                                                         unwritten):
+    run = _run_cfg(tmp_path, _synth_data(tmp_path), lr=1e200)
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = main(["pipeline", "--config", run, "--out", str(out), *ablation])
+    assert code == 4
+    assert f"{stage}, epoch 0: loss or parameters not finite" in capsys.readouterr().err
+    assert not [n for n in os.listdir(out) if n.startswith("encoder_")]
+    assert not (out / unwritten).exists()
+
+
+def test_run_manifest_keys_inputs_by_path_relative_to_the_dataset(tmp_path):
+    manifest = _synth_data(tmp_path)
+    data = os.path.dirname(manifest)
+    synth_inputs = json.loads((tmp_path / "data" / "run_manifest.json").read_text())["inputs"]
+    assert list(synth_inputs) == [os.path.join("..", "synth.json")]
+    # one directory per modality, each holding train.dfm, train.dlb, val.dfm, ...
+    with open(manifest) as fh:
+        doc = json.load(fh)
+    for entries in doc["splits"].values():
+        for entry in entries:
+            os.makedirs(os.path.join(data, entry["name"]), exist_ok=True)
+            for key in ("features", "labels"):
+                moved = os.path.join(entry["name"], entry[key].split("_", 1)[1])
+                os.replace(os.path.join(data, entry[key]), os.path.join(data, moved))
+                entry[key] = moved
+    _write(manifest, doc)
+    run = _run_cfg(tmp_path, manifest)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", run, "--out", str(out)]) == 0
+    inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+    data_files = [os.path.join(mod, f"{split}.{ext}") for mod in ("mod0", "mod1")
+                  for split in ("train", "val", "test") for ext in ("dfm", "dlb")]
+    assert sorted(inputs) == sorted([os.path.join("..", "run.json"), "manifest.json"]
+                                    + data_files)
+    assert len(inputs) == 14

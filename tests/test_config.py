@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -7,7 +8,6 @@ from priorcast.config import (
     RunConfig,
     apply_ablation,
     config_from_dict,
-    config_to_dict,
     load_config,
 )
 from priorcast.errors import ConfigError, FormatError
@@ -32,6 +32,12 @@ def test_defaults_validate():
     ("n_rank", -1, "n_rank"),
     ("seed", -1, "seed"),
     ("fixed_q", 0.0, "fixed_q"),
+    ("alpha", float("nan"), "alpha"),
+    ("alpha", float("inf"), "alpha"),
+    ("beta", float("nan"), "beta"),
+    ("beta", float("inf"), "beta"),
+    ("lr", float("inf"), "lr"),
+    ("fixed_q", float("inf"), "fixed_q"),
 ])
 def test_field_specific_rejections(field, value, msg):
     cfg = RunConfig(**{field: value})
@@ -91,7 +97,7 @@ def test_from_dict_synth_section():
 def test_round_trip_through_json(tmp_path):
     cfg = RunConfig(alpha=0.25, manifest="data/manifest.json", n_rank=50)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config_to_dict(cfg)))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     back = load_config(path)
     assert back == cfg
 

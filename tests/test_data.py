@@ -209,6 +209,11 @@ def test_synth_config_validation():
         SynthConfig(separation=0.0).validate()
     with pytest.raises(ConfigError, match="noise"):
         SynthConfig(noise=[-0.1, 0.1, 0.1]).validate()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="separation"):
+            SynthConfig(separation=bad).validate()
+        with pytest.raises(ConfigError, match="noise"):
+            SynthConfig(noise=[bad, 0.1, 0.1]).validate()
     with pytest.raises(ConfigError, match="feature_dims"):
         SynthConfig(feature_dims=[8, 8]).validate()  # K=3 needs 3 dims
     with pytest.raises(ConfigError):

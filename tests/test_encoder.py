@@ -9,10 +9,10 @@ from priorcast.encoder import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    sgd_step,
 )
 from priorcast.errors import FormatError
 from priorcast.numerics import make_rng
+from reference_training import sgd_step
 
 
 def _toy(seed=0, d_in=5, hidden=7, d_out=4):

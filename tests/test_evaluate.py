@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from priorcast.config import RunConfig
-from priorcast.data import SynthConfig, synth_generate
+from priorcast.data import SynthConfig, synth_generate, write_json
+from priorcast.encoder import forward
 from priorcast.evaluate import (
     average_precision,
-    cross_modal_eval,
-    embed,
-    map_score,
-    pr_curve,
-    write_map_table,
+    embed_split,
+    rank_pair,
+    table_from_embeddings,
     write_pr_csv,
 )
 from priorcast.numerics import make_rng
-from priorcast.training import train_all
+from priorcast.prior import run_spl
+from priorcast.training import train_rsc_all
 
 
 def test_ap_hand_cases():
@@ -62,10 +62,9 @@ def test_rank_gallery_orders_by_cosine():
     queries = np.tile([1.0, 0.0], (3, 1))
     gallery = np.array([[0.0, 1.0], [1.0, 0.1], [1.0, 0.0]])
     q_labels, g_labels = np.array([0, 1, 2]), np.array([2, 1, 0])
-    result = map_score(queries, q_labels, gallery, g_labels)
+    result, curve = rank_pair(queries, q_labels, gallery, g_labels, curve=True)
     assert np.array_equal(result.aps, [1.0, 1.0 / 2.0, 1.0 / 3.0])
     assert result.map == pytest.approx(11.0 / 18.0, abs=1e-15)
-    curve = pr_curve(queries, q_labels, gallery, g_labels)
     assert np.allclose(curve.recall, [1 / 3, 2 / 3, 1.0], rtol=0, atol=1e-15)
     assert np.allclose(curve.precision, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
 
@@ -82,12 +81,11 @@ def test_rank_gallery_tie_break_ascending():
     rank = np.empty(n)
     rank[0::2] = np.arange(1, 11)
     rank[1::2] = np.arange(11, 21)
-    result = map_score(queries, labels, gallery, labels)
+    result, curve = rank_pair(queries, labels, gallery, labels, curve=True)
     assert np.array_equal(result.aps, 1.0 / rank)
     top2 = np.zeros(n)
     top2[[0, 2]] = [1.0, 0.5]
-    assert np.array_equal(map_score(queries, labels, gallery, labels, n_rank=2).aps, top2)
-    curve = pr_curve(queries, labels, gallery, labels)
+    assert np.array_equal(rank_pair(queries, labels, gallery, labels, n_rank=2)[0].aps, top2)
     assert np.allclose(curve.recall, np.arange(1, n + 1) / n, rtol=0, atol=1e-15)
     assert np.allclose(curve.precision, 1.0 / n, rtol=0, atol=1e-15)
 
@@ -97,12 +95,12 @@ def test_rank_gallery_scale_invariant():
     queries = np.tile(rng.standard_normal(5), (8, 1))
     gallery = rng.standard_normal((8, 5))
     labels = np.arange(8)  # as above: the APs give each item's rank
-    base = map_score(queries, labels, gallery, labels).aps
+    base = rank_pair(queries, labels, gallery, labels)[0].aps
     assert sorted(np.rint(1.0 / base)) == list(range(1, 9))
     scaled = gallery.copy()
     scaled[3] *= 77.0
-    assert np.array_equal(map_score(queries, labels, scaled, labels).aps, base)
-    assert np.array_equal(map_score(queries * 0.01, labels, gallery, labels).aps, base)
+    assert np.array_equal(rank_pair(queries, labels, scaled, labels)[0].aps, base)
+    assert np.array_equal(rank_pair(queries * 0.01, labels, gallery, labels)[0].aps, base)
 
 
 def _brute_map(queries, q_labels, gallery, g_labels, n_rank):
@@ -145,7 +143,7 @@ def test_map_matches_brute_force():
         q_labels = rng.integers(0, 3, n_q)
         g_labels = rng.integers(0, 3, n_g)
         depth = int(rng.integers(1, n_g + 1))
-        result = map_score(queries, q_labels, gallery, g_labels, depth)
+        result, _ = rank_pair(queries, q_labels, gallery, g_labels, depth)
         assert result.map == pytest.approx(
             _brute_map(queries, q_labels, gallery, g_labels, depth), abs=1e-12)
 
@@ -156,9 +154,9 @@ def test_map_all_and_clamp():
     gallery = rng.standard_normal((10, 3))
     ql = rng.integers(0, 2, 4)
     gl = rng.integers(0, 2, 10)
-    full = map_score(queries, ql, gallery, gl, "all")
+    full, _ = rank_pair(queries, ql, gallery, gl, "all")
     assert full.n_rank == 10
-    clamped = map_score(queries, ql, gallery, gl, 50)
+    clamped, _ = rank_pair(queries, ql, gallery, gl, 50)
     assert clamped.n_rank == 10
     assert clamped.map == full.map
 
@@ -166,24 +164,24 @@ def test_map_all_and_clamp():
 def test_map_self_retrieval_distinct_classes():
     emb = np.eye(4)
     labels = np.arange(4)
-    result = map_score(emb, labels, emb, labels, "all")
+    result, _ = rank_pair(emb, labels, emb, labels, "all")
     assert result.map == 1.0
     assert np.all(result.aps == 1.0)
 
 
 def test_map_validation():
     with pytest.raises(ValueError):
-        map_score(np.zeros((2, 2)), [0, 1], np.zeros((0, 2)), [], "all")
+        rank_pair(np.zeros((2, 2)), [0, 1], np.zeros((0, 2)), [], "all")
     with pytest.raises(ValueError):
-        map_score(np.zeros((2, 2)), [0, 1], np.zeros((3, 2)), [0, 1, 0], -1)
+        rank_pair(np.zeros((2, 2)), [0, 1], np.zeros((3, 2)), [0, 1, 0], -1)
     with pytest.raises(ValueError):
-        map_score(np.zeros((2, 2)), [0, 1], np.zeros((3, 2)), [0, 1, 0], "half")
+        rank_pair(np.zeros((2, 2)), [0, 1], np.zeros((3, 2)), [0, 1, 0], "half")
 
 
 def test_pr_curve_hand_case():
     queries = np.array([[1.0, 0.0]])
     gallery = np.array([[1.0, 0.0], [0.0, 1.0]])
-    curve = pr_curve(queries, [0], gallery, [0, 1])
+    _, curve = rank_pair(queries, [0], gallery, [0, 1], curve=True)
     assert np.allclose(curve.recall, [1.0, 1.0])
     assert np.allclose(curve.precision, [1.0, 0.5])
 
@@ -195,14 +193,14 @@ def test_pr_curve_recall_monotone():
         gallery = rng.standard_normal((12, 3))
         ql = rng.integers(0, 2, 5)
         gl = np.concatenate([[0, 1], rng.integers(0, 2, 10)])  # both classes present
-        curve = pr_curve(queries, ql, gallery, gl)
+        _, curve = rank_pair(queries, ql, gallery, gl, curve=True)
         assert np.all(np.diff(curve.recall) >= -1e-15)
         assert np.all((curve.precision >= 0) & (curve.precision <= 1))
 
 
 def test_pr_curve_rejects_all_irrelevant():
     with pytest.raises(ValueError):
-        pr_curve(np.eye(2), [0, 0], np.eye(2), [1, 1])
+        rank_pair(np.eye(2), [0, 0], np.eye(2), [1, 1], curve=True)
 
 
 def _trained(seed=0):
@@ -210,21 +208,22 @@ def _trained(seed=0):
                                     feature_dims=[12, 10], samples_per_class=12,
                                     noise=[0.1, 0.1], seed=seed))
     cfg = RunConfig(spl_epochs=6, rsc_epochs=10, batch_size=8)
-    prior, encoders, _ = train_all(ds, cfg, seed=seed)
+    prior, _ = run_spl(ds, cfg, seed)
+    encoders, _ = train_rsc_all(ds, prior, cfg, seed)
     return ds, encoders
 
 
 def test_embed_unit_rows():
     ds, encoders = _trained()
     mod = ds.splits["test"][0]
-    emb = embed(encoders[mod.name], mod.features)
+    emb, _ = forward(encoders[mod.name], mod.features)
     assert emb.shape == (mod.num_samples, 16)
     assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-12)
 
 
 def test_cross_modal_eval_table_shape():
     ds, encoders = _trained()
-    table = cross_modal_eval(encoders, ds, "test")
+    table, _ = table_from_embeddings(embed_split(encoders, ds, "test"))
     assert table["n_rank"] == "all"
     assert len(table["pairs"]) == 2
     names = {(p["query"], p["gallery"]) for p in table["pairs"]}
@@ -235,17 +234,15 @@ def test_cross_modal_eval_table_shape():
 
 def test_table_and_csv_writers(tmp_path):
     ds, encoders = _trained()
-    table = cross_modal_eval(encoders, ds, "test", n_rank=5)
+    table, _ = table_from_embeddings(embed_split(encoders, ds, "test"), n_rank=5)
     path = tmp_path / "map.json"
-    write_map_table(path, table)
+    write_json(path, table)
     back = json.loads(path.read_text())
     assert back == table
     assert back["n_rank"] == 5
 
-    mod = ds.splits["test"]
-    qe = embed(encoders["mod0"], mod[0].features)
-    ge = embed(encoders["mod1"], mod[1].features)
-    curve = pr_curve(qe, mod[0].labels, ge, mod[1].labels)
+    (qe, ql), (ge, gl) = embed_split(encoders, ds, "test").values()
+    _, curve = rank_pair(qe, ql, ge, gl, curve=True)
     csv_path = tmp_path / "pr.csv"
     write_pr_csv(csv_path, curve)
     lines = csv_path.read_text().strip().splitlines()

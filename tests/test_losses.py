@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import check_grad
+from conftest import check_grad, cosine
 from priorcast.losses import (
     disc_loss,
     gce_from_logits,
@@ -12,7 +12,7 @@ from priorcast.losses import (
     quality_score,
     total_loss,
 )
-from priorcast.numerics import cosine, make_rng
+from priorcast.numerics import make_rng
 
 
 def _instance(seed, b=6, d=5, c=4):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import cosine
 from priorcast.errors import NumericError
 from priorcast.numerics import (
-    cosine,
-    l2_normalize,
     make_rng,
     pseudo_inverse,
     random_orthogonal,
@@ -94,14 +93,6 @@ def test_softmax_extreme_logits():
     out = softmax(np.array([[1000.0, 0.0, -1000.0]]))
     assert np.isfinite(out).all()
     assert abs(out[0, 0] - 1.0) < 1e-12
-
-
-def test_l2_normalize():
-    v, degenerate = l2_normalize(np.array([3.0, 4.0]))
-    assert not degenerate
-    assert np.allclose(v, [0.6, 0.8])
-    _, degenerate = l2_normalize(np.zeros(4))
-    assert degenerate
 
 
 def test_cosine_basics():
