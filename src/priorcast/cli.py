@@ -5,10 +5,14 @@ directory under fixed names (prior.bin, encoder_<modality>.bin,
 map_table.json, pr_<query>_<gallery>.csv, reports, run_manifest.json),
 which is how later stages find the outputs of earlier ones.
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 I/O or format error, 4 numeric
+failure. Input is checked where it enters: the config and the dataset
+before any stage runs, a prior or checkpoint when a stage reads it. Any
+other exception is a bug and ends the run with a traceback (exit 1).
 """
 
 import argparse
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
@@ -27,6 +31,7 @@ from .training import train_rsc_all
 
 PRIOR_FILE = "prior.bin"
 MAP_FILE = "map_table.json"
+RUN_MANIFEST = "run_manifest.json"
 
 
 def checkpoint_file(modality: str) -> str:
@@ -44,7 +49,7 @@ def _sha256(path) -> str:
 def _write_run_manifest(out_dir, command, cfg, inputs, base, stages, t0) -> None:
     """Record what ran: inputs by hash, keyed by their paths relative to base,
     and each stage's outputs and wall time."""
-    write_json(os.path.join(out_dir, "run_manifest.json"), {
+    write_json(os.path.join(out_dir, RUN_MANIFEST), {
         "command": command,
         "config": dataclasses.asdict(cfg),
         "version": __version__,
@@ -113,9 +118,10 @@ def cmd_eval(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
     for mod in dataset.splits["test"]:
         path = os.path.join(out_dir, checkpoint_file(mod.name))
         params, _ = load_checkpoint(path)
-        if params.input_dim != mod.feature_dim:
-            raise FormatError(f"{path}: encoder takes {params.input_dim} features, "
-                              f"modality {mod.name!r} has {mod.feature_dim}")
+        if (params.input_dim, params.output_dim) != (mod.feature_dim, cfg.embed_dim):
+            raise FormatError(f"{path}: encoder maps {params.input_dim} features to "
+                              f"{params.output_dim}, but modality {mod.name!r} has "
+                              f"{mod.feature_dim} and the run has embed_dim {cfg.embed_dim}")
         encoders[mod.name] = params
         ckpt_paths.append(path)
     n_rank = "all" if cfg.n_rank == 0 else cfg.n_rank
@@ -138,6 +144,12 @@ def _run_stages(command, stages, cfg: RunConfig, out_dir, config_path) -> int:
     if not cfg.manifest:
         raise ConfigError("config has no 'manifest' path to a dataset")
     dataset = load_manifest(cfg.manifest)
+    if cfg.embed_dim < dataset.num_classes:
+        raise ConfigError(f"embed_dim {cfg.embed_dim} is below the dataset's "
+                          f"{dataset.num_classes} classes")
+    # a failed run must not leave an older run's manifest beside its outputs
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, RUN_MANIFEST))
     inputs = [config_path] + dataset.files
     records = []
     for name, stage in stages.items():
@@ -248,9 +260,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

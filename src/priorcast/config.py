@@ -4,7 +4,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin
 
 from .data import SynthConfig
 from .errors import ConfigError, FormatError
@@ -45,6 +45,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.manifest is not None and "\0" in self.manifest:
+            raise ConfigError("manifest path must not contain a NUL character")
         if self.synth is not None:
             self.synth.validate()
         if self.embed_dim < 1:
@@ -102,6 +104,39 @@ def apply_ablation(cfg: RunConfig, name: str) -> RunConfig:
     return out
 
 
+# JSON kinds of the annotated field types: how a message names one, and many
+_KINDS = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
+          float: ("a number", "numbers"), str: ("a string", "strings")}
+
+
+def _matches(value, kind) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_types(obj, prefix: str = "") -> None:
+    """ConfigError unless each field of the dataclass obj holds a value of
+    its annotated type; an int passes as a float and None as an Optional."""
+    for f in dataclasses.fields(obj):
+        got, kind = getattr(obj, f.name), f.type
+        if get_origin(kind) is Union:  # Optional[X]
+            if got is None:
+                continue
+            kind = get_args(kind)[0]
+        if dataclasses.is_dataclass(kind):
+            continue  # a section: checked on its own
+        if get_origin(kind) is list:
+            elem = get_args(kind)[0]
+            ok = isinstance(got, list) and all(_matches(v, elem) for v in got)
+            what = f"a list of {_KINDS[elem][1]}"
+        else:
+            ok, what = _matches(got, kind), _KINDS[kind][0]
+        if not ok:
+            raise ConfigError(f"{prefix}{f.name} must be {what}, got {got!r}")
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -119,25 +154,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown synth keys: {sorted(unknown)}")
         raw["synth"] = SynthConfig(**synth_raw)
+        _check_types(raw["synth"], "synth.")
     cfg = RunConfig(**raw)
-    for f in dataclasses.fields(RunConfig):
-        got = getattr(cfg, f.name)
-        if f.name in ("fixed_q", "synth"):
-            if f.name == "fixed_q" and got is not None and (
-                    isinstance(got, bool) or not isinstance(got, (int, float))):
-                raise ConfigError(f"fixed_q must be a number or null, got {got!r}")
-        elif f.name == "manifest":
-            if got is not None and not isinstance(got, str):
-                raise ConfigError(f"manifest must be a path string, got {got!r}")
-        elif f.type is bool:
-            if not isinstance(got, bool):
-                raise ConfigError(f"{f.name} must be a boolean, got {got!r}")
-        elif f.type is int:
-            if isinstance(got, bool) or not isinstance(got, int):
-                raise ConfigError(f"{f.name} must be an integer, got {got!r}")
-        elif f.type is float:
-            if isinstance(got, bool) or not isinstance(got, (int, float)):
-                raise ConfigError(f"{f.name} must be a number, got {got!r}")
+    _check_types(cfg)
     cfg.validate()
     return cfg
 
@@ -146,6 +165,6 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)

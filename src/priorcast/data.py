@@ -15,6 +15,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import List
 
 import numpy as np
 
@@ -79,12 +80,15 @@ class MultimodalDataset:
         return [m.name for m in self.splits["train"]]
 
     def validate(self) -> None:
+        """Everything the stages assume of a dataset; raises FormatError."""
         for split in SPLIT_NAMES:
             if split not in self.splits:
                 raise FormatError(f"missing split {split!r}")
             for mod in self.splits[split]:
                 mod.validate(self.num_classes)
         names = self.modality_names()
+        if len(names) < 2 or len(set(names)) != len(names):
+            raise FormatError(f"need at least two modalities, each named once; got {names}")
         for split in SPLIT_NAMES:
             if [m.name for m in self.splits[split]] != names:
                 raise FormatError("splits disagree on modality names or order")
@@ -95,6 +99,17 @@ class MultimodalDataset:
                         f"modality {mod.name!r}: {split} features are {mod.feature_dim} "
                         f"wide, train features {train.feature_dim}"
                     )
+        for mod in self.splits["train"]:
+            if mod.num_samples < 2:
+                raise FormatError(f"modality {mod.name!r}: training split has "
+                                  f"{mod.num_samples} sample; mixing needs a partner")
+        # a (query, gallery) pair with no relevant item anywhere has no PR curve
+        classes = [set(mod.labels.tolist()) for mod in self.splits["test"]]
+        for i, a in enumerate(classes):
+            for j in range(i + 1, len(classes)):
+                if not a & classes[j]:
+                    raise FormatError(f"test splits of {names[i]!r} and {names[j]!r} "
+                                      f"share no class")
 
 
 @dataclass
@@ -103,10 +118,10 @@ class SynthConfig:
 
     num_modalities: int = 3
     num_classes: int = 5
-    feature_dims: list = field(default_factory=lambda: [32, 24, 48])
+    feature_dims: List[int] = field(default_factory=lambda: [32, 24, 48])
     samples_per_class: int = 40
     separation: float = 6.0
-    noise: list = field(default_factory=lambda: [0.1, 0.1, 0.1])
+    noise: List[float] = field(default_factory=lambda: [0.1, 0.1, 0.1])
     seed: int = 0
 
     def validate(self) -> None:
@@ -264,7 +279,7 @@ def load_manifest(path) -> MultimodalDataset:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "num_classes" not in doc or "splits" not in doc:
         raise FormatError("manifest must be an object with num_classes and splits")
@@ -285,8 +300,8 @@ def load_manifest(path) -> MultimodalDataset:
             if not isinstance(entry, dict):
                 raise FormatError(f"manifest split {split!r}: entry {entry!r} is not an object")
             for key in ("name", "features", "labels"):
-                if not isinstance(entry.get(key), str):
-                    raise FormatError(f"manifest entry needs a string {key!r}")
+                if not isinstance(entry.get(key), str) or "\0" in entry[key]:
+                    raise FormatError(f"manifest entry needs a string {key!r} without NUL")
             feat_path = os.path.join(base, entry["features"])
             lab_path = os.path.join(base, entry["labels"])
             files += [feat_path, lab_path]
@@ -414,9 +429,8 @@ def minibatch_iter(modality: ModalityData, batch_size: int, rng: np.random.Gener
 
     A final batch of size 1 is merged into the previous batch because the
     mixing step needs a partner sample; a final batch of size >= 2 is kept.
+    RunConfig.validate guarantees batch_size >= 2.
     """
-    if batch_size < 2:
-        raise ConfigError("batch_size: must be >= 2 (mixing needs pairs)")
     num_samples = modality.num_samples
     perm = rng.permutation(num_samples)
     batches = [perm[i : i + batch_size] for i in range(0, num_samples, batch_size)]

@@ -122,8 +122,6 @@ def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray,
     is returned.
     """
     d_f = np.asarray(d_f, dtype=np.float64)
-    if d_f.shape != cache.z3.shape:
-        raise ValueError(f"dJ/dF shape {d_f.shape} does not match batch {cache.z3.shape}")
     stacked = isinstance(params.w1, tuple)
     grads = out if out is not None else EncoderParams(*map(np.empty_like, params.tensors()))
     unit, safe = cache.unit, cache.safe
@@ -220,13 +218,10 @@ def save_checkpoint(path, params: EncoderParams, modality_name: str) -> None:
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, header dict)."""
     header, mats = read_tensor_file(path, len(_TENSOR_ORDER))
-    params = EncoderParams(*[m[0] if name.startswith("b") else m
-                             for name, m in zip(_TENSOR_ORDER, mats)])
-    for key, got in (
-        ("input_dim", params.input_dim),
-        ("hidden_dim", params.hidden_dim),
-        ("output_dim", params.output_dim),
-    ):
-        if header.get(key) != got:
-            raise FormatError(f"checkpoint header {key}={header.get(key)} but tensors say {got}")
-    return params, header
+    d, h, e = (header.get(key) for key in ("input_dim", "hidden_dim", "output_dim"))
+    shapes = [m.shape for m in mats]
+    if shapes != [(d, h), (1, h), (h, h), (1, h), (h, e), (1, e)]:
+        raise FormatError(f"{path}: tensor shapes {shapes} do not match the header's "
+                          f"input_dim {d}, hidden_dim {h} and output_dim {e}")
+    return EncoderParams(*[m[0] if name.startswith("b") else m
+                           for name, m in zip(_TENSOR_ORDER, mats)]), header

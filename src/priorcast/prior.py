@@ -88,8 +88,6 @@ def _candidate_score(mod: ModalityData, w: np.ndarray, params) -> float:
 
 def select_prior(candidates: Dict[str, np.ndarray], scores: Dict[str, float]) -> str:
     """Name of the best-scoring candidate; first-listed wins ties."""
-    if not candidates:
-        raise ValueError("no candidates to select from")
     best = None
     for name in candidates:
         if best is None or scores[name] > scores[best]:

@@ -30,15 +30,11 @@ def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng):
     features and labels, so mixed label rows stay nonnegative and sum to 1.
     lam=1 is the exact identity. On a (K, B, .) stack rng is a sequence of
     K generators, slice k mixes within itself by a permutation drawn from
-    rng[k], and perm indexes the rows of f flattened to (K * B, .).
+    rng[k], and perm indexes the rows of f flattened to (K * B, .). The
+    caller guarantees B >= 2 (minibatch_iter on a split of at least two
+    samples) and 0 < lam <= 1 (RunConfig.validate).
     """
     b = f.shape[-2]
-    if b < 2:
-        raise ValueError(f"need at least 2 rows to mix, got {b}")
-    if not 0 < lam <= 1:
-        raise ValueError(f"mixing factor must be in (0, 1], got {lam}")
-    if y.shape[-2] != b:
-        raise ValueError(f"feature rows {b} vs label rows {y.shape[-2]}")
     if f.ndim == 2:
         perm = rng.permutation(b)
     else:
@@ -50,9 +46,6 @@ def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng):
 
 def recast_invariant(y_mix: np.ndarray, prior: PriorMatrix) -> np.ndarray:
     """Soft labels recast into the embedding space: T = Y L. Not normalized."""
-    if y_mix.shape[-1] != prior.num_classes:
-        raise ValueError(f"labels have {y_mix.shape[-1]} classes, "
-                         f"prior has {prior.num_classes}")
     return y_mix @ prior.l
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from priorcast.cli import main
+from priorcast.data import ModalityData, load_manifest, write_dataset
 
 
 def _write(path, doc):
@@ -274,3 +275,191 @@ def test_run_manifest_keys_inputs_by_path_relative_to_the_dataset(tmp_path):
     assert sorted(inputs) == sorted([os.path.join("..", "run.json"), "manifest.json"]
                                     + data_files)
     assert len(inputs) == 14
+
+
+
+# --- one row per exit-code case of the README ---
+
+def _edited_data(tmp_path, edit):
+    """A synthetic dataset, rewritten after edit(dataset) changed it in place."""
+    dataset = load_manifest(_synth_data(tmp_path, "synth"))
+    edit(dataset)
+    return write_dataset(dataset, tmp_path / "data")
+
+
+def _drop_mod1(dataset):
+    for split in dataset.splits.values():
+        del split[1:]
+
+
+def _rename_mod1(dataset):
+    for split in dataset.splits.values():
+        split[1].name = "mod0"
+
+
+def _one_train_sample(dataset):
+    mod = dataset.splits["train"][0]
+    dataset.splits["train"][0] = ModalityData(mod.name, mod.features[:1], mod.labels[:1])
+
+
+def _disjoint_test_classes(dataset):
+    for k, mod in enumerate(dataset.splits["test"]):
+        rows = mod.labels == k  # mod0 keeps class 0 only, mod1 class 1 only
+        dataset.splits["test"][k] = ModalityData(mod.name, mod.features[rows], mod.labels[rows])
+
+
+def _narrow_mod0_test(dataset):
+    mod = dataset.splits["test"][0]
+    dataset.splits["test"][0] = ModalityData(mod.name, mod.features[:, :8], mod.labels)
+
+
+def _run(command="pipeline", *flags, edit=None, **over):
+    """Set-up of a row: command on a (possibly edited) dataset into tmp/run."""
+    def setup(tmp_path):
+        manifest = _edited_data(tmp_path, edit) if edit else _synth_data(tmp_path)
+        return [command, "--config", _run_cfg(tmp_path, manifest, **over),
+                "--out", str(tmp_path / "run"), *flags]
+    return setup
+
+
+def _raw_config(text, command="spl"):
+    def setup(tmp_path):
+        path = tmp_path / "raw.json"
+        path.write_bytes(text)
+        return [command, "--config", str(path), "--out", str(tmp_path / "run")]
+    return setup
+
+
+def _synth_field(**field):
+    def setup(tmp_path):
+        return ["synth", "--config", _synth_cfg(tmp_path, **field),
+                "--out", str(tmp_path / "run")]
+    return setup
+
+
+def _damaged(damage):
+    """A pipeline on a synthetic dataset after damage(data directory)."""
+    def setup(tmp_path):
+        argv = _run()(tmp_path)
+        damage(tmp_path / "data")
+        return argv
+    return setup
+
+
+def _truncate(path):
+    with open(path, "r+b") as fh:
+        fh.truncate(40)  # the header claims 3 x 10 floats; 24 payload bytes remain
+
+
+def _train_on_prior_of_other_shape(tmp_path):
+    assert main(_run("spl")(tmp_path)) == 0
+    return _run("train", embed_dim=8)(tmp_path)
+
+
+def _eval_with_other_embed_dim(tmp_path):
+    assert main(_run()(tmp_path)) == 0
+    return _run("eval", embed_dim=8)(tmp_path)
+
+
+def _eval_on_other_feature_width(tmp_path):
+    assert main(_run()(tmp_path)) == 0
+    other = _run_cfg(tmp_path, _synth_data(tmp_path, "other", feature_dims=[9, 8]))
+    return ["eval", "--config", other, "--out", str(tmp_path / "run")]
+
+
+EXIT_CASES = {
+    # 2: configuration errors
+    "config-without-synth": (2, "config error: config has no 'synth'",
+                             _raw_config(b'{"seed": 1}', "synth")),
+    "config-without-manifest": (2, "config error: config has no 'manifest'",
+                                _raw_config(b'{"seed": 1}')),
+    "config-unknown-key": (2, "config error: unknown config keys",
+                           _raw_config(b'{"learning_rate": 0.1}')),
+    "config-wrong-type": (2, "config error: batch_size must be an integer",
+                          _raw_config(b'{"batch_size": "big"}')),
+    "config-out-of-range": (2, "config error: mix_lambda must be in (0, 1]",
+                            _raw_config(b'{"mix_lambda": 0}')),
+    "config-non-finite": (2, "config error: alpha must be finite", _raw_config(b'{"alpha": NaN}')),
+    "synth-out-of-range": (2, "config error: noise: standard deviations",
+                           _synth_field(noise=[-1.0, 0.1])),
+    "synth-list-of-strings": (2, "config error: synth.feature_dims must be a list of integers",
+                              _synth_field(feature_dims=["8", "6"])),
+    "synth-float-count": (2, "config error: synth.num_classes must be an integer",
+                          _synth_field(num_classes=5.5)),
+    "synth-scalar-for-list": (2, "config error: synth.noise must be a list of numbers",
+                              _synth_field(noise=0.1)),
+    "unknown-ablation": (2, "config error: unknown ablation 'bogus'",
+                         _run("pipeline", "--ablation", "bogus")),
+    "bad-n-rank-flag": (2, "config error: --n-rank must be 'all'", _run("eval", "--n-rank", "zero")),
+    "negative-seed-flag": (2, "config error: --seed must be >= 0", _run("pipeline", "--seed", "-1")),
+    "embed-dim-below-classes": (2, "config error: embed_dim 2 is below the dataset's 3 classes",
+                                _run(embed_dim=2)),
+    # 3: I/O and file-format errors
+    "config-missing": (3, "i/o error:", lambda tmp_path: [
+        "spl", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "run")]),
+    "config-not-json": (3, "format error: config", _raw_config(b"{not json")),
+    "config-not-utf8": (3, "format error: config", _raw_config(b'{"seed": "\xff"}')),
+    "manifest-not-object": (3, "format error: manifest must be an object",
+                            _damaged(lambda data: (data / "manifest.json").write_text("[]"))),
+    "manifest-not-utf8": (3, "format error: manifest is not valid JSON", _damaged(
+        lambda data: (data / "manifest.json").write_bytes(b'{"num_classes": "\xff"}'))),
+    "data-file-missing": (3, "i/o error:", _damaged(lambda data: (data / "mod1_test.dlb").unlink())),
+    "features-truncated": (3, "format error: truncated payload",
+                           _damaged(lambda data: _truncate(data / "mod0_val.dfm"))),
+    "one-modality": (3, "format error: need at least two modalities", _run(edit=_drop_mod1)),
+    "modality-named-twice": (3, "format error: need at least two modalities, each named once",
+                             _run(edit=_rename_mod1)),
+    "one-sample-train-split": (3, "format error: modality 'mod0': training split has 1 sample",
+                               _run(edit=_one_train_sample)),
+    "test-splits-share-no-class": (3, "format error: test splits of 'mod0' and 'mod1' share no",
+                                   _run(edit=_disjoint_test_classes)),
+    "split-width-mismatch": (3, "format error: modality 'mod0': test features are 8 wide",
+                             _run(edit=_narrow_mod0_test)),
+    "no-prior-to-train": (3, "i/o error:", _run("train")),
+    "prior-of-other-shape": (3, "format error:", _train_on_prior_of_other_shape),
+    "checkpoint-of-other-width": (3, "format error:", _eval_on_other_feature_width),
+    "checkpoint-of-other-embed-dim": (3, "format error:", _eval_with_other_embed_dim),
+    # 4: numeric failures
+    "non-finite-training": (4, "numeric failure: stage one, epoch 0", _run("spl", lr=1e200)),
+}
+
+
+def _artifacts(out):
+    """The files in out by name, but for the run manifest, which a stage removes."""
+    if not out.exists():
+        return {}
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_exit_code_cases(tmp_path, capsys, case):
+    code, prefix, setup = EXIT_CASES[case]
+    argv = setup(tmp_path)
+    before = _artifacts(tmp_path / "run")
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(argv) == code
+    assert capsys.readouterr().err.startswith(prefix)
+    assert _artifacts(tmp_path / "run") == before  # the failing command wrote nothing
+
+
+def test_an_error_inside_a_stage_surfaces_as_a_bug(tmp_path, monkeypatch):
+    """Inputs are checked at load; a ValueError from a stage is a bug, which
+    main does not report as an input error but lets end the run (exit 1)."""
+    def broken(*args):
+        raise ValueError("kernel bug")
+    monkeypatch.setattr("priorcast.cli.run_spl", broken)
+    with pytest.raises(ValueError, match="kernel bug"):
+        main(_run("spl")(tmp_path))
+
+
+def test_failed_pipeline_leaves_no_older_run_manifest(tmp_path):
+    manifest = _synth_data(tmp_path)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", _run_cfg(tmp_path, manifest), "--out", str(out)]) == 0
+    assert (out / "run_manifest.json").exists()
+    failing = _run_cfg(tmp_path, manifest, lr=1e200)
+    with np.errstate(all="ignore"):
+        code = main(["pipeline", "--config", failing, "--out", str(out), "--ablation", "no-spl"])
+    assert code == 4
+    assert not (out / "run_manifest.json").exists()

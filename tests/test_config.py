@@ -82,6 +82,17 @@ def test_from_dict_type_errors():
         config_from_dict({"skip_spl": 1})
     with pytest.raises(ConfigError, match="embed_dim"):
         config_from_dict({"embed_dim": True})
+    with pytest.raises(ConfigError, match="manifest"):
+        config_from_dict({"manifest": 7})
+    with pytest.raises(ConfigError, match="manifest"):
+        config_from_dict({"manifest": "data\0/manifest.json"})
+    with pytest.raises(ConfigError, match="fixed_q"):
+        config_from_dict({"fixed_q": "half"})
+    for key, value in (("feature_dims", ["8", "6", "7"]), ("feature_dims", [8.0, 6, 7]),
+                       ("num_classes", 5.5), ("noise", 0.1), ("noise", [0.1, None, 0.1]),
+                       ("separation", True), ("seed", "1")):
+        with pytest.raises(ConfigError, match=f"synth.{key} must be"):
+            config_from_dict({"synth": {key: value}})
 
 
 def test_from_dict_synth_section():

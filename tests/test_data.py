@@ -129,6 +129,8 @@ def test_manifest_lists_the_files_it_read(tmp_path):
     ({"train": [7]}, "entry 7 is not an object"),
     ({"train": [{"name": "mod0", "features": 3, "labels": "a.dlb"}]}, "string 'features'"),
     ({"train": [{"name": "mod0", "features": "a.dfm"}]}, "string 'labels'"),
+    ({"train": [{"name": "mod0", "features": "a\0.dfm", "labels": "a.dlb"}]},
+     "string 'features' without NUL"),
 ])
 def test_manifest_rejects_malformed_shapes(tmp_path, splits, match):
     path = tmp_path / "manifest.json"
@@ -236,10 +238,3 @@ def test_minibatch_iter_merges_singleton_tail():
     batches = list(minibatch_iter(mod, 4, make_rng(1)))
     # 4 + 4 + 1 would leave a singleton; the tail joins the previous batch
     assert sorted(len(b) for b in batches) == [4, 5]
-
-
-def test_minibatch_iter_rejects_tiny_batch():
-    mod = ModalityData(name="m", features=np.zeros((6, 2)),
-                      labels=np.zeros(6, dtype=np.int64))
-    with pytest.raises(ConfigError):
-        list(minibatch_iter(mod, 1, make_rng(0)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,8 @@ def test_checkpoint_rejects_garbage(tmp_path):
         path.write_bytes(data)
         with pytest.raises(FormatError):
             load_checkpoint(path)
+    # a header that fits w1 and w3, but a w2 of another width
+    params = _toy()[0]
+    save_checkpoint(path, dataclasses.replace(params, w2=params.w2[:, :-1]), "m")
+    with pytest.raises(FormatError, match="do not match the header"):
+        load_checkpoint(path)

@@ -31,15 +31,6 @@ def test_ap_window():
     assert average_precision([1, 0, 1], 1) == 1.0
 
 
-def test_ap_validation():
-    with pytest.raises(ValueError):
-        average_precision([], 0)
-    with pytest.raises(ValueError):
-        average_precision([1, 0], 3)
-    with pytest.raises(ValueError):
-        average_precision([1, 0], 0)
-
-
 def test_ap_range_and_perfect_ordering():
     rng = make_rng(0)
     for _ in range(50):
@@ -169,15 +160,6 @@ def test_map_self_retrieval_distinct_classes():
     assert np.all(result.aps == 1.0)
 
 
-def test_map_validation():
-    with pytest.raises(ValueError):
-        rank_pair(np.zeros((2, 2)), [0, 1], np.zeros((0, 2)), [], "all")
-    with pytest.raises(ValueError):
-        rank_pair(np.zeros((2, 2)), [0, 1], np.zeros((3, 2)), [0, 1, 0], -1)
-    with pytest.raises(ValueError):
-        rank_pair(np.zeros((2, 2)), [0, 1], np.zeros((3, 2)), [0, 1, 0], "half")
-
-
 def test_pr_curve_hand_case():
     queries = np.array([[1.0, 0.0]])
     gallery = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -196,11 +178,6 @@ def test_pr_curve_recall_monotone():
         _, curve = rank_pair(queries, ql, gallery, gl, curve=True)
         assert np.all(np.diff(curve.recall) >= -1e-15)
         assert np.all((curve.precision >= 0) & (curve.precision <= 1))
-
-
-def test_pr_curve_rejects_all_irrelevant():
-    with pytest.raises(ValueError):
-        rank_pair(np.eye(2), [0, 0], np.eye(2), [1, 1], curve=True)
 
 
 def _trained(seed=0):

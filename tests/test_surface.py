@@ -1,8 +1,12 @@
-"""Every public function and class of the package has a caller inside it.
+"""Checks on the package source, parsed with ast.
 
-The CLI is the package's one entry point, so a public name that no module
+Every public function and class of the package has a caller inside it:
+the CLI is the package's one entry point, so a public name that no module
 of src/priorcast names or imports is API that only tests use. Oracles and
 reference code of that kind belong in tests/ instead.
+
+No module raises a bare ValueError or Exception, and the CLI's main
+catches none.
 """
 
 import ast
@@ -42,3 +46,29 @@ def test_every_public_definition_has_a_caller_in_the_package():
     unused = sorted(f"{module}.{name}" for module, tree in modules.items()
                     for name in _public_definitions(tree) if name not in used)
     assert unused == []
+
+
+# Input errors are ConfigError or FormatError, raised where the input enters;
+# any other ValueError is a bug and must reach the user as one (exit 1).
+_BROAD = {"ValueError", "Exception", "BaseException"}
+
+
+def _is_broad(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return any(map(_is_broad, node.elts))
+    return node is None or isinstance(node, ast.Name) and node.id in _BROAD
+
+
+def test_no_module_raises_value_error_and_main_catches_none():
+    modules = _modules()
+    raised = sorted(f"{module}:{node.lineno}" for module, tree in modules.items()
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Raise) and node.exc is not None
+                    and _is_broad(node.exc))
+    main = next(node for node in modules["cli"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [f"cli:{node.lineno}" for node in ast.walk(main)
+              if isinstance(node, ast.ExceptHandler) and _is_broad(node.type)]
+    assert raised == [] and caught == []
