@@ -10,6 +10,7 @@ float32, the synthetic generator rounds features to float32 precision so
 write/read round trips are exact.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -87,6 +88,11 @@ class MultimodalDataset:
             for mod in self.splits[split]:
                 mod.validate(self.num_classes)
         names = self.modality_names()
+        for name in names:
+            # names become parts of artifact file names: encoder_<name>.bin
+            if not name or "/" in name or "\\" in name or ".." in name:
+                raise FormatError(f"modality name {name!r} is not a safe file-name part: "
+                                  f"it must be nonempty, without '/', '\\' or '..'")
         if len(names) < 2 or len(set(names)) != len(names):
             raise FormatError(f"need at least two modalities, each named once; got {names}")
         for split in SPLIT_NAMES:
@@ -143,6 +149,25 @@ class SynthConfig:
             raise ConfigError("noise: standard deviations must be finite and >= 0")
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Open a temporary file beside path for writing; when the block ends
+    without an exception, move it over path with os.replace.
+
+    A failed write removes the temporary file, so path is either left as it
+    was or holds the complete new content, never a partial file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_features_to(fh, features: np.ndarray) -> None:
     """Write one DFM1 matrix to an open binary stream."""
     features = np.asarray(features)
@@ -158,7 +183,7 @@ def write_features_to(fh, features: np.ndarray) -> None:
 
 def write_features(path, features: np.ndarray) -> None:
     """Write one matrix in the DFM1 format."""
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         write_features_to(fh, features)
 
 
@@ -213,7 +238,7 @@ def write_tensor_file(path, header: dict, tensors) -> None:
 
     1-D tensors are stored as one-row matrices.
     """
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for tensor in tensors:
@@ -223,7 +248,8 @@ def write_tensor_file(path, header: dict, tensors) -> None:
 def read_tensor_file(path, count: int):
     """Read a file written by write_tensor_file; returns (header, matrices).
 
-    The header must be a JSON object; count DFM1 matrices follow it.
+    The header must be a JSON object; count DFM1 matrices of finite values
+    follow it.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -234,9 +260,12 @@ def read_tensor_file(path, count: int):
         if not isinstance(header, dict):
             raise FormatError(f"malformed header in {path}: not a JSON object")
         try:
-            return header, [read_features_from(fh) for _ in range(count)]
+            mats = [read_features_from(fh) for _ in range(count)]
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
+    if not all(np.isfinite(m).all() for m in mats):
+        raise FormatError(f"{path}: non-finite tensor values")
+    return header, mats
 
 
 def write_labels(path, labels: np.ndarray, num_classes: int) -> None:
@@ -247,7 +276,7 @@ def write_labels(path, labels: np.ndarray, num_classes: int) -> None:
         raise FormatError("dimension overflow: label header exceeds u32 range")
     if rows and (labels.min() < 0 or labels.max() >= num_classes):
         raise FormatError(f"label index outside [0, {num_classes})")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(LABEL_MAGIC)
         fh.write(struct.pack("<II", rows, num_classes))
         fh.write(labels.astype("<u4").tobytes(order="C"))
@@ -322,9 +351,10 @@ def load_manifest(path) -> MultimodalDataset:
 def write_json(path, doc) -> None:
     """Write doc as UTF-8 JSON: 2-space indent, sorted keys, trailing newline.
 
-    NaN or an infinity raises ValueError: JSON has no token for them.
+    NaN or an infinity raises ValueError: JSON has no token for them. The
+    write is atomic (see atomic_open).
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 

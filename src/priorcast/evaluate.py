@@ -10,7 +10,7 @@ from typing import Dict
 
 import numpy as np
 
-from .data import MultimodalDataset
+from .data import MultimodalDataset, atomic_open
 from .encoder import EncoderParams, forward
 from .numerics import unit_rows
 
@@ -29,58 +29,86 @@ class PrCurve:
     precision: np.ndarray
 
 
-def average_precision(relevance, n_rank: int) -> float:
-    """AP over the top n_rank of an ordered 0/1 relevance list.
+# Sets the height of a query block: each of its (rows, gallery) float64
+# temporaries stays near this many bytes whatever the gallery size.
+_BLOCK_BYTES = 1 << 18
 
-    Each relevant position k contributes (relevant-in-top-k)/k; the sum is
-    divided by the number of relevant items in the window. No relevant items
-    means AP = 0 by convention.
+
+def _ranking(neg: np.ndarray) -> np.ndarray:
+    """Per-row argsort of neg with ties broken by ascending column index, the
+    order a stable argsort gives, for finite values.
+
+    One default (SIMD, unstable) argsort orders the block; it differs from
+    the stable order only within runs of equal values. Rows that have such a
+    run get one integer sort of (run number, index) keys, which puts each
+    run's indices in ascending order.
     """
-    window = np.asarray(relevance[:n_rank], dtype=np.float64)
-    cum = np.cumsum(window)
-    total = cum[-1]
-    if total == 0:
-        return 0.0
-    k = np.arange(1, n_rank + 1, dtype=np.float64)
-    return float(np.sum((cum / k) * window) / total)
+    rows, n = neg.shape
+    order = np.argsort(neg, axis=1)
+    ranked = neg.take(order + np.arange(0, rows * n, n)[:, None])
+    steps = ranked[:, 1:] != ranked[:, :-1]
+    tied = ~steps.all(axis=1)
+    if tied.any():
+        run = np.zeros((np.count_nonzero(tied), n), dtype=np.intp)
+        np.cumsum(steps[tied], axis=1, out=run[:, 1:])
+        keys = run * n + order[tied]
+        keys.sort(axis=1)
+        order[tied] = keys % n
+    return order
 
 
 def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
               gallery: np.ndarray, gallery_labels: np.ndarray,
               n_rank="all", curve: bool = False):
-    """Rank the gallery once per query and score each ranking.
+    """Rank the gallery for every query and score each ranking.
 
-    Similarity is the cosine over unit rows; a stable argsort of its
-    negation breaks ties by ascending gallery index. Returns (result, pr):
-    result holds each query's AP over the top n_rank ("all", or a depth
-    clamped to the gallery size) in query order, and their mean, the MAP.
-    pr is None unless curve is set; then it is precision and recall at each
-    rank cutoff k, averaged over queries: recall = retrieved-relevant /
-    total-relevant, precision = retrieved-relevant / k. Queries with no
-    relevant gallery item have no defined recall and are left out, so with
-    curve set some query must have one: MultimodalDataset.validate makes
-    every two test splits share a class.
+    Similarity is the cosine over unit rows; ties are broken by ascending
+    gallery index. Returns (result, pr): result holds each query's AP over
+    the top n_rank ("all", or a depth clamped to the gallery size) in query
+    order, and their mean, the MAP. A query's AP sums (relevant-in-top-k)/k
+    over the relevant positions k of the window and divides by the number of
+    relevant items there; with none it is 0. pr is None unless curve is set;
+    then it is precision and recall at each rank cutoff k, averaged over
+    queries: recall = retrieved-relevant / total-relevant, precision =
+    retrieved-relevant / k. Queries with no relevant gallery item have no
+    defined recall and are left out, so with curve set some query must have
+    one: MultimodalDataset.validate makes every two test splits share a
+    class.
+
+    Queries are ranked in blocks of rows (see _ranking) with the bits of one
+    stable argsort and one AP per query. The tie detection compares
+    similarities for equality, so they must be finite: load_manifest and
+    read_tensor_file refuse non-finite features and tensors, and their
+    float32 range keeps the float64 forward pass finite.
     """
     n_g = gallery.shape[0]
     depth = n_g if n_rank == "all" else min(n_rank, n_g)
     sims = unit_rows(queries)[0] @ unit_rows(gallery)[0].T
     g_labels = np.asarray(gallery_labels)
-    aps = np.empty(len(queries))
+    q_labels = np.asarray(query_labels)
+    aps = np.zeros(len(queries))
     k = np.arange(1, n_g + 1, dtype=np.float64)
     recall_sum = np.zeros(n_g)
     precision_sum = np.zeros(n_g)
     count = 0
-    for i in range(len(queries)):
-        order = np.argsort(-sims[i], kind="stable")
-        rel = (g_labels[order] == query_labels[i]).astype(np.float64)
-        aps[i] = average_precision(rel, depth)
-        total = rel.sum()
-        if not curve or total == 0:
+    height = max(1, _BLOCK_BYTES // (8 * n_g))
+    for start in range(0, len(queries), height):
+        rows = slice(start, start + height)
+        rel = g_labels.take(_ranking(-sims[rows])) == q_labels[rows, None]
+        cum = np.cumsum(rel, axis=1, dtype=np.float64)
+        precision = cum / k
+        hits = cum[:, depth - 1]
+        ap_sum = np.add.reduce(precision[:, :depth] * rel[:, :depth], axis=1)
+        np.divide(ap_sum, hits, out=aps[rows], where=hits > 0)
+        if not curve:
             continue
-        cum = np.cumsum(rel)
-        recall_sum += cum / total
-        precision_sum += cum / k
-        count += 1
+        found = np.flatnonzero(cum[:, -1])
+        recall = cum[found] / cum[found, -1:]
+        # row by row, in query order, so the sums round as a per-query loop's
+        for r, i in enumerate(found):
+            recall_sum += recall[r]
+            precision_sum += precision[i]
+        count += len(found)
     result = RetrievalResult(aps=aps, n_rank=depth, map=float(np.mean(aps)))
     if not curve:
         return result, None
@@ -123,7 +151,7 @@ def table_from_embeddings(embedded: dict, n_rank="all", curves: bool = False):
 
 
 def write_pr_csv(path, curve: PrCurve) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("rank,recall,precision\n")
-        for r, rec, prec in zip(curve.rank, curve.recall, curve.precision):
-            fh.write(f"{int(r)},{float(rec)!r},{float(prec)!r}\n")
+    rows = zip(curve.rank.tolist(), curve.recall.tolist(), curve.precision.tolist())
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("rank,recall,precision\n"
+                 + "".join(f"{r},{rec!r},{prec!r}\n" for r, rec, prec in rows))

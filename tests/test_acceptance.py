@@ -13,7 +13,7 @@ from priorcast.cli import main
 from priorcast.config import RunConfig, apply_ablation
 from priorcast.data import SynthConfig, synth_generate
 from priorcast.encoder import backward, forward, init_params
-from priorcast.evaluate import average_precision, embed_split, rank_pair, table_from_embeddings
+from priorcast.evaluate import embed_split, rank_pair, table_from_embeddings
 from priorcast.losses import (
     disc_loss,
     gce_from_logits,
@@ -185,8 +185,10 @@ def test_c3_map_oracle():
         got = rank_pair(queries, ql, gallery, gl, depth)[0].map
         ref = _brute_map(queries, ql, gallery, gl, depth)
         worst = max(worst, abs(got - ref))
-    hand = abs(average_precision([1, 0, 1], 3) - 5.0 / 6.0)
-    all_rel = average_precision([1, 1, 1], 3)
+    # one query, gallery cosines 1, 1/sqrt(2), 0: relevance [1, 0, 1], then [1, 1, 1]
+    query, gallery = np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    hand = abs(rank_pair(query, [0], gallery, [0, 1, 0])[0].aps[0] - 5.0 / 6.0)
+    all_rel = rank_pair(query, [0], gallery, [0, 0, 0])[0].aps[0]
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and hand < 1e-15 and all_rel == 1.0 and elapsed < 5.0
     _verdict(3, f"map vs brute force on 100 instances: max diff {worst:.1e} "

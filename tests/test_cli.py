@@ -6,6 +6,8 @@ import pytest
 
 from priorcast.cli import main
 from priorcast.data import ModalityData, load_manifest, write_dataset
+from priorcast.encoder import load_checkpoint, save_checkpoint
+from priorcast.prior import load_prior, save_prior
 
 
 def _write(path, doc):
@@ -361,6 +363,35 @@ def _eval_with_other_embed_dim(tmp_path):
     return _run("eval", embed_dim=8)(tmp_path)
 
 
+def _rename_in_manifest(name):
+    """A synthetic dataset whose manifest calls mod1 name in every split."""
+    def rename(data):
+        manifest = data / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        for entries in doc["splits"].values():
+            entries[1]["name"] = name
+        _write(manifest, doc)
+    return _damaged(rename)
+
+
+def _eval_on_nan_checkpoint(tmp_path):
+    assert main(_run()(tmp_path)) == 0
+    path = tmp_path / "run" / "encoder_mod0.bin"
+    params, header = load_checkpoint(path)
+    params.w1[0, 0] = np.nan
+    save_checkpoint(path, params, header["modality"])
+    return _run("eval")(tmp_path)
+
+
+def _train_on_nan_prior(tmp_path):
+    assert main(_run("spl")(tmp_path)) == 0
+    path = tmp_path / "run" / "prior.bin"
+    prior = load_prior(path)
+    prior.w[0, 0] = np.nan
+    save_prior(path, prior)
+    return _run("train")(tmp_path)
+
+
 def _eval_on_other_feature_width(tmp_path):
     assert main(_run()(tmp_path)) == 0
     other = _run_cfg(tmp_path, _synth_data(tmp_path, "other", feature_dims=[9, 8]))
@@ -419,6 +450,14 @@ EXIT_CASES = {
     "prior-of-other-shape": (3, "format error:", _train_on_prior_of_other_shape),
     "checkpoint-of-other-width": (3, "format error:", _eval_on_other_feature_width),
     "checkpoint-of-other-embed-dim": (3, "format error:", _eval_with_other_embed_dim),
+    "checkpoint-not-finite": (3, "format error:", _eval_on_nan_checkpoint),
+    "prior-not-finite": (3, "format error:", _train_on_nan_prior),
+    "modality-name-with-slash": (3, "format error: modality name 'sub/mod1' is not a safe",
+                                 _rename_in_manifest("sub/mod1")),
+    "modality-name-with-dotdot": (3, "format error: modality name '..' is not a safe",
+                                  _rename_in_manifest("..")),
+    "modality-name-empty": (3, "format error: modality name '' is not a safe",
+                            _rename_in_manifest("")),
     # 4: numeric failures
     "non-finite-training": (4, "numeric failure: stage one, epoch 0", _run("spl", lr=1e200)),
 }

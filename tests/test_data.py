@@ -17,7 +17,9 @@ from priorcast.data import (
     synth_generate,
     write_dataset,
     write_features,
+    write_json,
     write_labels,
+    write_tensor_file,
 )
 from priorcast.errors import ConfigError, FormatError
 from priorcast.numerics import make_rng
@@ -238,3 +240,35 @@ def test_minibatch_iter_merges_singleton_tail():
     batches = list(minibatch_iter(mod, 4, make_rng(1)))
     # 4 + 4 + 1 would leave a singleton; the tail joins the previous batch
     assert sorted(len(b) for b in batches) == [4, 5]
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_json(path, {"loss": float("nan")}),
+    lambda path: write_tensor_file(path, {"format": "T"}, [np.zeros((2, 2)), np.zeros((1, 1, 1))]),
+    lambda path: write_features(path, np.zeros(3)),
+], ids=["json-nan", "tensor-3d", "features-1d"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "over-old"])
+def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, write, existing):
+    path = tmp_path / "artifact"
+    if existing:
+        path.write_bytes(b"old")
+    with pytest.raises((ValueError, FormatError)):
+        write(path)
+    assert os.listdir(tmp_path) == (["artifact"] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"old"
+
+
+def test_atomic_open_replaces_only_on_success(tmp_path):
+    from priorcast.data import atomic_open
+
+    path = tmp_path / "out.txt"
+    with atomic_open(path, "w") as fh:
+        fh.write("new")
+        assert not path.exists()  # the content lands beside it until the end
+    assert path.read_text() == "new" and os.listdir(tmp_path) == ["out.txt"]
+    with pytest.raises(KeyboardInterrupt):
+        with atomic_open(path, "w") as fh:
+            fh.write("partial")
+            raise KeyboardInterrupt
+    assert path.read_text() == "new" and os.listdir(tmp_path) == ["out.txt"]

@@ -6,16 +6,11 @@ import pytest
 from priorcast.config import RunConfig
 from priorcast.data import SynthConfig, synth_generate, write_json
 from priorcast.encoder import forward
-from priorcast.evaluate import (
-    average_precision,
-    embed_split,
-    rank_pair,
-    table_from_embeddings,
-    write_pr_csv,
-)
+from priorcast.evaluate import embed_split, rank_pair, table_from_embeddings, write_pr_csv
 from priorcast.numerics import make_rng
 from priorcast.prior import run_spl
 from priorcast.training import train_rsc_all
+from reference_ranking import average_precision
 
 
 def test_ap_hand_cases():
@@ -228,3 +223,8 @@ def test_table_and_csv_writers(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     float(first[1]); float(first[2])  # parseable numbers
+    # one line per rank, each float at its shortest round-trip repr
+    assert csv_path.read_text() == lines[0] + "\n" + "".join(
+        f"{r},{float(rec)!r},{float(prec)!r}\n"
+        for r, rec, prec in zip(curve.rank, curve.recall, curve.precision))
+
