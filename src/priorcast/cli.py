@@ -125,8 +125,7 @@ def cmd_eval(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
         encoders[mod.name] = params
         ckpt_paths.append(path)
     n_rank = "all" if cfg.n_rank == 0 else cfg.n_rank
-    table, curves = table_from_embeddings(embed_split(encoders, dataset, "test"),
-                                          n_rank, curves=True)
+    table, curves = table_from_embeddings(embed_split(encoders, dataset, "test"), n_rank)
     write_json(os.path.join(out_dir, MAP_FILE), table)
     outputs = [MAP_FILE]
     for (a, b), curve in curves.items():

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union, get_args, get_origin
 
-from .data import SynthConfig
+from .data import _MAX_ELEMS, SynthConfig
 from .errors import ConfigError, FormatError
 
 
@@ -53,6 +53,10 @@ class RunConfig:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.hidden_dim < 1:
             raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        # a checkpoint tensor over the tensor-file cap could never be read back
+        if self.hidden_dim * max(self.hidden_dim, self.embed_dim) > _MAX_ELEMS:
+            raise ConfigError(f"hidden_dim {self.hidden_dim} and embed_dim {self.embed_dim} "
+                              f"give a checkpoint tensor of more than {_MAX_ELEMS} elements")
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.spl_epochs < 1:

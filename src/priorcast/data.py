@@ -57,7 +57,7 @@ class ModalityData:
             )
         if not np.all(np.isfinite(self.features)):
             raise FormatError(f"modality {self.name!r}: non-finite feature values")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= num_classes):
+        if self.labels.min() < 0 or self.labels.max() >= num_classes:
             raise FormatError(
                 f"modality {self.name!r}: class index out of range [0, {num_classes})"
             )
@@ -379,13 +379,10 @@ def write_dataset(dataset: MultimodalDataset, out_dir) -> str:
 
 
 def _split_counts(n: int):
-    """80/10/10 split of n samples, every part nonempty."""
+    """80/10/10 split of n >= 3 samples (SynthConfig.validate), every part nonempty."""
     n_val = max(1, n // 10)
     n_test = max(1, n // 10)
-    n_train = n - n_val - n_test
-    if n_train < 1:
-        raise ConfigError(f"samples_per_class={n} too small to fill all three splits")
-    return n_train, n_val, n_test
+    return n - n_val - n_test, n_val, n_test
 
 
 def synth_generate(cfg: SynthConfig) -> MultimodalDataset:

@@ -3,7 +3,11 @@ representation layer, with hand-derived gradients and plain SGD updates.
 
 The backward pass includes the Jacobian of the row normalization
 (d/dz of z/||z|| = (I - zz^T/||z||^2) / ||z||) and defines the ReLU
-subgradient at exactly 0 as 0.
+subgradient at exactly 0 as 0. The forward cache keeps only what backward
+reads: the input, the two hidden activations and the normalization's unit
+rows, norms and degenerate flags. Each ReLU is applied in place, and
+backward takes its mask from a > 0, which holds exactly where z > 0 (a NaN
+pre-activation stays NaN and fails both).
 """
 
 import math
@@ -55,12 +59,9 @@ class ForwardCache:
     """
 
     x: np.ndarray
-    z1: np.ndarray
-    a1: np.ndarray
-    z2: np.ndarray
-    a2: np.ndarray
-    z3: np.ndarray  # pre-normalization representation
-    unit: np.ndarray  # z3 rows at unit norm, zero where degenerate
+    a1: np.ndarray  # first hidden activation, relu(z1)
+    a2: np.ndarray  # second hidden activation, relu(z2)
+    unit: np.ndarray  # pre-normalization rows z3 at unit norm, zero where degenerate
     safe: np.ndarray  # (B,) row norms of z3, 1 where degenerate
     degenerate: np.ndarray  # (B,) bool, rows with norm <= NORM_EPS
 
@@ -92,24 +93,24 @@ def forward(params: EncoderParams, x):
     one-encoder result. Rows whose pre-normalization norm is <= NORM_EPS
     pass through unchanged and are flagged in cache.degenerate.
     """
-    # biases are added in place: one (B, H) temporary less per layer
+    # biases and ReLUs are applied in place: no (B, H) temporary per layer
     if isinstance(params.w1, tuple):
-        z1 = np.empty((len(x), x[0].shape[0], params.b1.shape[-1]))
-        for x_k, w1_k, z1_k in zip(x, params.w1, z1):
-            np.matmul(x_k, w1_k, out=z1_k)
+        a1 = np.empty((len(x), x[0].shape[0], params.b1.shape[-1]))
+        for x_k, w1_k, a1_k in zip(x, params.w1, a1):
+            np.matmul(x_k, w1_k, out=a1_k)
     else:
         x = np.asarray(x, dtype=np.float64)
-        z1 = x @ params.w1
-    z1 += params.b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params.w2
-    z2 += params.b2
-    a2 = np.maximum(z2, 0.0)
+        a1 = x @ params.w1
+    a1 += params.b1
+    np.maximum(a1, 0.0, out=a1)
+    a2 = a1 @ params.w2
+    a2 += params.b2
+    np.maximum(a2, 0.0, out=a2)
     z3 = a2 @ params.w3
     z3 += params.b3
     unit, safe, degenerate = unit_rows(z3)
     f = np.where(degenerate[..., None], z3, unit)
-    return f, ForwardCache(x, z1, a1, z2, a2, z3, unit, safe, degenerate)
+    return f, ForwardCache(x, a1, a2, unit, safe, degenerate)
 
 
 def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray,
@@ -121,7 +122,6 @@ def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray,
     whose EncoderStack.grads serves) or else into a new EncoderParams, which
     is returned.
     """
-    d_f = np.asarray(d_f, dtype=np.float64)
     stacked = isinstance(params.w1, tuple)
     grads = out if out is not None else EncoderParams(*map(np.empty_like, params.tensors()))
     unit, safe = cache.unit, cache.safe
@@ -133,11 +133,11 @@ def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray,
     np.matmul(cache.a2.swapaxes(-1, -2), d_z3, out=grads.w3)
     np.add.reduce(d_z3, axis=-2, keepdims=stacked, out=grads.b3)
     d_z2 = np.matmul(d_z3, params.w3.swapaxes(-1, -2))
-    d_z2 *= cache.z2 > 0
+    d_z2 *= cache.a2 > 0
     np.matmul(cache.a1.swapaxes(-1, -2), d_z2, out=grads.w2)
     np.add.reduce(d_z2, axis=-2, keepdims=stacked, out=grads.b2)
     d_z1 = np.matmul(d_z2, params.w2.swapaxes(-1, -2))
-    d_z1 *= cache.z1 > 0
+    d_z1 *= cache.a1 > 0
     if stacked:
         for x_k, d_k, g_k in zip(cache.x, d_z1, grads.w1):
             np.matmul(x_k.T, d_k, out=g_k)

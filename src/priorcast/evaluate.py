@@ -59,7 +59,7 @@ def _ranking(neg: np.ndarray) -> np.ndarray:
 
 def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
               gallery: np.ndarray, gallery_labels: np.ndarray,
-              n_rank="all", curve: bool = False):
+              n_rank="all"):
     """Rank the gallery for every query and score each ranking.
 
     Similarity is the cosine over unit rows; ties are broken by ascending
@@ -67,13 +67,12 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
     the top n_rank ("all", or a depth clamped to the gallery size) in query
     order, and their mean, the MAP. A query's AP sums (relevant-in-top-k)/k
     over the relevant positions k of the window and divides by the number of
-    relevant items there; with none it is 0. pr is None unless curve is set;
-    then it is precision and recall at each rank cutoff k, averaged over
-    queries: recall = retrieved-relevant / total-relevant, precision =
-    retrieved-relevant / k. Queries with no relevant gallery item have no
-    defined recall and are left out, so with curve set some query must have
-    one: MultimodalDataset.validate makes every two test splits share a
-    class.
+    relevant items there; with none it is 0. pr holds precision and recall
+    at each rank cutoff k, averaged over queries: recall = retrieved-relevant
+    / total-relevant, precision = retrieved-relevant / k. Queries with no
+    relevant gallery item have no defined recall and are left out, so some
+    query must have one: MultimodalDataset.validate makes every two test
+    splits share a class.
 
     Queries are ranked in blocks of rows (see _ranking) with the bits of one
     stable argsort and one AP per query. The tie detection compares
@@ -100,8 +99,6 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
         hits = cum[:, depth - 1]
         ap_sum = np.add.reduce(precision[:, :depth] * rel[:, :depth], axis=1)
         np.divide(ap_sum, hits, out=aps[rows], where=hits > 0)
-        if not curve:
-            continue
         found = np.flatnonzero(cum[:, -1])
         recall = cum[found] / cum[found, -1:]
         # row by row, in query order, so the sums round as a per-query loop's
@@ -110,8 +107,6 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
             precision_sum += precision[i]
         count += len(found)
     result = RetrievalResult(aps=aps, n_rank=depth, map=float(np.mean(aps)))
-    if not curve:
-        return result, None
     return result, PrCurve(rank=np.arange(1, n_g + 1),
                            recall=recall_sum / count,
                            precision=precision_sum / count)
@@ -126,11 +121,11 @@ def embed_split(encoders: Dict[str, EncoderParams], dataset: MultimodalDataset,
     return out
 
 
-def table_from_embeddings(embedded: dict, n_rank="all", curves: bool = False):
+def table_from_embeddings(embedded: dict, n_rank="all"):
     """MAP for every ordered modality pair, plus the grand average.
 
-    Returns (table, pr): with curves set, pr maps each (query, gallery)
-    pair to its PR curve from the same ranking pass; otherwise it is empty.
+    Returns (table, pr): pr maps each (query, gallery) pair to its PR curve
+    from the same ranking pass.
     """
     names = list(embedded)
     pairs = []
@@ -141,10 +136,8 @@ def table_from_embeddings(embedded: dict, n_rank="all", curves: bool = False):
                 continue
             qe, ql = embedded[a]
             ge, gl = embedded[b]
-            result, curve = rank_pair(qe, ql, ge, gl, n_rank, curves)
+            result, pr[(a, b)] = rank_pair(qe, ql, ge, gl, n_rank)
             pairs.append({"query": a, "gallery": b, "map": result.map})
-            if curves:
-                pr[(a, b)] = curve
     avg = float(np.mean([p["map"] for p in pairs]))
     label = "all" if n_rank == "all" else int(n_rank)
     return {"pairs": pairs, "avg": avg, "n_rank": label}, pr

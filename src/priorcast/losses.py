@@ -6,10 +6,16 @@ softmax over logits f W puts on the (possibly soft) target. As q -> 0 this
 approaches -ln p; at q = 1 it is the bounded 1 - p. All losses are computed
 per mini-batch, with the batch size standing in for the modality size.
 
+One label term serves both stages: label_loss learns each modality's
+candidate w in stage one and applies the frozen prior w in stage two. It
+returns the logits' gradient too, so that stage one can form w's gradient
+f^T d_logits in place.
+
 Every loss also takes a (K, B, .) stack of K batches, f, y and the recast
-targets t stacked and the other matrices shared (prior_loss: one w per
-slice). Each slice's gradient then equals the one-batch result bit for
-bit, and each value becomes a (K,) array of the one-batch values.
+targets t stacked and the other matrices shared (label_loss: one shared w,
+or one w per slice). Each slice's gradient then equals the one-batch result
+bit for bit, and each value becomes a (K,) array of the one-batch values.
+A one-batch value is a numpy scalar or a 0-d array.
 
 Arguments are not checked here: RunConfig.validate guarantees q > 0 and
 alpha, beta >= 0, and the training loops pass matching shapes and
@@ -28,49 +34,34 @@ def q_at(q_start: float, epochs: int, epoch: int) -> float:
     return q_start + (1.0 - q_start) * (epoch / (epochs - 1))
 
 
-def _value(x):
-    """A loss value: a float for one batch, a (K,) array for a stack."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def gce_from_logits(logits: np.ndarray, y: np.ndarray, q: float):
-    """Core generalized cross-entropy on raw logits.
+    """label_loss's core, generalized cross-entropy on raw logits.
 
-    Returns (loss, d_logits, p) where p is the per-sample target mass.
+    Returns (value, d_logits).
     """
     b = logits.shape[-2]
     s = softmax(logits)
     p = np.maximum(np.add.reduce(y * s, axis=-1), 1e-300)
-    loss = _value(np.add.reduce(1.0 - p**q, axis=-1) / (q * b))
+    loss = np.add.reduce(1.0 - p**q, axis=-1) / (q * b)
     # dJ/dp_i = -p^(q-1)/B; dp_i/dl_ij = s_ij (y_ij - p_i)
     coef = -(p ** (q - 1.0)) / b
-    d_logits = coef[..., None] * s * (y - p[..., None])
-    return loss, d_logits, p
+    return loss, coef[..., None] * s * (y - p[..., None])
 
 
-def prior_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, q: float):
-    """Classification-style loss steering both embeddings and the weight matrix.
+def label_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, q: float):
+    """The label term of both stages: GCE of softmax(f w) against soft targets y.
 
-    On a stack, w holds one (d, C) matrix per slice. Returns (value, d_f, d_w).
+    Returns (value, d_f, d_logits); the gradient with respect to w is
+    f^T d_logits, which only stage one, where w is learned, forms.
     """
-    logits = f @ w
-    loss, d_logits, _ = gce_from_logits(logits, y, q)
-    return loss, d_logits @ w.swapaxes(-1, -2), f.swapaxes(-1, -2) @ d_logits
+    loss, d_logits = gce_from_logits(f @ w, y, q)
+    return loss, d_logits @ w.swapaxes(-1, -2), d_logits
 
 
 def quality_score(f: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     """Mean target-class softmax mass; higher means better label alignment."""
     s = softmax(f @ w)
     return float(np.mean(np.sum(y * s, axis=1)))
-
-
-def label_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, q: float):
-    """Same form as prior_loss with soft targets; w is held fixed.
-
-    Returns (value, d_f).
-    """
-    loss, d_logits, _ = gce_from_logits(f @ w, y, q)
-    return loss, d_logits @ w.T
 
 
 def mse_loss(f: np.ndarray, t: np.ndarray):
@@ -80,7 +71,7 @@ def mse_loss(f: np.ndarray, t: np.ndarray):
     """
     diff = f - t
     b = f.shape[-2]
-    loss = _value(np.add.reduce(diff * diff, axis=(-2, -1)) / b)
+    loss = np.add.reduce(diff * diff, axis=(-2, -1)) / b
     return loss, (2.0 / b) * diff
 
 
@@ -130,7 +121,7 @@ def disc_loss(f: np.ndarray, t: np.ndarray):
     proj = np.add.reduce(d_fn * fn, axis=-1, keepdims=True)
     d_f = (d_fn - proj * fn) / f_safe[..., None]
     d_f[f_deg] = 0.0
-    return _value(loss.reshape(f.shape[:-2])), d_f
+    return loss.reshape(f.shape[:-2]), d_f
 
 
 def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray,
@@ -148,7 +139,7 @@ def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray,
     parts = {"label": 0.0, "disc": 0.0, "mse": 0.0}
     value = 0.0
     if not drop_label:
-        parts["label"], g = label_loss(f, y, w, q)
+        parts["label"], g, _ = label_loss(f, y, w, q)
         value += parts["label"]
         d_f += g
     if not drop_disc:

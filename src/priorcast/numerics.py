@@ -76,7 +76,7 @@ def pseudo_inverse(w: np.ndarray) -> np.ndarray:
         u, s, vt = np.linalg.svd(w, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
-    cutoff = SVD_CUTOFF * (s[0] if s.size else 0.0)
+    cutoff = SVD_CUTOFF * s[0]
     large = s > cutoff
     inv_s = np.zeros_like(s)
     inv_s[large] = 1.0 / s[large]

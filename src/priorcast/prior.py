@@ -20,7 +20,7 @@ from .data import (ModalityData, MultimodalDataset, lockstep_batches, lockstep_m
                    read_tensor_file, write_tensor_file)
 from .encoder import EncoderStack, backward, forward, init_params
 from .errors import FormatError
-from .losses import prior_loss, q_at, quality_score
+from .losses import label_loss, q_at, quality_score
 from .numerics import make_rng, pseudo_inverse, random_orthogonal, split_seed
 
 
@@ -69,9 +69,9 @@ def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
         loss_sum = 0.0
         for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, w0.shape[1]):
             f, cache = forward(stack.params, x_b)
-            loss, d_f, d_w = prior_loss(f, y_b, w, q)
+            loss, d_f, d_logits = label_loss(f, y_b, w, q)
             loss_sum += loss
-            grad_w[...] = d_w
+            np.matmul(f.swapaxes(-1, -2), d_logits, out=grad_w)
             backward(stack.params, cache, d_f, out=stack.grads)
             stack.step(cfg.lr)
         stack.check_finite(loss_sum, f"stage one, epoch {epoch}")

@@ -49,13 +49,6 @@ def recast_invariant(y_mix: np.ndarray, prior: PriorMatrix) -> np.ndarray:
     return y_mix @ prior.l
 
 
-def _effective_prior(prior: PriorMatrix, cfg: RunConfig) -> PriorMatrix:
-    # the transpose ablation swaps the recaster, not the classifier matrix
-    if cfg.use_transpose:
-        return dataclasses.replace(prior, l=prior.w.T.copy())
-    return prior
-
-
 def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
     """Train one encoder per modality against the frozen prior.
 
@@ -66,7 +59,9 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
     records: loss components, q, the label-recast gap diagnostic, and the
     stack's wall-clock for the epoch.
     """
-    prior = _effective_prior(prior, cfg)
+    if cfg.use_transpose:
+        # the transpose ablation swaps the recaster, not the classifier matrix
+        prior = dataclasses.replace(prior, l=prior.w.T.copy())
     stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
                           for mod, rng in zip(mods, rngs)])
     mix_embeddings = not (cfg.fa_off or cfg.fa_input_space)
@@ -79,15 +74,13 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
         for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, prior.num_classes):
             if cfg.fa_input_space:
                 # input widths differ within a stack: mix one modality at a time
-                f_mix, y_mix, _ = zip(*(feature_augment(x, y, cfg.mix_lambda, rng)
-                                        for x, y, rng in zip(x_b, y_b, rngs)))
-                f_t, cache = forward(stack.params, f_mix)
-                y_t = np.stack(y_mix)
-            else:
-                f_t, cache = forward(stack.params, x_b)
-                y_t = y_b
-                if mix_embeddings:
-                    f_t, y_t, perm = feature_augment(f_t, y_b, cfg.mix_lambda, rngs)
+                x_b, y_mix, _ = zip(*(feature_augment(x, y, cfg.mix_lambda, rng)
+                                      for x, y, rng in zip(x_b, y_b, rngs)))
+                y_b = np.stack(y_mix)
+            f_t, cache = forward(stack.params, x_b)
+            y_t = y_b
+            if mix_embeddings:
+                f_t, y_t, perm = feature_augment(f_t, y_b, cfg.mix_lambda, rngs)
             value, d_ft, parts = total_loss(
                 f_t, y_t, prior.w, recast_invariant(y_t, prior), q,
                 cfg.alpha, cfg.beta, drop_label=cfg.drop_label,

@@ -29,7 +29,8 @@ def average_precision(relevance, n_rank: int) -> float:
 
 
 def rank_pair(queries, query_labels, gallery, gallery_labels, n_rank="all", curve=False):
-    """Same contract as priorcast.evaluate.rank_pair, one query at a time."""
+    """Same contract as priorcast.evaluate.rank_pair, one query at a time;
+    pr is None unless curve is set."""
     n_g = gallery.shape[0]
     depth = n_g if n_rank == "all" else min(n_rank, n_g)
     sims = unit_rows(queries)[0] @ unit_rows(gallery)[0].T

@@ -13,7 +13,7 @@ import numpy as np
 
 from priorcast.data import minibatch_iter
 from priorcast.encoder import EncoderParams, backward, forward, init_params
-from priorcast.losses import prior_loss, q_at, quality_score, total_loss
+from priorcast.losses import label_loss, q_at, quality_score, total_loss
 from priorcast.numerics import make_rng, pseudo_inverse, random_orthogonal, split_seed
 from priorcast.prior import PriorMatrix, select_prior
 from priorcast.training import feature_augment
@@ -36,10 +36,10 @@ def train_prior_for_modality(mod, w0, cfg, rng):
         q = q_at(cfg.q_start, cfg.spl_epochs, epoch)
         for idx in minibatch_iter(mod, cfg.batch_size, rng):
             f, cache = forward(params, x[idx])
-            _, d_f, d_w = prior_loss(f, y[idx], w, q)
+            _, d_f, d_logits = label_loss(f, y[idx], w, q)
             grads = backward(params, cache, d_f)
             params = sgd_step(params, grads, cfg.lr)
-            w = w - cfg.lr * d_w
+            w = w - cfg.lr * (f.T @ d_logits)
     f_all, _ = forward(params, x)
     return w, params, quality_score(f_all, y, w)
 

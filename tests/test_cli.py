@@ -411,6 +411,8 @@ EXIT_CASES = {
     "config-out-of-range": (2, "config error: mix_lambda must be in (0, 1]",
                             _raw_config(b'{"mix_lambda": 0}')),
     "config-non-finite": (2, "config error: alpha must be finite", _raw_config(b'{"alpha": NaN}')),
+    "config-dims-over-cap": (2, "config error: hidden_dim 100000000000 and embed_dim 16 give",
+                             _raw_config(b'{"hidden_dim": 100000000000}')),
     "synth-out-of-range": (2, "config error: noise: standard deviations",
                            _synth_field(noise=[-1.0, 0.1])),
     "synth-list-of-strings": (2, "config error: synth.feature_dims must be a list of integers",

@@ -27,6 +27,10 @@ def test_defaults_validate():
     ("q_start", 1.5, "q_start"),
     ("lr", 0.0, "lr"),
     ("embed_dim", 0, "embed_dim"),
+    # a checkpoint tensor of more than 2**31 elements: w3 (hidden, embed), w2 (hidden, hidden)
+    ("embed_dim", 10**30, "embed_dim"),
+    ("embed_dim", 10**11, "embed_dim"),
+    ("hidden_dim", 10**11, "hidden_dim"),
     ("spl_epochs", 0, "spl_epochs"),
     ("rsc_epochs", 0, "rsc_epochs"),
     ("n_rank", -1, "n_rank"),

@@ -48,7 +48,7 @@ def test_rank_gallery_orders_by_cosine():
     queries = np.tile([1.0, 0.0], (3, 1))
     gallery = np.array([[0.0, 1.0], [1.0, 0.1], [1.0, 0.0]])
     q_labels, g_labels = np.array([0, 1, 2]), np.array([2, 1, 0])
-    result, curve = rank_pair(queries, q_labels, gallery, g_labels, curve=True)
+    result, curve = rank_pair(queries, q_labels, gallery, g_labels)
     assert np.array_equal(result.aps, [1.0, 1.0 / 2.0, 1.0 / 3.0])
     assert result.map == pytest.approx(11.0 / 18.0, abs=1e-15)
     assert np.allclose(curve.recall, [1 / 3, 2 / 3, 1.0], rtol=0, atol=1e-15)
@@ -67,7 +67,7 @@ def test_rank_gallery_tie_break_ascending():
     rank = np.empty(n)
     rank[0::2] = np.arange(1, 11)
     rank[1::2] = np.arange(11, 21)
-    result, curve = rank_pair(queries, labels, gallery, labels, curve=True)
+    result, curve = rank_pair(queries, labels, gallery, labels)
     assert np.array_equal(result.aps, 1.0 / rank)
     top2 = np.zeros(n)
     top2[[0, 2]] = [1.0, 0.5]
@@ -129,7 +129,8 @@ def test_map_matches_brute_force():
         q_labels = rng.integers(0, 3, n_q)
         g_labels = rng.integers(0, 3, n_g)
         depth = int(rng.integers(1, n_g + 1))
-        result, _ = rank_pair(queries, q_labels, gallery, g_labels, depth)
+        with np.errstate(invalid="ignore"):  # no relevant item anywhere: a NaN curve
+            result, _ = rank_pair(queries, q_labels, gallery, g_labels, depth)
         assert result.map == pytest.approx(
             _brute_map(queries, q_labels, gallery, g_labels, depth), abs=1e-12)
 
@@ -158,7 +159,7 @@ def test_map_self_retrieval_distinct_classes():
 def test_pr_curve_hand_case():
     queries = np.array([[1.0, 0.0]])
     gallery = np.array([[1.0, 0.0], [0.0, 1.0]])
-    _, curve = rank_pair(queries, [0], gallery, [0, 1], curve=True)
+    _, curve = rank_pair(queries, [0], gallery, [0, 1])
     assert np.allclose(curve.recall, [1.0, 1.0])
     assert np.allclose(curve.precision, [1.0, 0.5])
 
@@ -170,7 +171,7 @@ def test_pr_curve_recall_monotone():
         gallery = rng.standard_normal((12, 3))
         ql = rng.integers(0, 2, 5)
         gl = np.concatenate([[0, 1], rng.integers(0, 2, 10)])  # both classes present
-        _, curve = rank_pair(queries, ql, gallery, gl, curve=True)
+        _, curve = rank_pair(queries, ql, gallery, gl)
         assert np.all(np.diff(curve.recall) >= -1e-15)
         assert np.all((curve.precision >= 0) & (curve.precision <= 1))
 
@@ -214,7 +215,7 @@ def test_table_and_csv_writers(tmp_path):
     assert back["n_rank"] == 5
 
     (qe, ql), (ge, gl) = embed_split(encoders, ds, "test").values()
-    _, curve = rank_pair(qe, ql, ge, gl, curve=True)
+    _, curve = rank_pair(qe, ql, ge, gl)
     csv_path = tmp_path / "pr.csv"
     write_pr_csv(csv_path, curve)
     lines = csv_path.read_text().strip().splitlines()

@@ -4,10 +4,8 @@ import pytest
 from conftest import check_grad, cosine
 from priorcast.losses import (
     disc_loss,
-    gce_from_logits,
     label_loss,
     mse_loss,
-    prior_loss,
     q_at,
     quality_score,
     total_loss,
@@ -38,22 +36,23 @@ def test_q_schedule_single_epoch():
     assert q_at(0.01, 1, 0) == 1.0
 
 
-# --- generalized cross-entropy core ---
+# --- generalized cross-entropy core, through label_loss with w = I ---
+# f @ np.eye(C) gives f's bits, so f serves as the logits
 
 def test_gce_small_q_approaches_log_loss():
     # (1 - p^q)/q -> -ln p as q -> 0
     for p in (0.1, 0.5, 0.9):
         logits = np.log(np.array([[p, 1.0 - p]]))
         y = np.array([[1.0, 0.0]])
-        loss, _, pv = gce_from_logits(logits, y, 1e-6)
-        assert pv[0] == pytest.approx(p, abs=1e-12)
+        loss, _, _ = label_loss(logits, y, np.eye(2), 1e-6)
+        assert quality_score(logits, y, np.eye(2)) == pytest.approx(p, abs=1e-12)
         assert abs(loss - (-np.log(p))) <= 1e-5
 
 
 def test_gce_q1_is_one_minus_p():
     logits = np.log(np.array([[0.3, 0.7]]))
     y = np.array([[1.0, 0.0]])
-    loss, _, _ = gce_from_logits(logits, y, 1.0)
+    loss, _, _ = label_loss(logits, y, np.eye(2), 1.0)
     assert loss == pytest.approx(0.7, abs=1e-12)
 
 
@@ -62,42 +61,43 @@ def test_gce_uniform_logits():
     logits = np.zeros((1, c))
     y = np.eye(c)[[2]]
     q = 0.3
-    loss, _, _ = gce_from_logits(logits, y, q)
+    loss, _, _ = label_loss(logits, y, np.eye(c), q)
     assert loss == pytest.approx((1.0 - (1.0 / c) ** q) / q)
 
 
 def test_gce_shift_invariant():
     f, y, w, _, _ = _instance(0)
     logits = f @ w
-    l0, g0, _ = gce_from_logits(logits, y, 0.4)
-    l1, g1, _ = gce_from_logits(logits + 57.0, y, 0.4)
+    eye = np.eye(w.shape[1])
+    l0, _, g0 = label_loss(logits, y, eye, 0.4)
+    l1, _, g1 = label_loss(logits + 57.0, y, eye, 0.4)
     assert l0 == pytest.approx(l1, abs=1e-10)
     assert np.allclose(g0, g1, atol=1e-12)
 
 
-# --- prior / label losses ---
+# --- label loss ---
 
-def test_prior_loss_gradients():
+def test_label_loss_gradients():
+    # d_f, and f^T d_logits as w's gradient: with one shared w and with one
+    # w per slice of a stack
     for seed in range(3):
         f, y, w, _, rng = _instance(seed)
         q = float(rng.uniform(0.05, 1.0))
-        _, d_f, d_w = prior_loss(f, y, w, q)
-        check_grad(lambda: prior_loss(f, y, w, q)[0], f, d_f)
-        check_grad(lambda: prior_loss(f, y, w, q)[0], w, d_w)
-
-
-def test_label_loss_matches_prior_loss_on_one_hot():
-    f, y, w, _, _ = _instance(2)
-    jp, gp, _ = prior_loss(f, y, w, 0.5)
-    jl, gl = label_loss(f, y, w, 0.5)
-    assert jl == pytest.approx(jp, abs=1e-14)
-    assert np.allclose(gl, gp, atol=1e-14)
+        _, d_f, d_logits = label_loss(f, y, w, q)
+        check_grad(lambda: label_loss(f, y, w, q)[0], f, d_f)
+        check_grad(lambda: label_loss(f, y, w, q)[0], w, f.T @ d_logits)
+        fs, ys = np.stack([f, f[::-1]]), np.stack([y, y[::-1]])
+        ws = np.stack([w, rng.standard_normal(w.shape)])
+        _, d_fs, d_logits = label_loss(fs, ys, ws, q)
+        check_grad(lambda: label_loss(fs, ys, ws, q)[0].sum(), fs, d_fs)
+        check_grad(lambda: label_loss(fs, ys, ws, q)[0].sum(), ws,
+                   fs.swapaxes(-1, -2) @ d_logits)
 
 
 def test_label_loss_accepts_soft_labels():
     f, y, w, _, rng = _instance(3)
     soft = 0.7 * y + 0.3 * y[rng.permutation(len(y))]
-    value, _ = label_loss(f, soft, w, 0.5)
+    value, _, _ = label_loss(f, soft, w, 0.5)
     assert 0.0 < value < 1.0 / 0.5  # (1 - p^q) / q lies in [0, 1/q)
 
 
@@ -195,7 +195,7 @@ def test_total_loss_combination():
     f, y, w, l, _ = _instance(11)
     q, alpha, beta = 0.6, 0.3, 0.2
     value, grad, parts = total_loss(f, y, w, y @ l, q, alpha, beta)
-    jl, gl = label_loss(f, y, w, q)
+    jl, gl, _ = label_loss(f, y, w, q)
     jd, gd = disc_loss(f, y @ l)
     jm, gm = mse_loss(f, y @ l)
     assert value == pytest.approx(jl + alpha * jd + beta * jm, abs=1e-14)
@@ -238,11 +238,10 @@ def test_stacked_losses_match_each_slice(b):
             for a, e in zip(stacked, one):
                 assert np.array_equal(np.asarray(a)[i], e)
 
-    same(gce_from_logits(f @ w, y, q), [gce_from_logits(f[i] @ w, y[i], q) for i in range(k)])
     same(mse_loss(f, y @ l), [mse_loss(f[i], y[i] @ l) for i in range(k)])
     same(disc_loss(f, y @ l), [disc_loss(f[i], y[i] @ l) for i in range(k)])
     same(label_loss(f, y, w, q), [label_loss(f[i], y[i], w, q) for i in range(k)])
-    same(prior_loss(f, y, ws, q), [prior_loss(f[i], y[i], ws[i], q) for i in range(k)])
+    same(label_loss(f, y, ws, q), [label_loss(f[i], y[i], ws[i], q) for i in range(k)])
     value, grad, parts = total_loss(f, y, w, y @ l, q, 0.25, 0.15)
     for i in range(k):
         value_i, grad_i, parts_i = total_loss(f[i], y[i], w, y[i] @ l, q, 0.25, 0.15)

@@ -7,6 +7,8 @@ reference code of that kind belong in tests/ instead.
 
 No module raises a bare ValueError or Exception, and the CLI's main
 catches none.
+
+The encoder's forward cache holds only what backward reads.
 """
 
 import ast
@@ -48,6 +50,10 @@ def test_every_public_definition_has_a_caller_in_the_package():
     assert unused == []
 
 
+def _top_level(tree, kind, name):
+    return next(node for node in tree.body if isinstance(node, kind) and node.name == name)
+
+
 # Input errors are ConfigError or FormatError, raised where the input enters;
 # any other ValueError is a bug and must reach the user as one (exit 1).
 _BROAD = {"ValueError", "Exception", "BaseException"}
@@ -67,8 +73,17 @@ def test_no_module_raises_value_error_and_main_catches_none():
                     for node in ast.walk(tree)
                     if isinstance(node, ast.Raise) and node.exc is not None
                     and _is_broad(node.exc))
-    main = next(node for node in modules["cli"].body
-                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    main = _top_level(modules["cli"], ast.FunctionDef, "main")
     caught = [f"cli:{node.lineno}" for node in ast.walk(main)
               if isinstance(node, ast.ExceptHandler) and _is_broad(node.type)]
     assert raised == [] and caught == []
+
+
+def test_backward_reads_every_forward_cache_field():
+    encoder = _modules()["encoder"]
+    fields = {node.target.id for node in _top_level(encoder, ast.ClassDef, "ForwardCache").body
+              if isinstance(node, ast.AnnAssign)}
+    read = {node.attr for node in ast.walk(_top_level(encoder, ast.FunctionDef, "backward"))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "cache"}
+    assert sorted(fields - read) == []
