@@ -4,10 +4,11 @@ Feature files ("DFM1") hold one matrix: 4-byte magic, rows and cols as
 u32-LE, 4 reserved zero bytes, then rows*cols float32-LE values row-major.
 Label files ("DLB1") hold class indices: magic, rows u32-LE, num_classes
 u32-LE, then rows u32-LE indices. Tensor files (the prior and the encoder
-checkpoints) are one JSON header line followed by DFM1 blocks. A manifest
-JSON ties the files of one dataset together. Because the payload is
-float32, the synthetic generator rounds features to float32 precision so
-write/read round trips are exact.
+checkpoints) are one JSON header line followed by DFM1 blocks. The readers
+refuse a file with bytes after its last block. A manifest JSON ties the
+files of one dataset together. Because the payload is float32, the
+synthetic generator rounds features to float32 precision so write/read
+round trips are exact.
 """
 
 import contextlib
@@ -211,6 +212,12 @@ def _read_payload(fh, want: int, claim: str) -> bytes:
     return payload
 
 
+def _refuse_trailing_bytes(fh) -> None:
+    """Raise FormatError if the stream holds more bytes than its blocks claim."""
+    if fh.read(1):
+        raise FormatError("trailing bytes after the last block")
+
+
 def read_features_from(fh) -> np.ndarray:
     """Read one DFM1 matrix from an open binary stream, consuming exactly its bytes."""
     magic = fh.read(4)
@@ -229,8 +236,11 @@ def read_features_from(fh) -> np.ndarray:
 
 
 def read_features(path) -> np.ndarray:
+    """Read a DFM1 file that holds exactly one matrix."""
     with open(path, "rb") as fh:
-        return read_features_from(fh)
+        features = read_features_from(fh)
+        _refuse_trailing_bytes(fh)
+    return features
 
 
 def write_tensor_file(path, header: dict, tensors) -> None:
@@ -249,7 +259,7 @@ def read_tensor_file(path, count: int):
     """Read a file written by write_tensor_file; returns (header, matrices).
 
     The header must be a JSON object; count DFM1 matrices of finite values
-    follow it.
+    follow it, and nothing after them.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -261,6 +271,7 @@ def read_tensor_file(path, count: int):
             raise FormatError(f"malformed header in {path}: not a JSON object")
         try:
             mats = [read_features_from(fh) for _ in range(count)]
+            _refuse_trailing_bytes(fh)
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
     if not all(np.isfinite(m).all() for m in mats):
@@ -293,6 +304,7 @@ def read_labels(path):
             raise FormatError("truncated payload: incomplete label header")
         rows, num_classes = struct.unpack("<II", header)
         payload = _read_payload(fh, rows * 4, f"{rows} labels")
+        _refuse_trailing_bytes(fh)
         labels = np.frombuffer(payload, dtype="<u4").astype(np.int64)
     if rows and labels.max() >= num_classes:
         raise FormatError(f"label index outside [0, {num_classes})")

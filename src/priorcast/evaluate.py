@@ -3,6 +3,13 @@
 Relevance is class equality. Ranking is by cosine similarity with a
 deterministic tie-break (ascending gallery index), so results are
 bit-reproducible across runs and platforms.
+
+Scoring needs only the relevance of each rank position, not which gallery
+item holds it. So each block of query rows is ordered by one value sort of
+the negated cosines with each item's relevance in the lowest mantissa bit
+(_ranked_relevance); only rows whose sorted values come within a few units
+in the last place of each other (ties, +0.0 beside -0.0, near-equal
+cosines) take the exact argsort path (_ranking).
 """
 
 from dataclasses import dataclass
@@ -38,10 +45,12 @@ def _ranking(neg: np.ndarray) -> np.ndarray:
     """Per-row argsort of neg with ties broken by ascending column index, the
     order a stable argsort gives, for finite values.
 
-    One default (SIMD, unstable) argsort orders the block; it differs from
-    the stable order only within runs of equal values. Rows that have such a
-    run get one integer sort of (run number, index) keys, which puts each
-    run's indices in ascending order.
+    This is the exact path of _ranked_relevance: it sees only the rows whose
+    value sort came within _NEAR units of a tie. One default (SIMD,
+    unstable) argsort orders them; it differs from the stable order only
+    within runs of equal values. Rows that have such a run get one integer
+    sort of (run number, index) keys, which puts each run's indices in
+    ascending order.
     """
     rows, n = neg.shape
     order = np.argsort(neg, axis=1)
@@ -55,6 +64,44 @@ def _ranking(neg: np.ndarray) -> np.ndarray:
         keys.sort(axis=1)
         order[tied] = keys % n
     return order
+
+
+# Maps a float64 bit pattern b to an int64 that orders as the float does
+# (b ^ ((b >> 63) & _MAGNITUDE)); -0.0 and +0.0 land one unit apart.
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+# Sorted neighbours closer than this many units may be tied, or out of
+# order, once each value's lowest bit holds a relevance flag.
+_NEAR = 5
+
+
+def _ranked_relevance(sims: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+    """Per row, relevant taken in the order of descending sims with ties by
+    ascending column index; an int array of 0 and 1.
+
+    The lowest bit of each negated similarity is replaced by its item's
+    relevance, and one value sort orders each row. The bit moves a value by
+    at most one unit of its order-preserving integer, so a row whose sorted
+    neighbours are all at least _NEAR units apart has no ties, its order is
+    exactly that of the unmodified similarities, and the low bits are its
+    relevance in ranked order. The other rows (ties, +0.0 beside -0.0,
+    values a few ulps apart) take the exact path, _ranking. Similarities
+    must be finite and of magnitude below 2, as cosines of unit rows are, so
+    the differences of their integers cannot overflow.
+    """
+    ranked = np.negative(sims)
+    bits = ranked.view(np.int64)
+    bits &= -2
+    bits |= relevant
+    ranked.sort(axis=1)
+    key = bits >> 63
+    key &= _MAGNITUDE
+    key ^= bits
+    near = np.min(key[:, 1:] - key[:, :-1], axis=1, initial=_NEAR) < _NEAR
+    rel = bits & 1
+    if near.any():
+        exact = np.flatnonzero(near)
+        rel[exact] = np.take_along_axis(relevant[exact], _ranking(-sims[exact]), axis=1)
+    return rel
 
 
 def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
@@ -74,9 +121,11 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
     query must have one: MultimodalDataset.validate makes every two test
     splits share a class.
 
-    Queries are ranked in blocks of rows (see _ranking) with the bits of one
-    stable argsort and one AP per query. The tie detection compares
-    similarities for equality, so they must be finite: load_manifest and
+    Queries are ranked in blocks of rows with the bits of one stable argsort
+    and one AP per query. Each block gets one value sort that carries each
+    item's relevance in the lowest bit, and only rows with near-tied
+    similarities take the exact argsort path (see _ranked_relevance). Both
+    paths compare similarities, so they must be finite: load_manifest and
     read_tensor_file refuse non-finite features and tensors, and their
     float32 range keeps the float64 forward pass finite.
     """
@@ -93,8 +142,9 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
     height = max(1, _BLOCK_BYTES // (8 * n_g))
     for start in range(0, len(queries), height):
         rows = slice(start, start + height)
-        rel = g_labels.take(_ranking(-sims[rows])) == q_labels[rows, None]
-        cum = np.cumsum(rel, axis=1, dtype=np.float64)
+        rel = _ranked_relevance(sims[rows], g_labels == q_labels[rows, None])
+        # integer counts add faster than float64 ones and convert exactly
+        cum = np.cumsum(rel, axis=1).astype(np.float64)
         precision = cum / k
         hits = cum[:, depth - 1]
         ap_sum = np.add.reduce(precision[:, :depth] * rel[:, :depth], axis=1)

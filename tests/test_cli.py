@@ -353,6 +353,23 @@ def _truncate(path):
         fh.truncate(40)  # the header claims 3 x 10 floats; 24 payload bytes remain
 
 
+def _append(path, extra):
+    with open(path, "ab") as fh:
+        fh.write(extra)
+
+
+def _train_on_prior_with_trailing_bytes(tmp_path):
+    assert main(_run("spl")(tmp_path)) == 0
+    _append(tmp_path / "run" / "prior.bin", b"GARBAGE")
+    return _run("train")(tmp_path)
+
+
+def _eval_on_checkpoint_with_trailing_bytes(tmp_path):
+    assert main(_run()(tmp_path)) == 0
+    _append(tmp_path / "run" / "encoder_mod0.bin", b"\0")
+    return _run("eval")(tmp_path)
+
+
 def _train_on_prior_of_other_shape(tmp_path):
     assert main(_run("spl")(tmp_path)) == 0
     return _run("train", embed_dim=8)(tmp_path)
@@ -439,6 +456,12 @@ EXIT_CASES = {
     "data-file-missing": (3, "i/o error:", _damaged(lambda data: (data / "mod1_test.dlb").unlink())),
     "features-truncated": (3, "format error: truncated payload",
                            _damaged(lambda data: _truncate(data / "mod0_val.dfm"))),
+    "features-trailing-bytes": (3, "format error: trailing bytes after the last block",
+                                _damaged(lambda data: _append(data / "mod0_val.dfm", b"GARBAGE"))),
+    "labels-trailing-bytes": (3, "format error: trailing bytes after the last block",
+                              _damaged(lambda data: _append(data / "mod1_test.dlb", b"XYZW"))),
+    "prior-trailing-bytes": (3, "format error:", _train_on_prior_with_trailing_bytes),
+    "checkpoint-trailing-bytes": (3, "format error:", _eval_on_checkpoint_with_trailing_bytes),
     "one-modality": (3, "format error: need at least two modalities", _run(edit=_drop_mod1)),
     "modality-named-twice": (3, "format error: need at least two modalities, each named once",
                              _run(edit=_rename_mod1)),

@@ -1,6 +1,7 @@
 """Fuzzed inputs for the DFM1, DLB1 and tensor-file readers.
 
-Every malformed file must raise FormatError and nothing else. The examples
+Every malformed file (truncated, with bytes after its last block, with a
+bad magic or header) must raise FormatError and nothing else. The examples
 are derandomized, so every run checks the same inputs. Header dimensions of
 label files stay at most 2**12, so a reader that allocated what a header
 claims would still ask for little memory (the unbounded header has its own
@@ -83,6 +84,13 @@ def test_truncated_files_raise_format_error(scratch, case, data):
     reader(scratch)  # the whole file reads
     cut = data.draw(st.integers(0, len(blob) - 1))
     _rejects(scratch, reader, blob[:cut])
+
+
+@FUZZ
+@given(valid_files(), st.binary(min_size=1, max_size=16))
+def test_trailing_bytes_raise_format_error(scratch, case, extra):
+    reader, blob = case
+    _rejects(scratch, reader, blob + extra)
 
 
 @FUZZ

@@ -1,11 +1,17 @@
 """Block ranking against the per-query reference, bit for bit.
 
-rank_pair ranks a block of queries with one unstable argsort and re-sorts
-only the rows with tied similarities; reference_ranking ranks one query at a
-time with a stable argsort. APs, MAP, recall and precision must agree in
-every bit: on query counts around the block height, on tie-heavy and
-all-zero rows, with ties across the n_rank cutoff and with queries that have
-no relevant gallery item.
+rank_pair orders each block of queries with one value sort of the negated
+cosines, each carrying its item's relevance in the lowest mantissa bit, and
+sends only the rows whose sorted values come within a few units in the last
+place of each other to the exact path, _ranking (one unstable argsort, and
+a key sort for rows with ties). reference_ranking ranks one query at a time
+with a stable argsort. APs, MAP, recall and precision must agree in every
+bit: on query counts around the block height, on tie-heavy and all-zero
+rows, with ties across the n_rank cutoff, with queries that have no
+relevant gallery item, and at the near-tie boundary: galleries of a few
+directions nudged by 0-5 ulps per coordinate, +0.0 and -0.0 cosines, and
+cosines a few subnormal steps either side of 0. A spy on _ranking checks
+that untied rows stay on the value-sort path.
 """
 
 from unittest import mock
@@ -33,11 +39,27 @@ def _assert_same_bits(args, n_rank, curve):
         assert got_pr.precision.tobytes() == want_pr.precision.tobytes()
 
 
+def _nudged(x, rng):
+    """x with each coordinate moved 0 to 5 ulps away from zero (+0.0 and -0.0
+    become subnormals of their sign)."""
+    return (x.view(np.int64) + rng.integers(0, 6, x.shape)).view(np.float64)
+
+
 def _embeddings(kind, n, rng):
     if kind == "gaussian":
         return rng.standard_normal((n, 4))
     if kind == "rounded":  # few distinct directions: most rows tie somewhere
         return np.round(rng.standard_normal((n, 2)), 1)
+    if kind == "nudged":  # three directions, a few ulps off: equal and near cosines
+        return _nudged(make_rng(9).standard_normal((3, 3))[rng.integers(0, 3, n)], rng)
+    if kind == "straddle":
+        # rows (s, 1), s a few subnormal steps either side of 0: their cosine
+        # with the rows (1, 0) and (-1, 0) is s or -s
+        x = np.ones((n, 2))
+        x[:, 0] = np.arange(-5, 6)[rng.integers(0, 11, n)] * 5e-324
+        x[::4] = [1.0, 0.0]
+        x[2::4] = [-1.0, 0.0]
+        return x
     x = rng.standard_normal((n, 3))  # "zero-rows": their cosine with all is 0
     x[::3] = 0.0
     return x
@@ -65,7 +87,7 @@ COUNTS = {"one": lambda h: 1, "block-1": lambda h: h - 1, "block": lambda h: h,
 
 @pytest.mark.parametrize("n_rank", ["all", 1, 5])
 @pytest.mark.parametrize("count", COUNTS)
-@pytest.mark.parametrize("kind", ["gaussian", "rounded", "zero-rows"])
+@pytest.mark.parametrize("kind", ["gaussian", "rounded", "zero-rows", "nudged", "straddle"])
 @pytest.mark.parametrize("n_g", [40, 700])
 def test_blocks_match_per_query_reference(n_g, kind, count, n_rank):
     n_q = max(1, COUNTS[count](_height(n_g)))
@@ -107,3 +129,71 @@ def test_small_blocks_match_per_query_reference(data):
     curve = bool(np.isin(q_labels, g_labels).any())
     with mock.patch.object(evaluate, "_BLOCK_BYTES", 8 * n_g * height):
         _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank, curve)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_ulp_perturbed_galleries_match_per_query_reference(data):
+    """Rows drawn from a few directions whose coordinates include +-0.0, +-1
+    and subnormals, each coordinate nudged by 0-5 ulps; any block height."""
+    dim = data.draw(st.integers(1, 3))
+    n_dirs = data.draw(st.integers(1, 3))
+    coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
+                       st.floats(-2.0, 2.0, allow_subnormal=False))
+    directions = np.array(data.draw(st.lists(coords, min_size=n_dirs * dim,
+                                             max_size=n_dirs * dim))).reshape(n_dirs, dim)
+    rng = make_rng(data.draw(st.integers(0, 2**16)))
+    n_q = data.draw(st.integers(1, 12))
+    n_g = data.draw(st.integers(1, 40))
+    queries = _nudged(directions[rng.integers(0, n_dirs, n_q)], rng)
+    gallery = _nudged(directions[rng.integers(0, n_dirs, n_g)], rng)
+    q_labels = rng.integers(0, 3, n_q)
+    g_labels = rng.integers(0, 2, n_g)
+    q_labels[0] = g_labels[0] = 0
+    n_rank = data.draw(st.one_of(st.just("all"), st.integers(1, 50)))
+    height = data.draw(st.integers(1, 8))
+    with mock.patch.object(evaluate, "_BLOCK_BYTES", 8 * n_g * height):
+        _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank, curve=True)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_signed_zero_similarities_rank_stably(seed):
+    """+0.0 and -0.0 are equal but one unit apart as ordered integers; a
+    matmul with another BLAS may give either, so they are fed in directly,
+    among subnormals either side of 0 and rows of well-separated values."""
+    rng = make_rng(seed)
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 0.5, -0.5])
+    sims = values[rng.integers(0, len(values), (8, 30))]
+    sims[:3] = rng.permutation(np.linspace(-1.0, 1.0, 30))  # no ties
+    sims[2, ::2], sims[2, 1::2] = 0.0, -0.0
+    relevant = rng.random(sims.shape) < 0.5
+    # the one near pair of row 1: the relevant -0.0 ranks first, although
+    # with their relevance bits the negated values sort the other way
+    sims[1, [5, 9]] = -0.0, 0.0
+    relevant[1, [5, 9]] = True, False
+    want = np.take_along_axis(relevant, np.argsort(-sims, axis=1, kind="stable"), axis=1)
+    assert np.array_equal(evaluate._ranked_relevance(sims, relevant), want)
+
+
+def _exact_path_rows(args):
+    """The rows rank_pair sends to _ranking, as the bytes of each negated row."""
+    with mock.patch.object(evaluate, "_ranking", wraps=evaluate._ranking) as spy:
+        evaluate.rank_pair(*args)
+    return [row.tobytes() for call in spy.call_args_list for row in call.args[0]]
+
+
+@pytest.mark.parametrize("n_g", [700, 2000])
+def test_untied_rows_skip_the_exact_path(n_g):
+    n_q = 2 * _height(n_g) + 1
+    assert _exact_path_rows(_case("gaussian", n_q, n_g, seed=n_g)) == []
+
+
+def test_tied_rows_take_the_exact_path():
+    args = _case("rounded", 40, 700, seed=3)  # every row ties somewhere
+    ranked = np.sort(-(unit_rows(args[0])[0] @ unit_rows(args[2])[0].T), axis=1)
+    assert (ranked[:, 1:] == ranked[:, :-1]).any(axis=1).all()
+    assert len(_exact_path_rows(args)) == 40
+    queries, q_labels, gallery, g_labels = _case("gaussian", 40, 700, seed=4)
+    queries[::4] = 0.0  # only the zero queries tie: all their cosines are 0
+    sent = _exact_path_rows((queries, q_labels, gallery, g_labels))
+    assert sent == [np.full(700, -0.0).tobytes()] * 10
