@@ -225,14 +225,17 @@ def _run(args) -> int:
 def _keep_freed_heap() -> None:
     """Stop glibc from handing freed heap memory back to the kernel mid-run.
 
-    Each training step at batch 256 frees several 512 KiB B x B temporaries.
-    glibc's adaptive thresholds then trim the freed top of the heap and the
-    next step faults the same pages back in: on a 2-vCPU VM a batch-256
-    pipeline took ~520k minor faults and ~1.3 s of system time that way,
-    against ~7k faults and 0.05 s here. The values set are the ones the
+    Each training step at batch 256 frees (K, B, hidden_dim) activations and
+    gradients of ~384 KiB, above glibc's default 128 KiB mmap threshold, and
+    eval frees a 32 MB cosine matrix per 2000-item gallery pair. Left to
+    glibc, such blocks are mapped and unmapped, or trimmed off the top of the
+    heap, and the next step faults the same pages back in. On one CPU of a
+    2-vCPU VM a batch-256 pipeline took ~55k minor faults without this and
+    ~6k with it (benchmark wall time 1.01 -> 0.92 s), and a 2000-item
+    gallery pipeline ~20k and ~12k. The values set are the ones the
     adaptive mode itself reaches after freeing a 32 MiB block, so blocks up
-    to 32 MiB (B x B at batch 2048) stay on the heap. Results are
-    unaffected. Without glibc's mallopt this does nothing.
+    to 32 MiB stay on the heap. Results are unaffected. Without glibc's
+    mallopt this does nothing.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:

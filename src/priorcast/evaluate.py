@@ -2,7 +2,7 @@
 
 Relevance is class equality. Ranking is by cosine similarity with a
 deterministic tie-break (ascending gallery index), so results are
-bit-reproducible across runs and platforms.
+bit-reproducible across runs.
 
 Scoring needs only the relevance of each rank position, not which gallery
 item holds it. So each block of query rows is ordered by one value sort of

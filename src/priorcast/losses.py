@@ -75,12 +75,6 @@ def mse_loss(f: np.ndarray, t: np.ndarray):
     return loss, (2.0 / b) * diff
 
 
-# Elements in each (slices, B, B) buffer of disc_loss: as many slices of a
-# stack share one batched call as fit, e.g. all of them at B = 32 and one at
-# a time at B = 256, so a stack takes no more memory for them than one batch.
-_GRAM_BUDGET = 256 * 256
-
-
 def disc_loss(f: np.ndarray, t: np.ndarray):
     """Pairwise cosine-structure loss between embeddings and recast targets.
 
@@ -88,40 +82,31 @@ def disc_loss(f: np.ndarray, t: np.ndarray):
     compactness, inter-class separation) plus a cross term penalizing
     asymmetry between target-to-embedding and embedding-to-target
     similarities. Returns (value, d_f).
+
+    With fn, tn the unit rows, the loss is (|tn tn^T - fn fn^T|^2 +
+    |tn fn^T - fn tn^T|^2) / B^2 in Frobenius norms. It is computed in d x d
+    form, without any B x B matrix: with D = fn - tn and P = fn + tn it
+    equals <D^T D, P^T P> / B^2, and its gradient in fn is
+    2 (P D^T D + D P^T P) / B^2. The two moment matrices cost O(B d^2), so
+    this is slower than forming the B x B cosines only when d is several
+    times B. The value is the inner product of two positive semidefinite
+    matrices of the differences and the sums, so it is exactly 0.0 at f = t
+    and keeps its relative accuracy near f = t, where expanding the squares
+    would leave an absolute error of ~1e-16.
     """
-    b, d = f.shape[-2:]
+    b = f.shape[-2]
     fn, f_safe, f_deg = unit_rows(f)
     tn, _, _ = unit_rows(t)
-    fn_s, tn_s = fn.reshape(-1, b, d), tn.reshape(-1, b, d)
-    k = len(fn_s)
-    chunk = max(1, min(k, _GRAM_BUDGET // (b * b)))
-    loss = np.empty(k)
-    gram_part, cross_part = np.empty_like(fn_s), np.empty_like(fn_s)
-    buffers = [np.empty((chunk, b, b)) for _ in range(5)]
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        cf, ct, cx, diff_gram, diff_cross = (buf[:hi - lo] for buf in buffers)
-        fk, tk = fn_s[lo:hi], tn_s[lo:hi]
-        np.matmul(fk, fk.swapaxes(-1, -2), out=cf)
-        np.matmul(tk, tk.swapaxes(-1, -2), out=ct)
-        np.matmul(tk, fk.swapaxes(-1, -2), out=cx)  # cx[i, j] = cos(t_i, f_j)
-        np.subtract(ct, cf, out=diff_gram)
-        np.subtract(cx, cx.swapaxes(-1, -2), out=diff_cross)
-        g_cf = np.subtract(cf, ct, out=cf)
-        g_cf *= 2.0 / (b * b)
-        np.square(diff_gram, out=ct)
-        np.square(diff_cross, out=cx)
-        loss[lo:hi] = (np.add.reduce(ct.reshape(hi - lo, -1), axis=-1)
-                       + np.add.reduce(cx.reshape(hi - lo, -1), axis=-1)) / (b * b)
-        g_cx = np.multiply(diff_cross, 4.0 / (b * b), out=diff_cross)
-        np.matmul(np.multiply(g_cf, 2.0, out=g_cf), fk, out=gram_part[lo:hi])
-        np.matmul(g_cx.swapaxes(-1, -2), tk, out=cross_part[lo:hi])
-    d_fn = (gram_part + cross_part).reshape(f.shape)
+    diff, both = fn - tn, fn + tn
+    m_diff = diff.swapaxes(-1, -2) @ diff
+    m_both = both.swapaxes(-1, -2) @ both
+    loss = np.add.reduce((m_diff * m_both).reshape(*f.shape[:-2], -1), axis=-1) / (b * b)
+    d_fn = (2.0 / (b * b)) * (both @ m_diff + diff @ m_both)
     # through row normalization; degenerate rows use the constant-zero convention
     proj = np.add.reduce(d_fn * fn, axis=-1, keepdims=True)
     d_f = (d_fn - proj * fn) / f_safe[..., None]
     d_f[f_deg] = 0.0
-    return loss.reshape(f.shape[:-2]), d_f
+    return loss, d_f
 
 
 def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray,

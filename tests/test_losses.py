@@ -222,8 +222,9 @@ def test_total_loss_gradients():
 
 @pytest.mark.parametrize("b", [6, 7, 150])
 def test_stacked_losses_match_each_slice(b):
-    # 7: a merged tail batch of B + 1; 150: the B x B work of disc_loss runs
-    # in chunks of two slices, the last one short
+    # 7: a merged tail batch of B + 1; 150: disc_loss's d x d moment
+    # matrices then sum over a long batch axis, which BLAS may split into
+    # blocks, and each slice must still get its own one-batch bits
     rng = make_rng(12)
     k, d, c, q = 3, 5, 4, 0.7
     f = rng.standard_normal((k, b, d))
