@@ -68,11 +68,11 @@ def cmd_synth(cfg: RunConfig, out_dir, config_path, seed_override=None):
     if seed_override is not None:
         synth_cfg = dataclasses.replace(synth_cfg, seed=seed_override)
     dataset = synth_generate(synth_cfg)
-    manifest_path = write_dataset(dataset, out_dir)
-    stage = {"stage": "synth", "outputs": sorted(os.listdir(out_dir)),
+    written = write_dataset(dataset, out_dir)
+    stage = {"stage": "synth", "outputs": sorted(written),
              "wall_seconds": time.perf_counter() - t0}
     _write_run_manifest(out_dir, "synth", cfg, [config_path], out_dir, [stage], t0)
-    print(f"wrote dataset manifest {manifest_path}")
+    print(f"wrote dataset manifest {os.path.join(out_dir, 'manifest.json')}")
     return 0
 
 

@@ -371,10 +371,12 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def write_dataset(dataset: MultimodalDataset, out_dir) -> str:
-    """Write all feature/label files plus the manifest; returns the manifest path."""
+def write_dataset(dataset: MultimodalDataset, out_dir) -> list:
+    """Write all feature/label files plus the manifest, manifest.json; returns
+    the names of the files written."""
     os.makedirs(out_dir, exist_ok=True)
     doc = {"num_classes": dataset.num_classes, "splits": {}}
+    written = []
     for split in SPLIT_NAMES:
         doc["splits"][split] = []
         for mod in dataset.splits[split]:
@@ -385,9 +387,9 @@ def write_dataset(dataset: MultimodalDataset, out_dir) -> str:
             doc["splits"][split].append(
                 {"name": mod.name, "features": feat_name, "labels": lab_name}
             )
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    write_json(manifest_path, doc)
-    return manifest_path
+            written += [feat_name, lab_name]
+    write_json(os.path.join(out_dir, "manifest.json"), doc)
+    return written + ["manifest.json"]
 
 
 def _split_counts(n: int):

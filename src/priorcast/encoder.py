@@ -1,6 +1,9 @@
 """Modality-specific encoder: two ReLU hidden layers plus a normalized
 representation layer, with hand-derived gradients and plain SGD updates.
 
+forward and backward run K encoders at once, on an EncoderStack's params
+and (K, B, .) batches; a single encoder runs as a stack of one.
+
 The backward pass includes the Jacobian of the row normalization
 (d/dz of z/||z|| = (I - zz^T/||z||^2) / ||z||) and defines the ReLU
 subgradient at exactly 0 as 0. The forward cache keeps only what backward
@@ -12,7 +15,7 @@ pre-activation stays NaN and fails both).
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,18 +55,14 @@ class EncoderParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediate state of one forward pass, consumed by backward.
+    """Intermediate state of one forward pass over a stack, consumed by backward."""
 
-    On a stack every array gains a leading K axis and x is the sequence of
-    the K input matrices.
-    """
-
-    x: np.ndarray
+    x: Sequence[np.ndarray]  # the K input matrices
     a1: np.ndarray  # first hidden activation, relu(z1)
     a2: np.ndarray  # second hidden activation, relu(z2)
     unit: np.ndarray  # pre-normalization rows z3 at unit norm, zero where degenerate
-    safe: np.ndarray  # (B,) row norms of z3, 1 where degenerate
-    degenerate: np.ndarray  # (B,) bool, rows with norm <= NORM_EPS
+    safe: np.ndarray  # (K, B) row norms of z3, 1 where degenerate
+    degenerate: np.ndarray  # (K, B) bool, rows with norm <= NORM_EPS
 
 
 def init_params(input_dim: int, hidden_dim: int, output_dim: int,
@@ -85,22 +84,17 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
 
 
 def forward(params: EncoderParams, x):
-    """Embed a batch; returns (F, cache) with F row-normalized.
+    """Embed K batches at once; returns (F, cache) with F row-normalized.
 
-    For one encoder x is a (B, D) matrix and F is (B, d). For an
-    EncoderStack's params x is a sequence of K (B, D_k) matrices, one per
-    modality, and F is (K, B, d), each slice equal bit for bit to the
-    one-encoder result. Rows whose pre-normalization norm is <= NORM_EPS
-    pass through unchanged and are flagged in cache.degenerate.
+    params are an EncoderStack's params and x is a sequence of K (B, D_k)
+    matrices, one per modality; F is (K, B, d). A single encoder runs as a
+    stack of one. Rows whose pre-normalization norm is <= NORM_EPS pass
+    through unchanged and are flagged in cache.degenerate.
     """
-    # biases and ReLUs are applied in place: no (B, H) temporary per layer
-    if isinstance(params.w1, tuple):
-        a1 = np.empty((len(x), x[0].shape[0], params.b1.shape[-1]))
-        for x_k, w1_k, a1_k in zip(x, params.w1, a1):
-            np.matmul(x_k, w1_k, out=a1_k)
-    else:
-        x = np.asarray(x, dtype=np.float64)
-        a1 = x @ params.w1
+    # biases and ReLUs are applied in place: no (K, B, H) temporary per layer
+    a1 = np.empty((len(x), x[0].shape[0], params.b1.shape[-1]))
+    for x_k, w1_k, a1_k in zip(x, params.w1, a1):
+        np.matmul(x_k, w1_k, out=a1_k)
     a1 += params.b1
     np.maximum(a1, 0.0, out=a1)
     a2 = a1 @ params.w2
@@ -114,16 +108,12 @@ def forward(params: EncoderParams, x):
 
 
 def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray,
-             out: Optional[EncoderParams] = None) -> EncoderParams:
+             grads: EncoderParams) -> None:
     """Exact gradients of a scalar loss wrt all parameters, given dJ/dF.
 
-    Works on one encoder or a stack, like forward. The gradients are written
-    into out (an EncoderParams shaped like params; required for a stack,
-    whose EncoderStack.grads serves) or else into a new EncoderParams, which
-    is returned.
+    Works on a stack, like forward, and writes the gradients into grads, an
+    EncoderParams shaped like params (EncoderStack.grads).
     """
-    stacked = isinstance(params.w1, tuple)
-    grads = out if out is not None else EncoderParams(*map(np.empty_like, params.tensors()))
     unit, safe = cache.unit, cache.safe
     # (I - u u^T)/||z|| applied row-wise; identity on degenerate rows
     proj = np.add.reduce(d_f * unit, axis=-1, keepdims=True)
@@ -131,20 +121,16 @@ def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray,
     np.copyto(d_z3, d_f, where=cache.degenerate[..., None])
 
     np.matmul(cache.a2.swapaxes(-1, -2), d_z3, out=grads.w3)
-    np.add.reduce(d_z3, axis=-2, keepdims=stacked, out=grads.b3)
+    np.add.reduce(d_z3, axis=-2, keepdims=True, out=grads.b3)
     d_z2 = np.matmul(d_z3, params.w3.swapaxes(-1, -2))
     d_z2 *= cache.a2 > 0
     np.matmul(cache.a1.swapaxes(-1, -2), d_z2, out=grads.w2)
-    np.add.reduce(d_z2, axis=-2, keepdims=stacked, out=grads.b2)
+    np.add.reduce(d_z2, axis=-2, keepdims=True, out=grads.b2)
     d_z1 = np.matmul(d_z2, params.w2.swapaxes(-1, -2))
     d_z1 *= cache.a1 > 0
-    if stacked:
-        for x_k, d_k, g_k in zip(cache.x, d_z1, grads.w1):
-            np.matmul(x_k.T, d_k, out=g_k)
-    else:
-        np.matmul(cache.x.T, d_z1, out=grads.w1)
-    np.add.reduce(d_z1, axis=-2, keepdims=stacked, out=grads.b1)
-    return grads
+    for x_k, d_k, g_k in zip(cache.x, d_z1, grads.w1):
+        np.matmul(x_k.T, d_k, out=g_k)
+    np.add.reduce(d_z1, axis=-2, keepdims=True, out=grads.b1)
 
 
 class EncoderStack:

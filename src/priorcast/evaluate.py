@@ -18,7 +18,7 @@ from typing import Dict
 import numpy as np
 
 from .data import MultimodalDataset, atomic_open
-from .encoder import EncoderParams, forward
+from .encoder import EncoderParams, EncoderStack, forward
 from .numerics import unit_rows
 
 
@@ -167,7 +167,8 @@ def embed_split(encoders: Dict[str, EncoderParams], dataset: MultimodalDataset,
     """Per-modality (unit-row embeddings, labels) for one split, in modality order."""
     out = {}
     for mod in dataset.splits[split]:
-        out[mod.name] = (forward(encoders[mod.name], mod.features)[0], mod.labels)
+        stack = EncoderStack([encoders[mod.name]])
+        out[mod.name] = (forward(stack.params, [mod.features])[0][0], mod.labels)
     return out
 
 

@@ -11,11 +11,10 @@ candidate w in stage one and applies the frozen prior w in stage two. It
 returns the logits' gradient too, so that stage one can form w's gradient
 f^T d_logits in place.
 
-Every loss also takes a (K, B, .) stack of K batches, f, y and the recast
-targets t stacked and the other matrices shared (label_loss: one shared w,
-or one w per slice). Each slice's gradient then equals the one-batch result
-bit for bit, and each value becomes a (K,) array of the one-batch values.
-A one-batch value is a numpy scalar or a 0-d array.
+The training loops pass (K, B, .) stacks of K batches: f, y and the
+recast targets t stacked and the other matrices shared (label_loss: one
+shared w, or one w per slice). Each value is a (K,) array, and each
+slice's value and gradient depend on that slice alone, bit for bit.
 
 Arguments are not checked here: RunConfig.validate guarantees q > 0 and
 alpha, beta >= 0, and the training loops pass matching shapes and

@@ -72,7 +72,7 @@ def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
             loss, d_f, d_logits = label_loss(f, y_b, w, q)
             loss_sum += loss
             np.matmul(f.swapaxes(-1, -2), d_logits, out=grad_w)
-            backward(stack.params, cache, d_f, out=stack.grads)
+            backward(stack.params, cache, d_f, stack.grads)
             stack.step(cfg.lr)
         stack.check_finite(loss_sum, f"stage one, epoch {epoch}")
     return list(zip(w, stack.members))
@@ -82,7 +82,7 @@ def _candidate_score(mod: ModalityData, w: np.ndarray, params) -> float:
     """quality_score of a trained candidate on the modality's full split."""
     # drop the forward cache first, so quality_score's temporaries can
     # reuse its memory: on a large split this is the peak of the stage
-    f_all = forward(params, mod.features)[0]
+    f_all = forward(EncoderStack([params]).params, [mod.features])[0][0]
     return quality_score(f_all, mod.one_hot(w.shape[1]), w)
 
 

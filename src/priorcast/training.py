@@ -3,9 +3,10 @@
 Each modality trains a fresh encoder while the selected prior stays frozen.
 Batches are mixed (embedding-space mixup by default), soft labels are recast
 into the embedding space through the prior's recasting matrix, and the
-encoder follows the combined objective from the losses module with plain SGD.
-Modalities of equal training-split size train in lockstep as one
-EncoderStack, each with the result it would get alone.
+encoders follow the combined objective from the losses module with plain
+SGD. Modalities of equal training-split size train in lockstep as one
+EncoderStack, and a modality whose size no other shares as a stack of one;
+each gets the result it would get alone.
 """
 
 import dataclasses
@@ -26,19 +27,16 @@ from .prior import PriorMatrix
 def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng):
     """Mix each row with a random partner row: lam*x_i + (1-lam)*x_pi(i).
 
-    Returns (f_mix, y_mix, perm). The same permutation and factor apply to
-    features and labels, so mixed label rows stay nonnegative and sum to 1.
-    lam=1 is the exact identity. On a (K, B, .) stack rng is a sequence of
-    K generators, slice k mixes within itself by a permutation drawn from
-    rng[k], and perm indexes the rows of f flattened to (K * B, .). The
-    caller guarantees B >= 2 (minibatch_iter on a split of at least two
-    samples) and 0 < lam <= 1 (RunConfig.validate).
+    f and y are (K, B, .) stacks and rng is a sequence of K generators:
+    slice k mixes within itself by a permutation drawn from rng[k]. Returns
+    (f_mix, y_mix, perm), where perm indexes the rows of f flattened to
+    (K * B, .). The same permutation and factor apply to features and
+    labels, so mixed label rows stay nonnegative and sum to 1. lam=1 is the
+    exact identity. The caller guarantees B >= 2 (minibatch_iter on a split
+    of at least two samples) and 0 < lam <= 1 (RunConfig.validate).
     """
     b = f.shape[-2]
-    if f.ndim == 2:
-        perm = rng.permutation(b)
-    else:
-        perm = np.stack([g.permutation(b) for g in rng]) + b * np.arange(len(rng))[:, None]
+    perm = np.stack([g.permutation(b) for g in rng]) + b * np.arange(len(rng))[:, None]
     f_mix = lam * f + (1.0 - lam) * f.reshape(-1, f.shape[-1])[perm]
     y_mix = lam * y + (1.0 - lam) * y.reshape(-1, y.shape[-1])[perm]
     return f_mix, y_mix, perm
@@ -73,10 +71,10 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
         n_seen = 0
         for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, prior.num_classes):
             if cfg.fa_input_space:
-                # input widths differ within a stack: mix one modality at a time
-                x_b, y_mix, _ = zip(*(feature_augment(x, y, cfg.mix_lambda, rng)
-                                      for x, y, rng in zip(x_b, y_b, rngs)))
-                y_b = np.stack(y_mix)
+                # input widths differ within a stack: mix each modality as a stack of one
+                x_mix, y_mix, _ = zip(*(feature_augment(x[None], y[None], cfg.mix_lambda, [rng])
+                                        for x, y, rng in zip(x_b, y_b, rngs)))
+                x_b, y_b = [x[0] for x in x_mix], np.concatenate(y_mix)
             f_t, cache = forward(stack.params, x_b)
             y_t = y_b
             if mix_embeddings:
@@ -92,7 +90,7 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
                 d_f.reshape(-1, d_f.shape[-1])[perm] += (1.0 - cfg.mix_lambda) * d_ft
             else:
                 d_f = d_ft
-            backward(stack.params, cache, d_f, out=stack.grads)
+            backward(stack.params, cache, d_f, stack.grads)
             stack.step(cfg.lr)
             b = f_t.shape[1]
             n_seen += b

@@ -1,5 +1,6 @@
 import numpy as np
 
+from priorcast.encoder import EncoderParams
 from priorcast.numerics import NORM_EPS
 
 
@@ -41,3 +42,10 @@ def cosine(a, b):
     if na <= NORM_EPS or nb <= NORM_EPS:
         return 0.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def stack_slice(stacked, k):
+    """Modality k of stacked EncoderParams (an EncoderStack's params or
+    grads) as views shaped like one encoder's."""
+    s = stacked
+    return EncoderParams(s.w1[k], s.b1[k, 0], s.w2[k], s.b2[k, 0], s.w3[k], s.b3[k, 0])

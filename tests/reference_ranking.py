@@ -3,13 +3,14 @@
 One stable argsort of the negated cosines per query (ties by ascending
 gallery index), one average_precision call per query and the PR sums added
 query by query. priorcast.evaluate.rank_pair ranks blocks of queries at once
-and must reproduce these results bit for bit.
+and must reproduce these results bit for bit. The unit rows come from the
+frozen copy in reference_losses, not from priorcast.
 """
 
 import numpy as np
 
 from priorcast.evaluate import PrCurve, RetrievalResult
-from priorcast.numerics import unit_rows
+from reference_losses import unit_rows
 
 
 def average_precision(relevance, n_rank: int) -> float:

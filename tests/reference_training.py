@@ -1,22 +1,63 @@
 """Per-modality reference loops for both training stages.
 
-One modality at a time, one batch at a time, built only on the one-encoder
-kernels (2-D forward, backward, sgd_step and the losses), with a new
-EncoderParams every step and the mixup gradient routed by np.add.at. The
-lockstep stacks in priorcast.prior and priorcast.training must reproduce
-these results bit for bit.
+One modality at a time, one batch at a time, with a new EncoderParams every
+step and the mixup gradient routed by np.add.at. The kernels are frozen
+numpy-only copies of priorcast's one-encoder form: forward, backward,
+feature_augment, minibatch_iter, q_at and sgd_step here, the losses in
+reference_losses. From priorcast this module takes only containers, seeding,
+initialisers, pseudo_inverse and select_prior (test_surface.py holds the
+list). The lockstep stacks in priorcast.prior and priorcast.training must
+reproduce these results bit for bit.
 """
 
 import dataclasses
+from collections import namedtuple
 
 import numpy as np
 
-from priorcast.data import minibatch_iter
-from priorcast.encoder import EncoderParams, backward, forward, init_params
-from priorcast.losses import label_loss, q_at, quality_score, total_loss
+from priorcast.encoder import EncoderParams, init_params
 from priorcast.numerics import make_rng, pseudo_inverse, random_orthogonal, split_seed
 from priorcast.prior import PriorMatrix, select_prior
-from priorcast.training import feature_augment
+from reference_losses import label_loss, quality_score, total_loss, unit_rows
+
+ForwardCache = namedtuple("ForwardCache", "x a1 a2 unit safe degenerate")
+
+
+def forward(params, x):
+    """Embed a (B, D) batch; returns (F, cache) with F row-normalized and
+    rows of pre-normalization norm <= NORM_EPS passed through unchanged."""
+    a1 = x @ params.w1
+    a1 += params.b1
+    np.maximum(a1, 0.0, out=a1)
+    a2 = a1 @ params.w2
+    a2 += params.b2
+    np.maximum(a2, 0.0, out=a2)
+    z3 = a2 @ params.w3
+    z3 += params.b3
+    unit, safe, degenerate = unit_rows(z3)
+    f = np.where(degenerate[..., None], z3, unit)
+    return f, ForwardCache(x, a1, a2, unit, safe, degenerate)
+
+
+def backward(params, cache, d_f):
+    """Gradients of a scalar loss wrt every parameter, given dJ/dF; a new
+    EncoderParams."""
+    grads = EncoderParams(*map(np.empty_like, params.tensors()))
+    unit, safe = cache.unit, cache.safe
+    proj = np.add.reduce(d_f * unit, axis=-1, keepdims=True)
+    d_z3 = (d_f - proj * unit) / safe[..., None]
+    np.copyto(d_z3, d_f, where=cache.degenerate[..., None])
+    np.matmul(cache.a2.T, d_z3, out=grads.w3)
+    np.add.reduce(d_z3, axis=0, out=grads.b3)
+    d_z2 = np.matmul(d_z3, params.w3.T)
+    d_z2 *= cache.a2 > 0
+    np.matmul(cache.a1.T, d_z2, out=grads.w2)
+    np.add.reduce(d_z2, axis=0, out=grads.b2)
+    d_z1 = np.matmul(d_z2, params.w2.T)
+    d_z1 *= cache.a1 > 0
+    np.matmul(cache.x.T, d_z1, out=grads.w1)
+    np.add.reduce(d_z1, axis=0, out=grads.b1)
+    return grads
 
 
 def sgd_step(params, grads, lr):
@@ -24,6 +65,30 @@ def sgd_step(params, grads, lr):
     return EncoderParams(
         *[p - lr * g for p, g in zip(params.tensors(), grads.tensors())]
     )
+
+
+def feature_augment(f, y, lam, rng):
+    """(lam f + (1 - lam) f[perm], the same for y, perm) for a (B, .) batch."""
+    perm = rng.permutation(f.shape[0])
+    return lam * f + (1.0 - lam) * f[perm], lam * y + (1.0 - lam) * y[perm], perm
+
+
+def minibatch_iter(mod, batch_size, rng):
+    """One epoch of index batches; a final batch of one row joins the one before."""
+    n = mod.num_samples
+    perm = rng.permutation(n)
+    batches = [perm[i : i + batch_size] for i in range(0, n, batch_size)]
+    if len(batches) > 1 and batches[-1].shape[0] < 2:
+        tail = batches.pop()
+        batches[-1] = np.concatenate([batches[-1], tail])
+    return batches
+
+
+def q_at(q_start, epochs, epoch):
+    """Linear from q_start to 1 over a stage's epochs."""
+    if epochs == 1:
+        return 1.0
+    return q_start + (1.0 - q_start) * (epoch / (epochs - 1))
 
 
 def train_prior_for_modality(mod, w0, cfg, rng):

@@ -8,11 +8,11 @@ import time
 
 import numpy as np
 
-from conftest import max_rel_err, numeric_grad
+from conftest import max_rel_err, numeric_grad, stack_slice
 from priorcast.cli import main
 from priorcast.config import RunConfig, apply_ablation
 from priorcast.data import SynthConfig, synth_generate
-from priorcast.encoder import backward, forward, init_params
+from priorcast.encoder import EncoderStack, backward, forward, init_params
 from priorcast.evaluate import embed_split, rank_pair, table_from_embeddings
 from priorcast.losses import disc_loss, label_loss, mse_loss, total_loss
 from priorcast.numerics import make_rng, pseudo_inverse, random_orthogonal
@@ -99,13 +99,15 @@ def test_c2_gradient_oracle():
             max_rel_err(g, numeric_grad(
                 lambda: total_loss(f, soft, w, soft @ l, q, 0.1, 0.1)[0], f)))
 
-        params = init_params(4, 6, 3, rng)
+        # one encoder, as a stack of one; params views its parameters
+        stack = EncoderStack([init_params(4, 6, 3, rng)])
+        params = stack.members[0]
         # finite differences need a generic point: keep every ReLU
         # preactivation off its kink and every output row away from the
         # normalization discontinuity at the zero vector
         while True:
             x = rng.standard_normal((4, 4))
-            _, cache = forward(params, x)
+            _, cache = forward(stack.params, [x])
             z1 = x @ params.w1 + params.b1
             z2 = np.maximum(z1, 0.0) @ params.w2 + params.b2
             if (np.abs(z1).min() > 1e-4
@@ -114,10 +116,11 @@ def test_c2_gradient_oracle():
                     and cache.safe.min() > 1e-2):
                 break
         r = rng.standard_normal((4, 3))
-        grads = backward(params, cache, r)
+        backward(stack.params, cache, r[None], stack.grads)
+        grads = stack_slice(stack.grads, 0)
 
         def enc_loss():
-            return float(np.sum(forward(params, x)[0] * r))
+            return float(np.sum(forward(stack.params, [x])[0] * r))
 
         enc_worst = 0.0
         for name in ("w1", "b1", "w2", "b2", "w3", "b3"):

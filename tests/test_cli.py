@@ -44,6 +44,20 @@ def test_synth_writes_expected_files(tmp_path):
     assert "run_manifest.json" in names
 
 
+def test_synth_run_manifest_lists_only_the_files_it_wrote(tmp_path):
+    # a file of another program, and a second synth into the same directory
+    cfg = _synth_cfg(tmp_path)
+    out = tmp_path / "data"
+    out.mkdir()
+    (out / "unrelated.txt").write_text("not part of the dataset")
+    for _ in range(2):
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        written = sorted(set(os.listdir(out)) - {"unrelated.txt", "run_manifest.json"})
+        assert manifest["outputs"] == written
+        assert [stage["outputs"] for stage in manifest["stages"]] == [written]
+
+
 def test_synth_deterministic_bytes(tmp_path):
     cfg = _synth_cfg(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -286,7 +300,8 @@ def _edited_data(tmp_path, edit):
     """A synthetic dataset, rewritten after edit(dataset) changed it in place."""
     dataset = load_manifest(_synth_data(tmp_path, "synth"))
     edit(dataset)
-    return write_dataset(dataset, tmp_path / "data")
+    write_dataset(dataset, tmp_path / "data")
+    return str(tmp_path / "data" / "manifest.json")
 
 
 def _drop_mod1(dataset):

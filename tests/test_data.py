@@ -100,11 +100,17 @@ def test_labels_header_claiming_more_than_the_file_holds(tmp_path):
     assert done.stdout.startswith("truncated payload: header claims 4294967295 labels")
 
 
+def _write(ds, out_dir):
+    """write_dataset, then the path of the manifest it wrote."""
+    write_dataset(ds, out_dir)
+    return os.path.join(str(out_dir), "manifest.json")
+
+
 def test_dataset_write_load_round_trip(tmp_path):
     ds = synth_generate(SynthConfig(num_modalities=2, num_classes=3,
                                     feature_dims=[10, 8], samples_per_class=10,
                                     noise=[0.1, 0.2], seed=4))
-    manifest = write_dataset(ds, tmp_path)
+    manifest = _write(ds, tmp_path)
     back = load_manifest(manifest)
     assert back.num_classes == ds.num_classes
     for split in ("train", "val", "test"):
@@ -118,7 +124,7 @@ def test_manifest_lists_the_files_it_read(tmp_path):
     ds = synth_generate(SynthConfig(num_modalities=2, num_classes=3,
                                     feature_dims=[10, 8], samples_per_class=10,
                                     noise=[0.1, 0.2], seed=4))
-    manifest = write_dataset(ds, tmp_path)
+    manifest = _write(ds, tmp_path)
     back = load_manifest(manifest)
     assert back.files == [manifest] + [
         os.path.join(str(tmp_path), f"mod{k}_{split}.{ext}")
@@ -145,7 +151,7 @@ def test_manifest_rejects_missing_file(tmp_path):
     ds = synth_generate(SynthConfig(num_modalities=2, num_classes=3,
                                     feature_dims=[10, 8], samples_per_class=10,
                                     noise=[0.1, 0.2], seed=4))
-    manifest = write_dataset(ds, tmp_path)
+    manifest = _write(ds, tmp_path)
     os.remove(tmp_path / "mod0_val.dfm")
     with pytest.raises((FormatError, OSError)):
         load_manifest(manifest)
@@ -155,7 +161,7 @@ def test_manifest_rejects_class_mismatch(tmp_path):
     ds = synth_generate(SynthConfig(num_modalities=2, num_classes=3,
                                     feature_dims=[10, 8], samples_per_class=10,
                                     noise=[0.1, 0.2], seed=4))
-    manifest = write_dataset(ds, tmp_path)
+    manifest = _write(ds, tmp_path)
     raw = json.loads(open(manifest).read())
     raw["num_classes"] = 7
     with open(manifest, "w") as fh:
@@ -170,7 +176,7 @@ def test_manifest_rejects_feature_width_differing_across_splits(tmp_path):
                                     noise=[0.1, 0.2], seed=4))
     test0 = ds.splits["test"][0]
     ds.splits["test"][0] = ModalityData(test0.name, test0.features[:, :7], test0.labels)
-    manifest = write_dataset(ds, tmp_path)
+    manifest = _write(ds, tmp_path)
     with pytest.raises(FormatError, match=r"'mod0': test features are 7 wide, train features 10"):
         load_manifest(manifest)
 

@@ -1,9 +1,10 @@
 """disc_loss's d x d form against the B x B reference.
 
-priorcast.losses.disc_loss never forms a B x B matrix; reference_losses
-forms all of them. The two must agree on every shape the training loops
-can pass (one batch or a stack of three, batches of 2 to 300 rows, 1 to 64
-embedding dimensions), with zero rows in f and in t:
+priorcast.losses.disc_loss never forms a B x B matrix;
+reference_losses.gram_disc_loss forms all of them. The two must agree on
+every shape the training loops can pass (one batch or a stack of three,
+batches of 2 to 300 rows, 1 to 64 embedding dimensions), with zero rows in
+f and in t:
 - the gradient within GRAD_RTOL of the reference's largest entry, or of
   1/B if that is larger: near f = t the gradient is small and both forms
   round at the scale of a generic batch's gradient, ~1/B;
@@ -41,7 +42,7 @@ def _pair(rng, k, b, d, zero_rows=True):
 
 def _assert_matches_reference(f, t):
     value, grad = disc_loss(f, t)
-    ref_value, ref_grad = ref.disc_loss(f, t)
+    ref_value, ref_grad = ref.gram_disc_loss(f, t)
     assert np.shape(value) == np.shape(ref_value)
     assert grad.shape == f.shape
     assert np.all(np.abs(value - ref_value) <= VALUE_RTOL * np.abs(ref_value) + VALUE_ATOL)
@@ -92,7 +93,7 @@ def test_relative_accuracy_near_f_equals_t(eps):
     t = rng.standard_normal((3, 64, 16))
     f = t + eps * rng.standard_normal(t.shape)
     value, _ = disc_loss(f, t)
-    ref_value, _ = ref.disc_loss(f, t)
+    ref_value, _ = ref.gram_disc_loss(f, t)
     assert np.all(value > 0.0)
     assert np.allclose(value, ref_value, rtol=1e-2, atol=0.0)
     _assert_matches_reference(f, t)

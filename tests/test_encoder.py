@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from conftest import check_grad
+import reference_training as ref
+from conftest import check_grad, stack_slice
 from priorcast.encoder import (
     EncoderStack,
     backward,
@@ -14,7 +16,6 @@ from priorcast.encoder import (
 )
 from priorcast.errors import FormatError
 from priorcast.numerics import make_rng
-from reference_training import sgd_step
 
 
 def _toy(seed=0, d_in=5, hidden=7, d_out=4):
@@ -24,21 +25,27 @@ def _toy(seed=0, d_in=5, hidden=7, d_out=4):
     return params, x, rng
 
 
+def _embed(params, x):
+    """forward on one encoder and batch, as a stack of one: (F, cache) of slice 0."""
+    f, cache = forward(EncoderStack([params]).params, [x])
+    return f[0], cache
+
+
 def test_forward_shapes_and_norms():
     params, x, _ = _toy()
-    f, cache = forward(params, x)
-    assert f.shape == (6, 4)
-    assert np.allclose(np.linalg.norm(f, axis=1), 1.0, atol=1e-12)
+    f, cache = forward(EncoderStack([params]).params, [x])
+    assert f.shape == (1, 6, 4)
+    assert np.allclose(np.linalg.norm(f, axis=-1), 1.0, atol=1e-12)
 
 
 def test_forward_passes_degenerate_rows_through():
     params, x, _ = _toy()
     params.b3 = np.full(4, 1e-14)
     x[0] = 0.0  # zero biases elsewhere: z3[0] == b3, below NORM_EPS
-    f, cache = forward(params, x)
+    f, cache = _embed(params, x)
     assert np.array_equal(f[0], params.b3)
-    assert cache.degenerate.tolist() == [True] + [False] * 5
-    assert np.array_equal(cache.unit[0], np.zeros(4))
+    assert cache.degenerate.tolist() == [[True] + [False] * 5]
+    assert np.array_equal(cache.unit[0, 0], np.zeros(4))
     assert np.allclose(np.linalg.norm(f[1:], axis=1), 1.0, atol=1e-12)
 
 
@@ -47,16 +54,16 @@ def test_forward_batch_independent():
     # (BLAS may route 1-row products through a different kernel, so compare
     # numerically rather than bitwise.)
     params, x, _ = _toy(seed=3)
-    full, _ = forward(params, x)
+    full, _ = _embed(params, x)
     for i in range(len(x)):
-        row, _ = forward(params, x[i : i + 1])
+        row, _ = _embed(params, x[i : i + 1])
         assert np.allclose(row[0], full[i], atol=1e-12, rtol=0)
 
 
 def test_forward_identical_rows():
     params, x, _ = _toy(seed=1)
     x[2] = x[0]
-    f, _ = forward(params, x)
+    f, _ = _embed(params, x)
     assert np.array_equal(f[2], f[0])
 
 
@@ -70,57 +77,80 @@ def test_init_deterministic_and_bounded():
     assert np.max(np.abs(a.w2)) <= np.sqrt(3.0 / 16)
 
 
+def _stack_toy(b, seed=0, widths=(5, 3, 6), degenerate=1):
+    """Encoders of the given input widths, the one at index degenerate with
+    a degenerate output row: a zero input row with zero hidden biases gives
+    z3 == b3."""
+    rng = make_rng(seed)
+    members = [init_params(d_in, 7, 4, rng) for d_in in widths]
+    members[degenerate].b3 = np.full(4, 1e-14)
+    xs = [rng.standard_normal((b, m.input_dim)) for m in members]
+    xs[degenerate][0] = 0.0
+    return members, xs, rng.standard_normal((len(widths), b, 4))
+
+
+# K = 1 and K = 3, each with a degenerate row
+_STACKS = [((3,), 0), ((5, 3, 6), 1)]
+
+
 def test_backward_matches_finite_differences():
-    for seed in (0, 1):
-        params, x, rng = _toy(seed=seed)
-        r = rng.standard_normal((6, 4))
-        _, cache = forward(params, x)
-        grads = backward(params, cache, r)
+    # on a batch and on a merged tail batch of B + 1
+    for (widths, degenerate), b in itertools.product(_STACKS, (6, 7)):
+        members, xs, r = _stack_toy(b, seed=4, widths=widths, degenerate=degenerate)
+        # a step off the degenerate row's z3 ~ 1e-14 normalizes it, a jump that
+        # finite differences cannot follow: that row enters the loss with weight 0
+        r[degenerate, 0] = 0.0
+        stack = EncoderStack(members)
+        _, cache = forward(stack.params, xs)
+        assert cache.degenerate[degenerate, 0]
+        backward(stack.params, cache, r, stack.grads)
 
         def loss():
-            return float(np.sum(forward(params, x)[0] * r))
+            return float(np.sum(forward(stack.params, xs)[0] * r))
 
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            check_grad(loss, getattr(params, name), getattr(grads, name))
+        for k, view in enumerate(stack.members):
+            grads = stack_slice(stack.grads, k)
+            for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+                check_grad(loss, getattr(view, name), getattr(grads, name))
+
+
+@pytest.mark.parametrize("widths, degenerate", _STACKS)
+def test_backward_is_the_identity_on_a_degenerate_row(widths, degenerate):
+    # F = z3 there, and z3 = b3 because the row's hidden activations are 0
+    members, xs, _ = _stack_toy(6, widths=widths, degenerate=degenerate)
+    r = np.zeros((len(widths), 6, 4))
+    r[degenerate, 0] = [1.0, -2.0, 0.5, 3.0]
+    stack = EncoderStack(members)
+    _, cache = forward(stack.params, xs)
+    backward(stack.params, cache, r, stack.grads)
+    assert np.array_equal(stack.grads.b3[degenerate, 0], r[degenerate, 0])
+    assert not stack.grads.w3.any() and not stack.grads.w2.any()
 
 
 def test_sgd_step():
     params, x, rng = _toy()
     r = rng.standard_normal((6, 4))
-    _, cache = forward(params, x)
-    grads = backward(params, cache, r)
-    new = sgd_step(params, grads, 0.5)
+    grads = ref.backward(params, ref.forward(params, x)[1], r)
+    new = ref.sgd_step(params, grads, 0.5)
     assert np.allclose(new.w1, params.w1 - 0.5 * grads.w1)
     # original untouched
     assert not np.shares_memory(new.w1, params.w1)
 
 
-def _stack_toy(b, seed=0):
-    """Three encoders of input widths 5/3/6, one with a degenerate output
-    row: a zero input row with zero hidden biases gives z3 == b3."""
-    rng = make_rng(seed)
-    members = [init_params(d_in, 7, 4, rng) for d_in in (5, 3, 6)]
-    members[1].b3 = np.full(4, 1e-14)
-    xs = [rng.standard_normal((b, m.input_dim)) for m in members]
-    xs[1][0] = 0.0
-    return members, xs, rng.standard_normal((3, b, 4))
-
-
 @pytest.mark.parametrize("b", [6, 7])  # a batch and a merged tail batch of B + 1
 def test_stacked_forward_backward_match_each_slice(b):
+    # against the frozen one-encoder forward and backward
     members, xs, d_f = _stack_toy(b)
     stack = EncoderStack(members)
     f, cache = forward(stack.params, xs)
-    backward(stack.params, cache, d_f, out=stack.grads)
-    g = stack.grads
+    backward(stack.params, cache, d_f, stack.grads)
     assert cache.degenerate[1].tolist() == [True] + [False] * (b - 1)
     for k, (params, x) in enumerate(zip(members, xs)):
-        f_k, cache_k = forward(params, x)
+        f_k, cache_k = ref.forward(params, x)
         assert np.array_equal(f[k], f_k)
         assert np.array_equal(cache.degenerate[k], cache_k.degenerate)
-        want = backward(params, cache_k, d_f[k])
-        got = (g.w1[k], g.b1[k, 0], g.w2[k], g.b2[k, 0], g.w3[k], g.b3[k, 0])
-        for tg, tw in zip(got, want.tensors()):
+        want = ref.backward(params, cache_k, d_f[k])
+        for tg, tw in zip(stack_slice(stack.grads, k).tensors(), want.tensors()):
             assert tg.shape == tw.shape
             assert np.array_equal(tg, tw)
 
@@ -133,10 +163,10 @@ def test_stack_step_matches_sgd_step_in_place():
         for tv, tp in zip(view.tensors(), params.tensors()):
             assert np.array_equal(tv, tp)
     _, cache = forward(stack.params, xs)
-    backward(stack.params, cache, d_f, out=stack.grads)
+    backward(stack.params, cache, d_f, stack.grads)
     stack.step(0.5)
     for k, (view, params, x) in enumerate(zip(views, members, xs)):
-        want = sgd_step(params, backward(params, forward(params, x)[1], d_f[k]), 0.5)
+        want = ref.sgd_step(params, ref.backward(params, ref.forward(params, x)[1], d_f[k]), 0.5)
         for tv, tw in zip(view.tensors(), want.tensors()):
             assert np.shares_memory(tv, stack.flat)
             assert np.array_equal(tv, tw)

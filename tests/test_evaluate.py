@@ -5,7 +5,6 @@ import pytest
 
 from priorcast.config import RunConfig
 from priorcast.data import SynthConfig, synth_generate, write_json
-from priorcast.encoder import forward
 from priorcast.evaluate import embed_split, rank_pair, table_from_embeddings, write_pr_csv
 from priorcast.numerics import make_rng
 from priorcast.prior import run_spl
@@ -189,7 +188,7 @@ def _trained(seed=0):
 def test_embed_unit_rows():
     ds, encoders = _trained()
     mod = ds.splits["test"][0]
-    emb, _ = forward(encoders[mod.name], mod.features)
+    emb, _ = embed_split(encoders, ds, "test")[mod.name]
     assert emb.shape == (mod.num_samples, 16)
     assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-12)
 

@@ -1,0 +1,125 @@
+"""priorcast's stacked kernels against the frozen one-batch copies, bit for bit.
+
+reference_losses and reference_training hold numpy-only copies of the
+losses, forward, backward, feature_augment, minibatch_iter and q_at as they
+computed one batch of one modality. Each slice of a (K, B, .) stack must
+give exactly their bits, at batch sizes of the training loops (2, a merged
+tail of B + 1, 32, 256) and at the row counts eval and candidate scoring
+embed (60, 2000 and 16000).
+"""
+
+import numpy as np
+import pytest
+
+import reference_losses as ref_losses
+import reference_training as ref
+from priorcast import prior
+from priorcast.data import ModalityData, MultimodalDataset, minibatch_iter
+from priorcast.encoder import init_params
+from priorcast.evaluate import embed_split
+from priorcast.losses import disc_loss, label_loss, mse_loss, q_at, quality_score, total_loss
+from priorcast.numerics import make_rng, softmax, unit_rows
+from priorcast.training import feature_augment
+
+
+def _stack(seed, k, b, d=16, c=10):
+    rng = make_rng(seed)
+    f = rng.standard_normal((k, b, d))
+    f[0, 1] = 0.0  # a degenerate row
+    y = np.eye(c)[rng.integers(0, c, (k, b))]
+    y = 0.8 * y + 0.2 * y[:, ::-1]  # soft labels, as after mixup
+    w = rng.standard_normal((d, c))
+    return f, y, w, np.linalg.pinv(w), rng.standard_normal((k, d, c))
+
+
+def _same(stacked, per_slice):
+    for i, one in enumerate(per_slice):
+        assert len(stacked) == len(one)
+        for a, e in zip(stacked, one):
+            assert np.array_equal(np.asarray(a)[i], e)
+
+
+@pytest.mark.parametrize("k, b", [(1, 2), (3, 7), (3, 32), (1, 33), (3, 256)])
+def test_losses_match_frozen_copies(k, b):
+    f, y, w, l, ws = _stack(k * 1000 + b, k, b)
+    t = y @ l
+    _same(mse_loss(f, t), [ref_losses.mse_loss(f[i], t[i]) for i in range(k)])
+    _same(disc_loss(f, t), [ref_losses.disc_loss(f[i], t[i]) for i in range(k)])
+    for q in (0.01, 0.7, 1.0):
+        _same(label_loss(f, y, w, q), [ref_losses.label_loss(f[i], y[i], w, q) for i in range(k)])
+        _same(label_loss(f, y, ws, q),
+              [ref_losses.label_loss(f[i], y[i], ws[i], q) for i in range(k)])
+    for drop in ({}, {"drop_label": True}, {"drop_disc": True}, {"drop_mse": True}):
+        value, grad, parts = total_loss(f, y, w, t, 0.3, 0.25, 0.15, **drop)
+        for i in range(k):
+            value_i, grad_i, parts_i = ref_losses.total_loss(f[i], y[i], w, t[i], 0.3, 0.25,
+                                                             0.15, **drop)
+            assert value[i] == value_i
+            assert np.array_equal(grad[i], grad_i)
+            # a dropped term is the scalar 0.0 in both
+            assert {key: part[i] if np.ndim(part) else part
+                    for key, part in parts.items()} == parts_i
+
+
+def test_softmax_quality_score_and_unit_rows_match_frozen_copies():
+    f, y, w, _, _ = _stack(5, 3, 40)
+    f[1, 3] = 1e-13  # below NORM_EPS, not zero
+    assert np.array_equal(softmax(f @ w), ref_losses.softmax(f @ w))
+    for got, want in zip(unit_rows(f), ref_losses.unit_rows(f)):
+        assert np.array_equal(got, want)
+    assert quality_score(f[0], y[0], w) == ref_losses.quality_score(f[0], y[0], w)
+
+
+@pytest.mark.parametrize("k, b", [(1, 2), (3, 9), (3, 256)])
+def test_feature_augment_slices_match_frozen_copy(k, b):
+    f, y, _, _, _ = _stack(k + b, k, b)
+    f_mix, y_mix, perm = feature_augment(f, y, 0.7, [make_rng(40 + i) for i in range(k)])
+    for i in range(k):
+        want_f, want_y, want_perm = ref.feature_augment(f[i], y[i], 0.7, make_rng(40 + i))
+        assert np.array_equal(f_mix[i], want_f)
+        assert np.array_equal(y_mix[i], want_y)
+        assert np.array_equal(perm[i] - i * b, want_perm)
+
+
+@pytest.mark.parametrize("n, batch", [(2, 8), (9, 8), (33, 8), (480, 32), (480, 256)])
+def test_minibatch_iter_and_q_at_match_frozen_copies(n, batch):
+    mod = ModalityData("m", np.zeros((n, 1)), np.zeros(n, dtype=np.int64))
+    got = minibatch_iter(mod, batch, make_rng(n))
+    want = ref.minibatch_iter(mod, batch, make_rng(n))
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, e) for a, e in zip(got, want))
+    for epochs in (1, 2, 7):
+        assert [q_at(0.01, epochs, e) for e in range(epochs)] == \
+            [ref.q_at(0.01, epochs, e) for e in range(epochs)]
+
+
+def _dataset(rows, widths=(20, 28), num_classes=10):
+    rng = make_rng(rows)
+    mods = [ModalityData(f"mod{i}", rng.standard_normal((rows, width)),
+                         rng.integers(0, num_classes, rows))
+            for i, width in enumerate(widths)]
+    return MultimodalDataset(num_classes, {"train": mods, "val": mods, "test": mods})
+
+
+@pytest.mark.parametrize("rows", [60, 2000, 16000])
+def test_embeddings_match_frozen_forward(rows, monkeypatch):
+    ds = _dataset(rows)
+    rng = make_rng(rows + 1)
+    encoders = {mod.name: init_params(mod.feature_dim, 64, 16, rng)
+                for mod in ds.splits["test"]}
+    embedded = embed_split(encoders, ds, "test")
+    for mod in ds.splits["test"]:
+        assert np.array_equal(embedded[mod.name][0], ref.forward(encoders[mod.name],
+                                                                  mod.features)[0])
+
+    # stage one scores each candidate on the embeddings of its whole split
+    scored = []
+    original = prior.quality_score
+    monkeypatch.setattr(prior, "quality_score",
+                        lambda f, y, w: scored.append(f) or original(f, y, w))
+    for mod in ds.splits["train"]:
+        params, w = encoders[mod.name], rng.standard_normal((16, ds.num_classes))
+        score = prior._candidate_score(mod, w, params)
+        want = ref.forward(params, mod.features)[0]
+        assert np.array_equal(scored.pop(), want)
+        assert score == ref_losses.quality_score(want, mod.one_hot(ds.num_classes), w)

@@ -108,5 +108,6 @@ def test_encoder_params_built_per_modality_not_per_step(monkeypatch):
         train_rsc_all(ds, prior, cfg, seed=2)
         counts.append(len(built))
     # per stage: one init per modality, one view per modality, and the
-    # stacked params and grads of each of the two stacks
-    assert counts == [2 * (2 * 3 + 2 * 2)] * 2
+    # stacked params and grads of each of the two stacks; stage one then
+    # scores each candidate through a stack of one (params, grads, view)
+    assert counts == [2 * (2 * 3 + 2 * 2) + 3 * 3] * 2

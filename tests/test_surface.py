@@ -9,6 +9,11 @@ No module raises a bare ValueError or Exception, and the CLI's main
 catches none.
 
 The encoder's forward cache holds only what backward reads.
+
+The reference modules in tests/ (reference_*.py) are oracles for the
+package's kernels, so they may take from priorcast only containers,
+seeding, initialisers, pseudo_inverse and select_prior: never a step-loop
+or ranking kernel, which would then be checked against itself.
 """
 
 import ast
@@ -87,3 +92,35 @@ def test_backward_reads_every_forward_cache_field():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "cache"}
     assert sorted(fields - read) == []
+
+
+# What tests/reference_*.py may import from priorcast
+_REFERENCE_ALLOWED = {
+    "EncoderParams", "PriorMatrix", "RunConfig", "ModalityData", "MultimodalDataset",
+    "SynthConfig", "PrCurve", "RetrievalResult",  # containers
+    "make_rng", "split_seed",  # seeding
+    "init_params", "random_orthogonal",  # initialisers
+    "pseudo_inverse", "select_prior",
+}
+
+
+def _priorcast_imports(tree):
+    """Names a module imports from priorcast; a whole module counts by its name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "priorcast":
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "priorcast"]
+    return names
+
+
+def test_reference_modules_import_no_priorcast_kernel():
+    tests = Path(__file__).parent
+    found = {path.name: _priorcast_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(tests.glob("reference_*.py"))}
+    assert sorted(found) == ["reference_losses.py", "reference_ranking.py",
+                             "reference_training.py"]
+    assert {name: sorted(set(names) - _REFERENCE_ALLOWED)
+            for name, names in found.items()} == dict.fromkeys(found, [])

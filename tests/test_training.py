@@ -40,36 +40,39 @@ def _prior(d=4, c=3, seed=0):
 
 def test_augment_identity_at_lambda_one():
     rng = make_rng(0)
-    f = rng.standard_normal((5, 4))
-    y = np.eye(3)[rng.integers(0, 3, 5)]
-    f_mix, y_mix, _ = feature_augment(f, y, 1.0, rng)
+    f = rng.standard_normal((2, 5, 4))
+    y = np.eye(3)[rng.integers(0, 3, (2, 5))]
+    f_mix, y_mix, _ = feature_augment(f, y, 1.0, [rng, make_rng(1)])
     assert np.array_equal(f_mix, f)
     assert np.array_equal(y_mix, y)
 
 
 def test_augment_hand_case():
-    f = np.array([[1.0, 0.0], [0.0, 1.0]])
-    y = np.eye(2)
-    rng = make_rng(1)
-    f_mix, y_mix, p = feature_augment(f, y, 0.9, rng)
-    assert np.allclose(f_mix[0], 0.9 * f[0] + 0.1 * f[p[0]])
-    assert np.allclose(y_mix[1], 0.9 * y[1] + 0.1 * y[p[1]])
+    # slice 1 mixes within itself: perm indexes the flattened (K * B) rows
+    f = np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]])
+    y = np.stack([np.eye(2)] * 2)
+    f_mix, y_mix, p = feature_augment(f, y, 0.9, [make_rng(1), make_rng(2)])
+    rows, labels = f.reshape(4, 2), y.reshape(4, 2)
+    assert sorted(p[1]) == [2, 3]
+    assert np.allclose(f_mix[0, 0], 0.9 * f[0, 0] + 0.1 * rows[p[0, 0]])
+    assert np.allclose(f_mix[1, 0], 0.9 * f[1, 0] + 0.1 * rows[p[1, 0]])
+    assert np.allclose(y_mix[1, 1], 0.9 * y[1, 1] + 0.1 * labels[p[1, 1]])
 
 
 def test_augment_label_rows_stay_distributions():
     rng = make_rng(2)
-    f = rng.standard_normal((16, 4))
-    y = np.eye(5)[rng.integers(0, 5, 16)]
-    _, y_mix, _ = feature_augment(f, y, 0.7, rng)
+    f = rng.standard_normal((3, 16, 4))
+    y = np.eye(5)[rng.integers(0, 5, (3, 16))]
+    _, y_mix, _ = feature_augment(f, y, 0.7, [make_rng(k) for k in range(3)])
     assert np.all(y_mix >= 0)
-    assert np.allclose(y_mix.sum(axis=1), 1.0, atol=1e-14)
+    assert np.allclose(y_mix.sum(axis=-1), 1.0, atol=1e-14)
 
 
 def test_augment_deterministic():
-    f = make_rng(4).standard_normal((6, 3))
-    y = np.eye(3)[[0, 1, 2, 0, 1, 2]]
-    f_a, _, perm_a = feature_augment(f, y, 0.9, make_rng(9))
-    f_b, _, perm_b = feature_augment(f, y, 0.9, make_rng(9))
+    f = make_rng(4).standard_normal((2, 6, 3))
+    y = np.stack([np.eye(3)[[0, 1, 2, 0, 1, 2]]] * 2)
+    f_a, _, perm_a = feature_augment(f, y, 0.9, [make_rng(9), make_rng(10)])
+    f_b, _, perm_b = feature_augment(f, y, 0.9, [make_rng(9), make_rng(10)])
     assert np.array_equal(perm_a, perm_b)
     assert np.array_equal(f_a, f_b)
 
