@@ -225,17 +225,18 @@ def _run(args) -> int:
 def _keep_freed_heap() -> None:
     """Stop glibc from handing freed heap memory back to the kernel mid-run.
 
-    Each training step at batch 256 frees (K, B, hidden_dim) activations and
-    gradients of ~384 KiB, above glibc's default 128 KiB mmap threshold, and
-    eval frees a 32 MB cosine matrix per 2000-item gallery pair. Left to
-    glibc, such blocks are mapped and unmapped, or trimmed off the top of the
-    heap, and the next step faults the same pages back in. On one CPU of a
-    2-vCPU VM a batch-256 pipeline took ~55k minor faults without this and
-    ~6k with it (benchmark wall time 1.01 -> 0.92 s), and a 2000-item
-    gallery pipeline ~20k and ~12k. The values set are the ones the
-    adaptive mode itself reaches after freeing a 32 MiB block, so blocks up
-    to 32 MiB stay on the heap. Results are unaffected. Without glibc's
-    mallopt this does nothing.
+    Training steps free no batch-sized arrays (they live in the stack's
+    workspace), but eval frees a 32 MB cosine matrix per 2000-item gallery
+    pair, and candidate scoring and eval free activations sized to a whole
+    split (8 MB per hidden layer at 16000 rows). Left to glibc (default mmap
+    threshold 128 KiB), such blocks are mapped and unmapped, or trimmed off
+    the top of the heap, and the next one faults the same pages back in. On
+    one CPU of a 2-vCPU VM a 2000-item gallery pipeline took ~17.8k minor
+    faults without this and ~11.2k with it, and 3-7% more wall time, for
+    0.1 MB less peak RSS. The values set are the ones the adaptive mode
+    itself reaches after freeing a 32 MiB block, so blocks up to 32 MiB stay
+    on the heap. Results are unaffected. Without glibc's mallopt this does
+    nothing.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:

@@ -499,18 +499,27 @@ def lockstep_map(modalities, rngs, train):
     return results
 
 
-def lockstep_batches(modalities, batch_size: int, rngs, num_classes: int):
+def lockstep_batches(modalities, batch_size: int, rngs, num_classes: int, ws):
     """One epoch of minibatches for K modalities of equal size, in lockstep.
 
     Each modality draws its own order from its own generator, as
     minibatch_iter does for it alone. Each step yields the K feature
     matrices of that step's batches and their one-hot label rows as one
-    (K, B, C) stack.
+    (K, B, C) stack, all gathered into the Workspace ws and overwritten by
+    the next step.
     """
     eye = np.eye(num_classes)
-    labels = np.stack([mod.labels for mod in modalities])
-    rows = np.arange(len(modalities))[:, None]
     orders = [minibatch_iter(mod, batch_size, rng) for mod, rng in zip(modalities, rngs)]
+    # each epoch's batches are consecutive runs of its order
+    labels = np.stack([mod.labels[np.concatenate(order)]
+                       for mod, order in zip(modalities, orders)])
+    start = 0
     for batch in zip(*orders):
-        yield ([mod.features[idx] for mod, idx in zip(modalities, batch)],
-               eye[labels[rows, np.array(batch)]])
+        b = len(batch[0])
+        x = [mod.features.take(idx, axis=0, mode="clip", out=ws.get(
+                 ("x", k), b, mod.features.shape[1], dtype=mod.features.dtype, lead=()))
+             for k, (mod, idx) in enumerate(zip(modalities, batch))]
+        y = eye.take(labels[:, start:start + b], axis=0, mode="clip",
+                     out=ws.get("y", b, num_classes))
+        start += b
+        yield x, y

@@ -1,8 +1,9 @@
 """Modality-specific encoder: two ReLU hidden layers plus a normalized
 representation layer, with hand-derived gradients and plain SGD updates.
 
-forward and backward run K encoders at once, on an EncoderStack's params
-and (K, B, .) batches; a single encoder runs as a stack of one.
+forward and backward run the K encoders of an EncoderStack at once, on
+(K, B, .) batches, and write into the stack's workspace; a single encoder
+runs as a stack of one.
 
 The backward pass includes the Jacobian of the row normalization
 (d/dz of z/||z|| = (I - zz^T/||z||^2) / ||z||) and defines the ReLU
@@ -21,7 +22,7 @@ import numpy as np
 
 from .data import read_tensor_file, write_tensor_file
 from .errors import FormatError, NumericError
-from .numerics import unit_rows
+from .numerics import Workspace, unit_rows
 
 _TENSOR_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -83,53 +84,72 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
     )
 
 
-def forward(params: EncoderParams, x):
+def forward(stack: "EncoderStack", x):
     """Embed K batches at once; returns (F, cache) with F row-normalized.
 
-    params are an EncoderStack's params and x is a sequence of K (B, D_k)
-    matrices, one per modality; F is (K, B, d). A single encoder runs as a
-    stack of one. Rows whose pre-normalization norm is <= NORM_EPS pass
-    through unchanged and are flagged in cache.degenerate.
+    x is a sequence of K (B, D_k) matrices, one per modality of the stack;
+    F is (K, B, d), in the stack's workspace unless a row is degenerate. A
+    single encoder runs as a stack of one. Rows whose pre-normalization norm
+    is <= NORM_EPS pass through unchanged and are flagged in
+    cache.degenerate.
     """
-    # biases and ReLUs are applied in place: no (K, B, H) temporary per layer
-    a1 = np.empty((len(x), x[0].shape[0], params.b1.shape[-1]))
+    params, ws = stack.params, stack.workspace
+    b = x[0].shape[0]
+    width, out_dim = params.b1.shape[-1], params.b3.shape[-1]
+    # two buffers, not one (2, K, B, H) block: freeing a whole split's block
+    # would raise glibc's adaptive mmap threshold to twice the size, and with
+    # it the peak RSS of what eval allocates next
+    a1, a2 = ws.get("a1", b, width), ws.get("a2", b, width)
+    # biases and ReLUs in place; np.dot is np.matmul's BLAS call, cheaper
     for x_k, w1_k, a1_k in zip(x, params.w1, a1):
-        np.matmul(x_k, w1_k, out=a1_k)
+        np.dot(x_k, w1_k, out=a1_k)
     a1 += params.b1
     np.maximum(a1, 0.0, out=a1)
-    a2 = a1 @ params.w2
+    np.matmul(a1, params.w2, out=a2)
     a2 += params.b2
     np.maximum(a2, 0.0, out=a2)
-    z3 = a2 @ params.w3
+    z3 = np.matmul(a2, params.w3, out=ws.get("z3", b, out_dim))
     z3 += params.b3
-    unit, safe, degenerate = unit_rows(z3)
-    f = np.where(degenerate[..., None], z3, unit)
+    unit, safe, degenerate = unit_rows(z3, (ws.get("unit", b, out_dim), ws.get("safe", b),
+                                            ws.get("degenerate", b, dtype=bool)))
+    f = unit
+    if np.count_nonzero(degenerate):
+        f = np.where(degenerate[..., None], z3, unit)
     return f, ForwardCache(x, a1, a2, unit, safe, degenerate)
 
 
-def backward(params: EncoderParams, cache: ForwardCache, d_f: np.ndarray,
-             grads: EncoderParams) -> None:
+def backward(stack: "EncoderStack", cache: ForwardCache, d_f: np.ndarray) -> None:
     """Exact gradients of a scalar loss wrt all parameters, given dJ/dF.
 
-    Works on a stack, like forward, and writes the gradients into grads, an
-    EncoderParams shaped like params (EncoderStack.grads).
+    Works on a stack, like forward, and writes the gradients into
+    stack.grads. It consumes the cache: the gradients at the two hidden
+    layers overwrite cache.a1 and cache.a2.
     """
-    unit, safe = cache.unit, cache.safe
+    params, grads, ws = stack.params, stack.grads, stack.workspace
+    unit, safe, a1, a2 = cache.unit, cache.safe, cache.a1, cache.a2
+    b, out_dim = d_f.shape[-2:]
     # (I - u u^T)/||z|| applied row-wise; identity on degenerate rows
-    proj = np.add.reduce(d_f * unit, axis=-1, keepdims=True)
-    d_z3 = (d_f - proj * unit) / safe[..., None]
-    np.copyto(d_z3, d_f, where=cache.degenerate[..., None])
+    d_z3 = np.multiply(d_f, unit, out=ws.get("d_z3", b, out_dim))
+    proj = np.add.reduce(d_z3, axis=-1, keepdims=True)
+    np.multiply(proj, unit, out=d_z3)
+    np.subtract(d_f, d_z3, out=d_z3)
+    d_z3 /= safe[..., None]
+    if np.count_nonzero(cache.degenerate):
+        np.copyto(d_z3, d_f, where=cache.degenerate[..., None])
 
-    np.matmul(cache.a2.swapaxes(-1, -2), d_z3, out=grads.w3)
+    np.matmul(a2.swapaxes(-1, -2), d_z3, out=grads.w3)
     np.add.reduce(d_z3, axis=-2, keepdims=True, out=grads.b3)
-    d_z2 = np.matmul(d_z3, params.w3.swapaxes(-1, -2))
-    d_z2 *= cache.a2 > 0
-    np.matmul(cache.a1.swapaxes(-1, -2), d_z2, out=grads.w2)
+    # each hidden gradient overwrites the activation it no longer needs
+    active = np.greater(a2, 0.0, out=ws.get("active", b, a2.shape[-1], dtype=bool))
+    d_z2 = np.matmul(d_z3, params.w3.swapaxes(-1, -2), out=a2)
+    d_z2 *= active
+    np.matmul(a1.swapaxes(-1, -2), d_z2, out=grads.w2)
     np.add.reduce(d_z2, axis=-2, keepdims=True, out=grads.b2)
-    d_z1 = np.matmul(d_z2, params.w2.swapaxes(-1, -2))
-    d_z1 *= cache.a1 > 0
+    np.greater(a1, 0.0, out=active)
+    d_z1 = np.matmul(d_z2, params.w2.swapaxes(-1, -2), out=a1)
+    d_z1 *= active
     for x_k, d_k, g_k in zip(cache.x, d_z1, grads.w1):
-        np.matmul(x_k.T, d_k, out=g_k)
+        np.dot(x_k.T, d_k, out=g_k)
     np.add.reduce(d_z1, axis=-2, keepdims=True, out=grads.b1)
 
 
@@ -144,11 +164,14 @@ class EncoderStack:
     view the vectors as stacked EncoderParams whose w1 is a tuple of K
     matrices (input widths may differ); `members[k]` views modality k as an
     ordinary EncoderParams. `step` updates everything in place, so a
-    training step constructs no EncoderParams.
+    training step constructs no EncoderParams. `workspace` holds the
+    batch-sized arrays of forward, backward and a training step, for
+    batches of up to `rows` rows; it lives and dies with the stack.
     """
 
-    def __init__(self, members, extra: Optional[np.ndarray] = None):
+    def __init__(self, members, rows: int, extra: Optional[np.ndarray] = None):
         k = len(members)
+        self.workspace = Workspace((k,), rows)
         hidden, out_dim = members[0].hidden_dim, members[0].output_dim
         shapes = [m.w1.shape for m in members] + [
             (k, 1, hidden), (k, hidden, hidden), (k, 1, hidden),

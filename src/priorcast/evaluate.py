@@ -167,8 +167,8 @@ def embed_split(encoders: Dict[str, EncoderParams], dataset: MultimodalDataset,
     """Per-modality (unit-row embeddings, labels) for one split, in modality order."""
     out = {}
     for mod in dataset.splits[split]:
-        stack = EncoderStack([encoders[mod.name]])
-        out[mod.name] = (forward(stack.params, [mod.features])[0][0], mod.labels)
+        stack = EncoderStack([encoders[mod.name]], mod.num_samples)
+        out[mod.name] = (forward(stack, [mod.features])[0][0], mod.labels)
     return out
 
 

@@ -16,6 +16,10 @@ recast targets t stacked and the other matrices shared (label_loss: one
 shared w, or one w per slice). Each value is a (K,) array, and each
 slice's value and gradient depend on that slice alone, bit for bit.
 
+Every batch-sized array a loss forms goes into ws, the training stack's
+Workspace, so the gradients returned are overwritten by the next step; a
+call without a workspace gets one of its own.
+
 Arguments are not checked here: RunConfig.validate guarantees q > 0 and
 alpha, beta >= 0, and the training loops pass matching shapes and
 nonnegative soft labels.
@@ -23,7 +27,7 @@ nonnegative soft labels.
 
 import numpy as np
 
-from .numerics import softmax, unit_rows
+from .numerics import Workspace, softmax, unit_rows
 
 
 def q_at(q_start: float, epochs: int, epoch: int) -> float:
@@ -33,28 +37,41 @@ def q_at(q_start: float, epochs: int, epoch: int) -> float:
     return q_start + (1.0 - q_start) * (epoch / (epochs - 1))
 
 
-def gce_from_logits(logits: np.ndarray, y: np.ndarray, q: float):
+def _own(ws, batch):
+    """ws, or a workspace of the loss's own for the rows of batch."""
+    return Workspace(batch.shape[:-2], batch.shape[-2]) if ws is None else ws
+
+
+def gce_from_logits(logits: np.ndarray, y: np.ndarray, q: float, ws):
     """label_loss's core, generalized cross-entropy on raw logits.
 
     Returns (value, d_logits).
     """
-    b = logits.shape[-2]
-    s = softmax(logits)
-    p = np.maximum(np.add.reduce(y * s, axis=-1), 1e-300)
+    b, c = y.shape[-2:]
+    s = softmax(logits, out=ws.get("softmax", b, c))
+    scratch = np.multiply(y, s, out=ws.get("gce_scratch", b, c))
+    p = np.maximum(np.add.reduce(scratch, axis=-1), 1e-300)
     loss = np.add.reduce(1.0 - p**q, axis=-1) / (q * b)
-    # dJ/dp_i = -p^(q-1)/B; dp_i/dl_ij = s_ij (y_ij - p_i)
-    coef = -(p ** (q - 1.0)) / b
-    return loss, coef[..., None] * s * (y - p[..., None])
+    # dJ/dp_i = -p^(q-1)/B; dp_i/dl_ij = s_ij (y_ij - p_i); -(x)/b == x/(-b)
+    coef = p ** (q - 1.0)
+    coef /= -b
+    d_logits = np.multiply(s, coef[..., None], out=ws.get("d_logits", b, c))
+    d_logits *= np.subtract(y, p[..., None], out=scratch)
+    return loss, d_logits
 
 
-def label_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, q: float):
+def label_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, q: float, ws=None):
     """The label term of both stages: GCE of softmax(f w) against soft targets y.
 
     Returns (value, d_f, d_logits); the gradient with respect to w is
     f^T d_logits, which only stage one, where w is learned, forms.
     """
-    loss, d_logits = gce_from_logits(f @ w, y, q)
-    return loss, d_logits @ w.swapaxes(-1, -2), d_logits
+    ws = _own(ws, y)
+    b, c = y.shape[-2:]
+    logits = np.matmul(f, w, out=ws.get("logits", b, c))
+    loss, d_logits = gce_from_logits(logits, y, q, ws)
+    d_f = np.matmul(d_logits, w.swapaxes(-1, -2), out=ws.get("label_d_f", b, f.shape[-1]))
+    return loss, d_f, d_logits
 
 
 def quality_score(f: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
@@ -63,18 +80,21 @@ def quality_score(f: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     return float(np.mean(np.sum(y * s, axis=1)))
 
 
-def mse_loss(f: np.ndarray, t: np.ndarray):
+def mse_loss(f: np.ndarray, t: np.ndarray, ws=None):
     """Mean squared distance between embeddings and recast targets t = y L.
 
     Returns (value, d_f).
     """
-    diff = f - t
-    b = f.shape[-2]
-    loss = np.add.reduce(diff * diff, axis=(-2, -1)) / b
-    return loss, (2.0 / b) * diff
+    ws = _own(ws, f)
+    b, d = f.shape[-2:]
+    diff = np.subtract(f, t, out=ws.get("mse_diff", b, d))
+    square = np.multiply(diff, diff, out=ws.get("mse_square", b, d))
+    loss = np.add.reduce(square, axis=(-2, -1)) / b
+    diff *= 2.0 / b
+    return loss, diff
 
 
-def disc_loss(f: np.ndarray, t: np.ndarray):
+def disc_loss(f: np.ndarray, t: np.ndarray, ws=None):
     """Pairwise cosine-structure loss between embeddings and recast targets.
 
     Matches the Gram structure of t = y L within the batch (intra-class
@@ -93,25 +113,35 @@ def disc_loss(f: np.ndarray, t: np.ndarray):
     and keeps its relative accuracy near f = t, where expanding the squares
     would leave an absolute error of ~1e-16.
     """
-    b = f.shape[-2]
-    fn, f_safe, f_deg = unit_rows(f)
-    tn, _, _ = unit_rows(t)
-    diff, both = fn - tn, fn + tn
-    m_diff = diff.swapaxes(-1, -2) @ diff
-    m_both = both.swapaxes(-1, -2) @ both
-    loss = np.add.reduce((m_diff * m_both).reshape(*f.shape[:-2], -1), axis=-1) / (b * b)
-    d_fn = (2.0 / (b * b)) * (both @ m_diff + diff @ m_both)
+    ws = _own(ws, f)
+    b, d = f.shape[-2:]
+    pair = (2, *f.shape[:-2])  # f's rows and t's, or D and P, side by side
+    rows = np.concatenate((f[None], t[None]), out=ws.get("disc_rows", b, d, lead=pair))
+    (fn, tn), (f_safe, _), (f_deg, _) = unit_rows(rows, (
+        ws.get("disc_units", b, d, lead=pair), ws.get("disc_safe", b, lead=pair),
+        ws.get("disc_degenerate", b, lead=pair, dtype=bool)))
+    dp = ws.get("disc_dp", b, d, lead=pair)
+    diff, both = np.subtract(fn, tn, out=dp[0]), np.add(fn, tn, out=dp[1])
+    moments = dp.swapaxes(-1, -2) @ dp  # D^T D and P^T P
+    loss = np.add.reduce((moments[0] * moments[1]).reshape(*f.shape[:-2], -1), axis=-1) / (b * b)
+    # P D^T D and D P^T P, summed
+    terms = np.matmul(dp[::-1], moments, out=rows)
+    d_fn = np.add(terms[0], terms[1], out=terms[0])
+    d_fn *= 2.0 / (b * b)
     # through row normalization; degenerate rows use the constant-zero convention
-    proj = np.add.reduce(d_fn * fn, axis=-1, keepdims=True)
-    d_f = (d_fn - proj * fn) / f_safe[..., None]
-    d_f[f_deg] = 0.0
+    scratch = terms[1]
+    proj = np.add.reduce(np.multiply(d_fn, fn, out=scratch), axis=-1, keepdims=True)
+    d_f = np.subtract(d_fn, np.multiply(proj, fn, out=scratch), out=diff)
+    d_f /= f_safe[..., None]
+    if np.count_nonzero(f_deg):
+        d_f[f_deg] = 0.0
     return loss, d_f
 
 
 def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray,
                q: float, alpha: float, beta: float, *,
                drop_label: bool = False, drop_disc: bool = False,
-               drop_mse: bool = False):
+               drop_mse: bool = False, ws=None):
     """Weighted sum J_label + alpha * J_disc + beta * J_mse over one batch.
 
     t holds the recast targets y L. The drop flags are the ablation
@@ -119,19 +149,28 @@ def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray,
     where parts maps each term name to its unweighted value (0.0 when
     dropped).
     """
-    d_f = np.zeros_like(f)
+    ws = _own(ws, f)
     parts = {"label": 0.0, "disc": 0.0, "mse": 0.0}
     value = 0.0
+    grads = []  # each term's weighted gradient
     if not drop_label:
-        parts["label"], g, _ = label_loss(f, y, w, q)
+        parts["label"], g, _ = label_loss(f, y, w, q, ws)
         value += parts["label"]
-        d_f += g
+        grads.append(g)
     if not drop_disc:
-        parts["disc"], g = disc_loss(f, t)
+        parts["disc"], g = disc_loss(f, t, ws)
         value += alpha * parts["disc"]
-        d_f += alpha * g
+        grads.append(np.multiply(g, alpha, out=g))
     if not drop_mse:
-        parts["mse"], g = mse_loss(f, t)
+        parts["mse"], g = mse_loss(f, t, ws)
         value += beta * parts["mse"]
-        d_f += beta * g
+        grads.append(np.multiply(g, beta, out=g))
+    # the sum runs from +0.0: adding 0.0 turns a -0.0 of the first term into +0.0
+    d_f = ws.get("total_d_f", *f.shape[-2:])
+    if grads:
+        np.add(grads[0], 0.0, out=d_f)
+    else:
+        d_f.fill(0.0)
+    for g in grads[1:]:
+        d_f += g
     return value, d_f, parts

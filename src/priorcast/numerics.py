@@ -6,6 +6,8 @@ identical output. Generators must not be shared across threads; derive
 per-task seeds with split_seed instead.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NumericError
@@ -38,30 +40,63 @@ def split_seed(seed: int, *keys) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def unit_rows(x: np.ndarray):
+def unit_rows(x: np.ndarray, out=(None, None, None)):
     """Scale each row (last axis) of x to unit Euclidean norm.
 
     Returns (unit, safe, degenerate), the last two shaped x.shape[:-1], so a
     (K, B, d) stack gives the same bits as each of its (B, d) slices. A row
     whose norm is <= NORM_EPS is degenerate: its unit row is zero and its
     safe norm is 1. Other rows have safe equal to their norm, so
-    unit == x / safe[..., None] on every row that is not degenerate.
+    unit == x / safe[..., None] on every row that is not degenerate. out
+    holds arrays for the three results, as for a numpy ufunc.
     """
+    unit, safe, degenerate = out
     # np.linalg.norm(x, axis=-1) computes exactly this, with more overhead
-    norms = np.sqrt(np.add.reduce(x * x, axis=-1))
-    degenerate = norms <= NORM_EPS
-    safe = np.where(degenerate, 1.0, norms)
-    unit = x / safe[..., None]
-    unit[degenerate] = 0.0
+    unit = np.multiply(x, x, out=unit)
+    safe = np.sqrt(np.add.reduce(unit, axis=-1, out=safe), out=safe)
+    degenerate = np.less_equal(safe, NORM_EPS, out=degenerate)
+    fix = np.count_nonzero(degenerate)
+    if fix:
+        safe[degenerate] = 1.0
+    np.divide(x, safe[..., None], out=unit)
+    if fix:
+        unit[degenerate] = 0.0
     return unit, safe, degenerate
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray, out=None) -> np.ndarray:
     """Softmax over the last axis, computed with max-subtraction."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
+
+
+class Workspace:
+    """Scratch arrays for batches of up to `rows` rows, reused step after step.
+
+    get(name, b, *tail) views buffer `name` as (*lead, b, *tail): the front
+    of one flat array, allocated for `rows` rows when the name is first
+    asked for, so every batch size shares its memory and each step
+    overwrites what the last one wrote there. A view starts where a fresh
+    array would, so numpy and BLAS see the layout of a fresh result. A name
+    belongs to the one function that asks for it, and its views hold
+    garbage until that function writes them; what another function needs
+    is passed on as an argument or a return value, never by name.
+    """
+
+    def __init__(self, lead, rows: int):
+        self.lead, self.rows = tuple(lead), rows
+        self._flat, self._views = {}, {}
+
+    def get(self, name, b: int, *tail: int, dtype=np.float64, lead=None) -> np.ndarray:
+        view = self._views.get((name, b))
+        if view is None:
+            shape = (*(self.lead if lead is None else lead), b, *tail)
+            per_row = math.prod(shape) // b
+            if name not in self._flat:
+                self._flat[name] = np.empty(per_row * self.rows, dtype)
+            view = self._views[name, b] = self._flat[name][:per_row * b].reshape(shape)
+        return view
 
 
 def pseudo_inverse(w: np.ndarray) -> np.ndarray:

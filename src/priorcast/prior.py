@@ -62,17 +62,19 @@ def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
     """
     stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
                           for mod, rng in zip(mods, rngs)],
+                         min(cfg.batch_size + 1, mods[0].num_samples),
                          extra=np.stack([w0] * len(mods)))
     w, grad_w = stack.extra, stack.extra_grad
     for epoch in range(cfg.spl_epochs):
         q = q_at(cfg.q_start, cfg.spl_epochs, epoch)
         loss_sum = 0.0
-        for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, w0.shape[1]):
-            f, cache = forward(stack.params, x_b)
-            loss, d_f, d_logits = label_loss(f, y_b, w, q)
+        for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, w0.shape[1],
+                                         stack.workspace):
+            f, cache = forward(stack, x_b)
+            loss, d_f, d_logits = label_loss(f, y_b, w, q, stack.workspace)
             loss_sum += loss
             np.matmul(f.swapaxes(-1, -2), d_logits, out=grad_w)
-            backward(stack.params, cache, d_f, stack.grads)
+            backward(stack, cache, d_f)
             stack.step(cfg.lr)
         stack.check_finite(loss_sum, f"stage one, epoch {epoch}")
     return list(zip(w, stack.members))
@@ -80,9 +82,10 @@ def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
 
 def _candidate_score(mod: ModalityData, w: np.ndarray, params) -> float:
     """quality_score of a trained candidate on the modality's full split."""
-    # drop the forward cache first, so quality_score's temporaries can
-    # reuse its memory: on a large split this is the peak of the stage
-    f_all = forward(EncoderStack([params]).params, [mod.features])[0][0]
+    # a one-shot stack sized to the split; only the embeddings outlive this
+    # line, so quality_score's temporaries can reuse the rest of its memory:
+    # on a large split this is the peak of the stage
+    f_all = forward(EncoderStack([params], mod.num_samples), [mod.features])[0][0]
     return quality_score(f_all, mod.one_hot(w.shape[1]), w)
 
 

@@ -20,11 +20,11 @@ from .config import RunConfig
 from .data import MultimodalDataset, lockstep_batches, lockstep_map
 from .encoder import EncoderParams, EncoderStack, backward, forward, init_params
 from .losses import q_at, total_loss
-from .numerics import make_rng, split_seed
+from .numerics import Workspace, make_rng, split_seed
 from .prior import PriorMatrix
 
 
-def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng):
+def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng, ws=None):
     """Mix each row with a random partner row: lam*x_i + (1-lam)*x_pi(i).
 
     f and y are (K, B, .) stacks and rng is a sequence of K generators:
@@ -32,19 +32,37 @@ def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng):
     (f_mix, y_mix, perm), where perm indexes the rows of f flattened to
     (K * B, .). The same permutation and factor apply to features and
     labels, so mixed label rows stay nonnegative and sum to 1. lam=1 is the
-    exact identity. The caller guarantees B >= 2 (minibatch_iter on a split
-    of at least two samples) and 0 < lam <= 1 (RunConfig.validate).
+    exact identity. The results go into the Workspace ws; a call without
+    one gets one of its own. The caller guarantees B >= 2 (minibatch_iter
+    on a split of at least two samples) and 0 < lam <= 1
+    (RunConfig.validate).
     """
     b = f.shape[-2]
-    perm = np.stack([g.permutation(b) for g in rng]) + b * np.arange(len(rng))[:, None]
-    f_mix = lam * f + (1.0 - lam) * f.reshape(-1, f.shape[-1])[perm]
-    y_mix = lam * y + (1.0 - lam) * y.reshape(-1, y.shape[-1])[perm]
-    return f_mix, y_mix, perm
+    if ws is None:
+        ws = Workspace(f.shape[:-2], b)
+    # shuffling row k of the index grid draws what g.permutation(b) + k * b
+    # draws, from the same stream
+    perm = ws.get("mix_perm", b, dtype=np.intp)
+    np.copyto(perm, np.arange(perm.size).reshape(perm.shape))
+    for row, g in zip(perm, rng):
+        g.shuffle(row)
+    return _mix(f, perm, lam, ws, "f"), _mix(y, perm, lam, ws, "y"), perm
 
 
-def recast_invariant(y_mix: np.ndarray, prior: PriorMatrix) -> np.ndarray:
+def _mix(a, perm, lam, ws, name):
+    """lam * a + (1 - lam) * a's rows at perm, in ws's `name`_mix buffer."""
+    b, width = a.shape[-2:]
+    partner = a.reshape(-1, width).take(perm, axis=0, mode="clip",
+                                        out=ws.get(name + "_partner", b, width))
+    partner *= 1.0 - lam
+    out = np.multiply(a, lam, out=ws.get(name + "_mix", b, width))
+    out += partner
+    return out
+
+
+def recast_invariant(y_mix: np.ndarray, prior: PriorMatrix, out=None) -> np.ndarray:
     """Soft labels recast into the embedding space: T = Y L. Not normalized."""
-    return y_mix @ prior.l
+    return np.matmul(y_mix, prior.l, out=out)
 
 
 def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
@@ -61,56 +79,63 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
         # the transpose ablation swaps the recaster, not the classifier matrix
         prior = dataclasses.replace(prior, l=prior.w.T.copy())
     stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
-                          for mod, rng in zip(mods, rngs)])
+                          for mod, rng in zip(mods, rngs)],
+                         min(cfg.batch_size + 1, mods[0].num_samples))
+    ws = stack.workspace
     mix_embeddings = not (cfg.fa_off or cfg.fa_input_space)
     epochs: List[List[dict]] = [[] for _ in mods]
+    step_sums = np.empty((5, len(mods)))  # label, disc, mse and total (each * b), gap
     for epoch in range(cfg.rsc_epochs):
         t0 = time.perf_counter()
         q = cfg.fixed_q if cfg.fixed_q is not None else q_at(cfg.q_start, cfg.rsc_epochs, epoch)
-        sums = {key: np.zeros(len(mods)) for key in ("label", "disc", "mse", "total", "gap")}
+        sums = np.zeros((5, len(mods)))
         n_seen = 0
-        for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, prior.num_classes):
+        for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, prior.num_classes, ws):
+            b = y_b.shape[1]
             if cfg.fa_input_space:
                 # input widths differ within a stack: mix each modality as a stack of one
                 x_mix, y_mix, _ = zip(*(feature_augment(x[None], y[None], cfg.mix_lambda, [rng])
                                         for x, y, rng in zip(x_b, y_b, rngs)))
                 x_b, y_b = [x[0] for x in x_mix], np.concatenate(y_mix)
-            f_t, cache = forward(stack.params, x_b)
+            f_t, cache = forward(stack, x_b)
             y_t = y_b
             if mix_embeddings:
-                f_t, y_t, perm = feature_augment(f_t, y_b, cfg.mix_lambda, rngs)
+                f_t, y_t, perm = feature_augment(f_t, y_b, cfg.mix_lambda, rngs, ws)
+            t = recast_invariant(y_t, prior, out=ws.get("recast", b, cfg.embed_dim))
             value, d_ft, parts = total_loss(
-                f_t, y_t, prior.w, recast_invariant(y_t, prior), q,
-                cfg.alpha, cfg.beta, drop_label=cfg.drop_label,
-                drop_disc=cfg.drop_disc, drop_mse=cfg.drop_mse)
+                f_t, y_t, prior.w, t, q, cfg.alpha, cfg.beta, drop_label=cfg.drop_label,
+                drop_disc=cfg.drop_disc, drop_mse=cfg.drop_mse, ws=ws)
             if mix_embeddings:
                 # route the mixed-embedding gradient back to both branches;
                 # perm is a permutation, so each row receives one addition
-                d_f = cfg.mix_lambda * d_ft
-                d_f.reshape(-1, d_f.shape[-1])[perm] += (1.0 - cfg.mix_lambda) * d_ft
+                d_f = np.multiply(d_ft, cfg.mix_lambda, out=ws.get("routed", b, cfg.embed_dim))
+                d_ft *= 1.0 - cfg.mix_lambda
+                d_f.reshape(-1, cfg.embed_dim)[perm] += d_ft
             else:
                 d_f = d_ft
-            backward(stack.params, cache, d_f, stack.grads)
+            backward(stack, cache, d_f)
             stack.step(cfg.lr)
-            b = f_t.shape[1]
             n_seen += b
-            for key in ("label", "disc", "mse"):
-                sums[key] += parts[key] * b
-            sums["total"] += value * b
+            step_sums[0], step_sums[1], step_sums[2], step_sums[3] = (
+                parts["label"], parts["disc"], parts["mse"], value)
+            step_sums[:4] *= b
             # np.linalg.norm of each (B, C) slice of f W - Y, which is this BLAS dot
-            gap = (f_t @ prior.w - y_t).reshape(len(mods), -1)
-            sums["gap"] += [math.sqrt(r.dot(r)) for r in gap]
-        stack.check_finite(list(sums.values()), f"stage two, epoch {epoch}")
+            gap = np.matmul(f_t, prior.w, out=ws.get("gap", b, prior.num_classes))
+            gap -= y_t
+            step_sums[4] = [math.sqrt(r.dot(r)) for r in gap.reshape(len(mods), -1)]
+            sums += step_sums
+        stack.check_finite(sums, f"stage two, epoch {epoch}")
         wall_seconds = time.perf_counter() - t0
         for k, records in enumerate(epochs):
+            label, disc, mse, total, gap = sums[:, k] / n_seen
             records.append({
                 "epoch": epoch,
                 "q": q,
-                "label": float(sums["label"][k] / n_seen),
-                "disc": float(sums["disc"][k] / n_seen),
-                "mse": float(sums["mse"][k] / n_seen),
-                "total": float(sums["total"][k] / n_seen),
-                "recast_gap": float(sums["gap"][k] / n_seen),
+                "label": float(label),
+                "disc": float(disc),
+                "mse": float(mse),
+                "total": float(total),
+                "recast_gap": float(gap),
                 "wall_seconds": wall_seconds,
             })
     return list(zip(stack.members, epochs))

@@ -1,0 +1,111 @@
+"""Microseconds per lockstep SGD step of each training stage.
+
+    PYTHONPATH=src python tests/step_cost.py [REV] [--rounds N]
+
+Trains stage one (train_prior_stack) and stage two (train_rsc_stack) with
+the default config on a synthetic split of 480 rows per modality (the
+training split of the train_b32 and train_b256 benchmark workloads), at
+K = 1 and K = 3 modalities in one stack and batch sizes 32 and 256, a few
+epochs per round, and prints each stage's process (CPU) time per step, the
+median over the rounds. A step serves all K modalities at once.
+
+With a git revision REV it also exports REV's src/priorcast (git archive)
+and times both in this one process, alternating round by round so that a
+busy host slows both alike, and prints the median of the per-round ratios
+of this checkout's time to REV's. Pin it to one CPU (taskset -c 0). Like
+`priorcast pipeline`, it first sets glibc's heap with
+cli._keep_freed_heap, so that freed arrays are reused the same way. It
+reads only train_prior_stack's and train_rsc_stack's signatures, so REV
+may be any revision with them. It needs git for REV, and no network.
+
+The file name keeps pytest from collecting it.
+"""
+
+import argparse
+import importlib
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+from priorcast.cli import _keep_freed_heap
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROWS = 480
+NUM_CLASSES = 10
+WIDTHS = (20, 24, 28)
+EPOCHS = 4
+CASES = [(batch, k, stage) for batch in (32, 256) for k in (1, 3) for stage in (1, 2)]
+
+
+def export(rev, dest):
+    """REV's src/priorcast as the package priorcast_base under dest."""
+    tar_path = os.path.join(dest, "src.tar")
+    subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", "-o", tar_path, rev,
+                    "src/priorcast"], check=True)
+    with tarfile.open(tar_path) as tar:
+        tar.extractall(dest)
+    os.rename(os.path.join(dest, "src", "priorcast"), os.path.join(dest, "priorcast_base"))
+    sys.path.insert(0, dest)
+    return "priorcast_base"
+
+
+def stage_runner(package, batch, k, stage):
+    """A function that trains one stage from fresh generators, and its step count."""
+    config, data, numerics, prior, training = (
+        importlib.import_module(f"{package}.{name}")
+        for name in ("config", "data", "numerics", "prior", "training"))
+    rng = numerics.make_rng(0)
+    mods = [data.ModalityData(f"mod{i}", rng.standard_normal((ROWS, WIDTHS[i])),
+                              rng.integers(0, NUM_CLASSES, ROWS)) for i in range(k)]
+    cfg = config.RunConfig(batch_size=batch, spl_epochs=EPOCHS, rsc_epochs=EPOCHS)
+    w0 = numerics.random_orthogonal(cfg.embed_dim, NUM_CLASSES, numerics.make_rng(1))
+    selected = prior.PriorMatrix(w=w0, l=numerics.pseudo_inverse(w0))
+
+    def run():
+        rngs = [numerics.make_rng(10 + i) for i in range(k)]
+        if stage == 1:
+            prior.train_prior_stack(mods, w0, cfg, rngs)
+        else:
+            training.train_rsc_stack(mods, selected, cfg, rngs)
+
+    return run, EPOCHS * len(data.minibatch_iter(mods[0], batch, numerics.make_rng(2)))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("rev", nargs="?", help="git revision to compare against")
+    parser.add_argument("--rounds", type=int, default=15)
+    args = parser.parse_args()
+    _keep_freed_heap()
+    with tempfile.TemporaryDirectory(prefix="step-cost-") as tmp:
+        packages = ([export(args.rev, tmp)] if args.rev else []) + ["priorcast"]
+        runners = {(p, case): stage_runner(p, *case) for p in packages for case in CASES}
+        times = {key: [] for key in runners}
+        for r in range(args.rounds + 1):  # round 0 warms up and is not counted
+            for p in packages if r % 2 else packages[::-1]:
+                for case in CASES:
+                    run, steps = runners[p, case]
+                    start = time.process_time()
+                    run()
+                    if r:
+                        times[p, case].append(1e6 * (time.process_time() - start) / steps)
+    print(f"us per step, median of {args.rounds} rounds"
+          + (f"; {args.rev} -> this checkout" if args.rev else ""))
+    for batch, k, stage in CASES:
+        own = times["priorcast", (batch, k, stage)]
+        line = f"B={batch:3d} K={k} stage {'one' if stage == 1 else 'two'}: "
+        if args.rev:
+            base = times[packages[0], (batch, k, stage)]
+            ratio = statistics.median(o / b for o, b in zip(own, base))
+            line += f"{statistics.median(base):7.1f} -> {statistics.median(own):7.1f} (x{ratio:.3f})"
+        else:
+            line += f"{statistics.median(own):7.1f}"
+        print(line)
+
+
+if __name__ == "__main__":
+    main()

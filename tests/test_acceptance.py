@@ -100,14 +100,14 @@ def test_c2_gradient_oracle():
                 lambda: total_loss(f, soft, w, soft @ l, q, 0.1, 0.1)[0], f)))
 
         # one encoder, as a stack of one; params views its parameters
-        stack = EncoderStack([init_params(4, 6, 3, rng)])
+        stack = EncoderStack([init_params(4, 6, 3, rng)], 4)
         params = stack.members[0]
         # finite differences need a generic point: keep every ReLU
         # preactivation off its kink and every output row away from the
         # normalization discontinuity at the zero vector
         while True:
             x = rng.standard_normal((4, 4))
-            _, cache = forward(stack.params, [x])
+            _, cache = forward(stack, [x])
             z1 = x @ params.w1 + params.b1
             z2 = np.maximum(z1, 0.0) @ params.w2 + params.b2
             if (np.abs(z1).min() > 1e-4
@@ -116,11 +116,11 @@ def test_c2_gradient_oracle():
                     and cache.safe.min() > 1e-2):
                 break
         r = rng.standard_normal((4, 3))
-        backward(stack.params, cache, r[None], stack.grads)
+        backward(stack, cache, r[None])
         grads = stack_slice(stack.grads, 0)
 
         def enc_loss():
-            return float(np.sum(forward(stack.params, [x])[0] * r))
+            return float(np.sum(forward(stack, [x])[0] * r))
 
         enc_worst = 0.0
         for name in ("w1", "b1", "w2", "b2", "w3", "b3"):

@@ -27,13 +27,13 @@ def _toy(seed=0, d_in=5, hidden=7, d_out=4):
 
 def _embed(params, x):
     """forward on one encoder and batch, as a stack of one: (F, cache) of slice 0."""
-    f, cache = forward(EncoderStack([params]).params, [x])
+    f, cache = forward(EncoderStack([params], len(x)), [x])
     return f[0], cache
 
 
 def test_forward_shapes_and_norms():
     params, x, _ = _toy()
-    f, cache = forward(EncoderStack([params]).params, [x])
+    f, cache = forward(EncoderStack([params], len(x)), [x])
     assert f.shape == (1, 6, 4)
     assert np.allclose(np.linalg.norm(f, axis=-1), 1.0, atol=1e-12)
 
@@ -100,13 +100,13 @@ def test_backward_matches_finite_differences():
         # a step off the degenerate row's z3 ~ 1e-14 normalizes it, a jump that
         # finite differences cannot follow: that row enters the loss with weight 0
         r[degenerate, 0] = 0.0
-        stack = EncoderStack(members)
-        _, cache = forward(stack.params, xs)
+        stack = EncoderStack(members, len(xs[0]))
+        _, cache = forward(stack, xs)
         assert cache.degenerate[degenerate, 0]
-        backward(stack.params, cache, r, stack.grads)
+        backward(stack, cache, r)
 
         def loss():
-            return float(np.sum(forward(stack.params, xs)[0] * r))
+            return float(np.sum(forward(stack, xs)[0] * r))
 
         for k, view in enumerate(stack.members):
             grads = stack_slice(stack.grads, k)
@@ -120,9 +120,9 @@ def test_backward_is_the_identity_on_a_degenerate_row(widths, degenerate):
     members, xs, _ = _stack_toy(6, widths=widths, degenerate=degenerate)
     r = np.zeros((len(widths), 6, 4))
     r[degenerate, 0] = [1.0, -2.0, 0.5, 3.0]
-    stack = EncoderStack(members)
-    _, cache = forward(stack.params, xs)
-    backward(stack.params, cache, r, stack.grads)
+    stack = EncoderStack(members, len(xs[0]))
+    _, cache = forward(stack, xs)
+    backward(stack, cache, r)
     assert np.array_equal(stack.grads.b3[degenerate, 0], r[degenerate, 0])
     assert not stack.grads.w3.any() and not stack.grads.w2.any()
 
@@ -141,9 +141,9 @@ def test_sgd_step():
 def test_stacked_forward_backward_match_each_slice(b):
     # against the frozen one-encoder forward and backward
     members, xs, d_f = _stack_toy(b)
-    stack = EncoderStack(members)
-    f, cache = forward(stack.params, xs)
-    backward(stack.params, cache, d_f, stack.grads)
+    stack = EncoderStack(members, len(xs[0]))
+    f, cache = forward(stack, xs)
+    backward(stack, cache, d_f)
     assert cache.degenerate[1].tolist() == [True] + [False] * (b - 1)
     for k, (params, x) in enumerate(zip(members, xs)):
         f_k, cache_k = ref.forward(params, x)
@@ -157,13 +157,13 @@ def test_stacked_forward_backward_match_each_slice(b):
 
 def test_stack_step_matches_sgd_step_in_place():
     members, xs, d_f = _stack_toy(6, seed=2)
-    stack = EncoderStack(members)
+    stack = EncoderStack(members, len(xs[0]))
     views = stack.members
     for view, params in zip(views, members):
         for tv, tp in zip(view.tensors(), params.tensors()):
             assert np.array_equal(tv, tp)
-    _, cache = forward(stack.params, xs)
-    backward(stack.params, cache, d_f, stack.grads)
+    _, cache = forward(stack, xs)
+    backward(stack, cache, d_f)
     stack.step(0.5)
     for k, (view, params, x) in enumerate(zip(views, members, xs)):
         want = ref.sgd_step(params, ref.backward(params, ref.forward(params, x)[1], d_f[k]), 0.5)

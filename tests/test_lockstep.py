@@ -37,6 +37,16 @@ def _assert_params_equal(a, b):
         assert np.array_equal(ta, tb)
 
 
+def _short_tail_dataset():
+    """Three modalities of 30 training rows each, one stack: batch 8 gives
+    8, 8, 8 and a short tail batch of 6."""
+    ds = _dataset()
+    ds.splits["train"] = [ModalityData(m.name, m.features[:30], m.labels[:30])
+                          for m in ds.splits["train"]]
+    ds.validate()
+    return ds
+
+
 @pytest.mark.parametrize("preset", [None] + sorted(ABLATION_PRESETS))
 def test_stages_match_per_modality_reference(preset):
     ds = _dataset()
@@ -111,3 +121,22 @@ def test_encoder_params_built_per_modality_not_per_step(monkeypatch):
     # stacked params and grads of each of the two stacks; stage one then
     # scores each candidate through a stack of one (params, grads, view)
     assert counts == [2 * (2 * 3 + 2 * 2) + 3 * 3] * 2
+
+
+@pytest.mark.parametrize("preset", [None, "no-mixup", "input-mixup"])
+def test_short_tail_batch_matches_reference(preset):
+    # the tail batch views only part of each workspace buffer
+    ds = _short_tail_dataset()
+    cfg = _cfg() if preset is None else apply_ablation(_cfg(), preset)
+    prior, report = run_spl(ds, cfg, seed=5)
+    ref_prior, ref_scores, _ = ref.run_spl(ds, cfg, seed=5)
+    assert np.array_equal(prior.w, ref_prior.w)
+    assert report.scores == ref_scores
+    encoders, rsc_report = train_rsc_all(ds, prior, cfg, seed=6)
+    ref_encoders, ref_epochs = ref.train_rsc_all(ds, ref_prior, cfg, seed=6)
+    for name in encoders:
+        _assert_params_equal(encoders[name], ref_encoders[name])
+    for entry in rsc_report["modalities"]:
+        got = [{k: v for k, v in rec.items() if k != "wall_seconds"}
+               for rec in entry["epochs"]]
+        assert got == ref_epochs[entry["name"]]

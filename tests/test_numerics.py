@@ -4,6 +4,7 @@ import pytest
 from conftest import cosine
 from priorcast.errors import NumericError
 from priorcast.numerics import (
+    Workspace,
     make_rng,
     pseudo_inverse,
     random_orthogonal,
@@ -119,3 +120,19 @@ def test_unit_rows_degenerate_row_convention():
     assert np.array_equal(unit, [[0.6, 0.8], [0.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(safe, [5.0, 1.0, 1.0])
     assert degenerate.tolist() == [False, True, True]
+
+
+def test_workspace_batches_of_every_size_share_one_buffer():
+    ws = Workspace((3,), 33)
+    full = ws.get("a", 33, 16)
+    assert full.shape == (3, 33, 16) and full.flags.c_contiguous
+    for b in (32, 6, 2):  # a full batch and short tails
+        view = ws.get("a", b, 16)
+        assert view.shape == (3, b, 16) and view.flags.c_contiguous
+        assert view.ctypes.data == full.ctypes.data
+        assert ws.get("a", b, 16) is view
+    flags = ws.get("flags", 8, dtype=bool, lead=(2, 3))
+    assert flags.shape == (2, 3, 8) and flags.dtype == bool
+    assert not np.shares_memory(flags, full)
+    with pytest.raises(ValueError):
+        ws.get("a", 34, 16)  # more rows than the workspace was sized for

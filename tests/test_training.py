@@ -233,3 +233,37 @@ def test_mixing_off_and_input_space_variants_run():
     for name, encoders in results.items():
         assert not np.array_equal(encoders["mod0"].w1, default["mod0"].w1)
 
+
+def test_stage_two_steps_allocate_no_batch_arrays(monkeypatch):
+    # every batch-sized array of a step lives in the stack's workspace: after
+    # a warm-up epoch has made its buffers, a whole epoch of K = 3, B = 256
+    # steps (a batch of 256 and a short tail of 224) peaks below one
+    # (K, B, hidden_dim) float64 activation
+    import tracemalloc
+
+    from priorcast import training
+
+    rng = make_rng(3)
+    mods = [ModalityData(f"mod{i}", rng.standard_normal((480, width)),
+                         rng.integers(0, 10, 480)) for i, width in enumerate((20, 24, 28))]
+    cfg = RunConfig(batch_size=256, rsc_epochs=2)
+    original = training.lockstep_batches
+    peaks = []
+
+    def second_epoch_traced(*args):
+        traced = len(peaks) == 1
+        if traced:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        yield from original(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start if traced else None)
+
+    monkeypatch.setattr(training, "lockstep_batches", second_epoch_traced)
+    tracemalloc.start()
+    try:
+        train_rsc_stack(mods, _prior(cfg.embed_dim, 10), cfg,
+                        [make_rng(split_seed(4, i)) for i in range(3)])
+    finally:
+        tracemalloc.stop()
+    one_activation = 3 * 256 * cfg.hidden_dim * 8
+    assert len(peaks) == 2 and peaks[1] < one_activation
