@@ -148,6 +148,8 @@ class SynthConfig:
             raise ConfigError("noise: need one standard deviation per modality")
         if not all(0 <= s < np.inf for s in self.noise):
             raise ConfigError("noise: standard deviations must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
 
 
 @contextlib.contextmanager
@@ -479,6 +481,12 @@ def minibatch_iter(modality: ModalityData, batch_size: int, rng: np.random.Gener
         tail = batches.pop()
         batches[-1] = np.concatenate([batches[-1], tail])
     return batches
+
+
+def max_batch_rows(modality: ModalityData, batch_size: int) -> int:
+    """An upper bound on the rows of any batch minibatch_iter yields: a
+    merged one-row tail can make one batch_size + 1 rows."""
+    return min(batch_size + 1, modality.num_samples)
 
 
 def lockstep_map(modalities, rngs, train):

@@ -6,12 +6,12 @@ forward and backward run the K encoders of an EncoderStack at once, on
 runs as a stack of one.
 
 The backward pass includes the Jacobian of the row normalization
-(d/dz of z/||z|| = (I - zz^T/||z||^2) / ||z||) and defines the ReLU
-subgradient at exactly 0 as 0. The forward cache keeps only what backward
-reads: the input, the two hidden activations and the normalization's unit
-rows, norms and degenerate flags. Each ReLU is applied in place, and
-backward takes its mask from a > 0, which holds exactly where z > 0 (a NaN
-pre-activation stays NaN and fails both).
+(numerics.unit_rows_grad) and defines the ReLU subgradient at exactly 0 as
+0. The forward cache keeps only what backward reads: the input, the two
+hidden activations and the normalization's unit rows, norms and degenerate
+flags. Each ReLU is applied in place, and backward takes its mask from
+a > 0, which holds exactly where z > 0 (a NaN pre-activation stays NaN and
+fails both).
 """
 
 import math
@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import read_tensor_file, write_tensor_file
 from .errors import FormatError, NumericError
-from .numerics import Workspace, unit_rows
+from .numerics import Workspace, unit_rows, unit_rows_grad
 
 _TENSOR_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -118,6 +118,12 @@ def forward(stack: "EncoderStack", x):
     return f, ForwardCache(x, a1, a2, unit, safe, degenerate)
 
 
+def embed(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """Embeddings of the rows of x under one encoder: forward on a one-shot
+    stack sized to x."""
+    return forward(EncoderStack([params], x.shape[0]), [x])[0][0]
+
+
 def backward(stack: "EncoderStack", cache: ForwardCache, d_f: np.ndarray) -> None:
     """Exact gradients of a scalar loss wrt all parameters, given dJ/dF.
 
@@ -128,12 +134,8 @@ def backward(stack: "EncoderStack", cache: ForwardCache, d_f: np.ndarray) -> Non
     params, grads, ws = stack.params, stack.grads, stack.workspace
     unit, safe, a1, a2 = cache.unit, cache.safe, cache.a1, cache.a2
     b, out_dim = d_f.shape[-2:]
-    # (I - u u^T)/||z|| applied row-wise; identity on degenerate rows
-    d_z3 = np.multiply(d_f, unit, out=ws.get("d_z3", b, out_dim))
-    proj = np.add.reduce(d_z3, axis=-1, keepdims=True)
-    np.multiply(proj, unit, out=d_z3)
-    np.subtract(d_f, d_z3, out=d_z3)
-    d_z3 /= safe[..., None]
+    # through row normalization; identity on degenerate rows
+    d_z3 = unit_rows_grad(d_f, unit, safe, ws.get("d_z3", b, out_dim))
     if np.count_nonzero(cache.degenerate):
         np.copyto(d_z3, d_f, where=cache.degenerate[..., None])
 

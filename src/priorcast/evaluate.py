@@ -9,7 +9,7 @@ item holds it. So each block of query rows is ordered by one value sort of
 the negated cosines with each item's relevance in the lowest mantissa bit
 (_ranked_relevance); only rows whose sorted values come within a few units
 in the last place of each other (ties, +0.0 beside -0.0, near-equal
-cosines) take the exact argsort path (_ranking).
+cosines) take the exact path, a stable argsort (_ranking).
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from typing import Dict
 import numpy as np
 
 from .data import MultimodalDataset, atomic_open
-from .encoder import EncoderParams, EncoderStack, forward
+from .encoder import EncoderParams, embed
 from .numerics import unit_rows
 
 
@@ -42,28 +42,12 @@ _BLOCK_BYTES = 1 << 18
 
 
 def _ranking(neg: np.ndarray) -> np.ndarray:
-    """Per-row argsort of neg with ties broken by ascending column index, the
-    order a stable argsort gives, for finite values.
+    """Per-row stable argsort of neg: ties broken by ascending column index.
 
     This is the exact path of _ranked_relevance: it sees only the rows whose
-    value sort came within _NEAR units of a tie. One default (SIMD,
-    unstable) argsort orders them; it differs from the stable order only
-    within runs of equal values. Rows that have such a run get one integer
-    sort of (run number, index) keys, which puts each run's indices in
-    ascending order.
+    value sort came within _NEAR units of a tie.
     """
-    rows, n = neg.shape
-    order = np.argsort(neg, axis=1)
-    ranked = neg.take(order + np.arange(0, rows * n, n)[:, None])
-    steps = ranked[:, 1:] != ranked[:, :-1]
-    tied = ~steps.all(axis=1)
-    if tied.any():
-        run = np.zeros((np.count_nonzero(tied), n), dtype=np.intp)
-        np.cumsum(steps[tied], axis=1, out=run[:, 1:])
-        keys = run * n + order[tied]
-        keys.sort(axis=1)
-        order[tied] = keys % n
-    return order
+    return np.argsort(neg, axis=1, kind="stable")
 
 
 # Maps a float64 bit pattern b to an int64 that orders as the float does
@@ -124,8 +108,9 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
     Queries are ranked in blocks of rows with the bits of one stable argsort
     and one AP per query. Each block gets one value sort that carries each
     item's relevance in the lowest bit, and only rows with near-tied
-    similarities take the exact argsort path (see _ranked_relevance). Both
-    paths compare similarities, so they must be finite: load_manifest and
+    similarities take the stable argsort (see _ranked_relevance). A block's
+    PR rows join the sums in one axis-0 reduction. Both paths compare
+    similarities, so they must be finite: load_manifest and
     read_tensor_file refuse non-finite features and tensors, and their
     float32 range keeps the float64 forward pass finite.
     """
@@ -149,13 +134,14 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
         hits = cum[:, depth - 1]
         ap_sum = np.add.reduce(precision[:, :depth] * rel[:, :depth], axis=1)
         np.divide(ap_sum, hits, out=aps[rows], where=hits > 0)
-        found = np.flatnonzero(cum[:, -1])
+        found = cum[:, -1] > 0
+        # an axis-0 reduce adds the running sum and then each row in query
+        # order, so the sums round as a per-query loop's
         recall = cum[found] / cum[found, -1:]
-        # row by row, in query order, so the sums round as a per-query loop's
-        for r, i in enumerate(found):
-            recall_sum += recall[r]
-            precision_sum += precision[i]
-        count += len(found)
+        recall_sum = np.add.reduce(np.concatenate((recall_sum[None], recall)), axis=0)
+        precision_sum = np.add.reduce(np.concatenate((precision_sum[None], precision[found])),
+                                      axis=0)
+        count += len(recall)
     result = RetrievalResult(aps=aps, n_rank=depth, map=float(np.mean(aps)))
     return result, PrCurve(rank=np.arange(1, n_g + 1),
                            recall=recall_sum / count,
@@ -165,11 +151,8 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
 def embed_split(encoders: Dict[str, EncoderParams], dataset: MultimodalDataset,
                 split: str = "test"):
     """Per-modality (unit-row embeddings, labels) for one split, in modality order."""
-    out = {}
-    for mod in dataset.splits[split]:
-        stack = EncoderStack([encoders[mod.name]], mod.num_samples)
-        out[mod.name] = (forward(stack, [mod.features])[0][0], mod.labels)
-    return out
+    return {mod.name: (embed(encoders[mod.name], mod.features), mod.labels)
+            for mod in dataset.splits[split]}
 
 
 def table_from_embeddings(embedded: dict, n_rank="all"):

@@ -27,7 +27,7 @@ nonnegative soft labels.
 
 import numpy as np
 
-from .numerics import Workspace, softmax, unit_rows
+from .numerics import Workspace, softmax, unit_rows, unit_rows_grad
 
 
 def q_at(q_start: float, epochs: int, epoch: int) -> float:
@@ -129,10 +129,7 @@ def disc_loss(f: np.ndarray, t: np.ndarray, ws=None):
     d_fn = np.add(terms[0], terms[1], out=terms[0])
     d_fn *= 2.0 / (b * b)
     # through row normalization; degenerate rows use the constant-zero convention
-    scratch = terms[1]
-    proj = np.add.reduce(np.multiply(d_fn, fn, out=scratch), axis=-1, keepdims=True)
-    d_f = np.subtract(d_fn, np.multiply(proj, fn, out=scratch), out=diff)
-    d_f /= f_safe[..., None]
+    d_f = unit_rows_grad(d_fn, fn, f_safe, out=diff)
     if np.count_nonzero(f_deg):
         d_f[f_deg] = 0.0
     return loss, d_f

@@ -64,6 +64,17 @@ def unit_rows(x: np.ndarray, out=(None, None, None)):
     return unit, safe, degenerate
 
 
+def unit_rows_grad(d_unit, unit, safe, out) -> np.ndarray:
+    """The gradient d_unit at unit_rows(x)'s unit rows taken back to x: each
+    row times (I - u u^T) / ||x||, from unit_rows' unit and safe, into out,
+    which is also scratch and must not overlap d_unit or unit. Degenerate
+    rows are left to the caller."""
+    proj = np.add.reduce(np.multiply(d_unit, unit, out=out), axis=-1, keepdims=True)
+    np.subtract(d_unit, np.multiply(proj, unit, out=out), out=out)
+    out /= safe[..., None]
+    return out
+
+
 def softmax(logits: np.ndarray, out=None) -> np.ndarray:
     """Softmax over the last axis, computed with max-subtraction."""
     e = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)

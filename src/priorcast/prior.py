@@ -17,8 +17,8 @@ import numpy as np
 
 from .config import RunConfig
 from .data import (ModalityData, MultimodalDataset, lockstep_batches, lockstep_map,
-                   read_tensor_file, write_tensor_file)
-from .encoder import EncoderStack, backward, forward, init_params
+                   max_batch_rows, read_tensor_file, write_tensor_file)
+from .encoder import EncoderStack, backward, embed, forward, init_params
 from .errors import FormatError
 from .losses import label_loss, q_at, quality_score
 from .numerics import make_rng, pseudo_inverse, random_orthogonal, split_seed
@@ -62,7 +62,7 @@ def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
     """
     stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
                           for mod, rng in zip(mods, rngs)],
-                         min(cfg.batch_size + 1, mods[0].num_samples),
+                         max_batch_rows(mods[0], cfg.batch_size),
                          extra=np.stack([w0] * len(mods)))
     w, grad_w = stack.extra, stack.extra_grad
     for epoch in range(cfg.spl_epochs):
@@ -82,20 +82,15 @@ def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
 
 def _candidate_score(mod: ModalityData, w: np.ndarray, params) -> float:
     """quality_score of a trained candidate on the modality's full split."""
-    # a one-shot stack sized to the split; only the embeddings outlive this
-    # line, so quality_score's temporaries can reuse the rest of its memory:
-    # on a large split this is the peak of the stage
-    f_all = forward(EncoderStack([params], mod.num_samples), [mod.features])[0][0]
-    return quality_score(f_all, mod.one_hot(w.shape[1]), w)
+    # only the embeddings outlive embed's one-shot stack, so quality_score's
+    # temporaries can reuse the rest of its memory: on a large split this is
+    # the peak of the stage
+    return quality_score(embed(params, mod.features), mod.one_hot(w.shape[1]), w)
 
 
 def select_prior(candidates: Dict[str, np.ndarray], scores: Dict[str, float]) -> str:
     """Name of the best-scoring candidate; first-listed wins ties."""
-    best = None
-    for name in candidates:
-        if best is None or scores[name] > scores[best]:
-            best = name
-    return best
+    return max(candidates, key=scores.__getitem__)
 
 
 def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):

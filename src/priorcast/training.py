@@ -17,7 +17,7 @@ from typing import Dict, List
 import numpy as np
 
 from .config import RunConfig
-from .data import MultimodalDataset, lockstep_batches, lockstep_map
+from .data import MultimodalDataset, lockstep_batches, lockstep_map, max_batch_rows
 from .encoder import EncoderParams, EncoderStack, backward, forward, init_params
 from .losses import q_at, total_loss
 from .numerics import Workspace, make_rng, split_seed
@@ -80,7 +80,7 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
         prior = dataclasses.replace(prior, l=prior.w.T.copy())
     stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
                           for mod, rng in zip(mods, rngs)],
-                         min(cfg.batch_size + 1, mods[0].num_samples))
+                         max_batch_rows(mods[0], cfg.batch_size))
     ws = stack.workspace
     mix_embeddings = not (cfg.fa_off or cfg.fa_input_space)
     epochs: List[List[dict]] = [[] for _ in mods]

@@ -447,6 +447,8 @@ EXIT_CASES = {
                              _raw_config(b'{"hidden_dim": 100000000000}')),
     "synth-out-of-range": (2, "config error: noise: standard deviations",
                            _synth_field(noise=[-1.0, 0.1])),
+    "synth-negative-seed": (2, "config error: seed: must be >= 0, got -1",
+                            _synth_field(seed=-1)),
     "synth-list-of-strings": (2, "config error: synth.feature_dims must be a list of integers",
                               _synth_field(feature_dims=["8", "6"])),
     "synth-float-count": (2, "config error: synth.num_classes must be an integer",

@@ -3,10 +3,10 @@
 rank_pair orders each block of queries with one value sort of the negated
 cosines, each carrying its item's relevance in the lowest mantissa bit, and
 sends only the rows whose sorted values come within a few units in the last
-place of each other to the exact path, _ranking (one unstable argsort, and
-a key sort for rows with ties). reference_ranking ranks one query at a time
-with a stable argsort. APs, MAP, recall and precision must agree in every
-bit: on query counts around the block height, on tie-heavy and all-zero
+place of each other to the exact path, _ranking (one stable argsort of the
+block's rows). reference_ranking ranks one query at a time with a stable
+argsort. APs, MAP, recall and precision must agree in every bit: on query
+counts around the block height, on tie-heavy, mostly identical and all-zero
 rows, with ties across the n_rank cutoff, with queries that have no
 relevant gallery item, and at the near-tie boundary: galleries of a few
 directions nudged by 0-5 ulps per coordinate, +0.0 and -0.0 cosines, and
@@ -52,6 +52,10 @@ def _embeddings(kind, n, rng):
         return np.round(rng.standard_normal((n, 2)), 1)
     if kind == "nudged":  # three directions, a few ulps off: equal and near cosines
         return _nudged(make_rng(9).standard_normal((3, 3))[rng.integers(0, 3, n)], rng)
+    if kind == "collapsed":  # mostly one row: long runs of equal cosines
+        x = np.repeat(rng.standard_normal((1, 3)), n, axis=0)
+        x[::5] = rng.standard_normal((len(x[::5]), 3))
+        return x
     if kind == "straddle":
         # rows (s, 1), s a few subnormal steps either side of 0: their cosine
         # with the rows (1, 0) and (-1, 0) is s or -s
@@ -87,7 +91,8 @@ COUNTS = {"one": lambda h: 1, "block-1": lambda h: h - 1, "block": lambda h: h,
 
 @pytest.mark.parametrize("n_rank", ["all", 1, 5])
 @pytest.mark.parametrize("count", COUNTS)
-@pytest.mark.parametrize("kind", ["gaussian", "rounded", "zero-rows", "nudged", "straddle"])
+@pytest.mark.parametrize("kind", ["gaussian", "rounded", "collapsed", "zero-rows", "nudged",
+                                  "straddle"])
 @pytest.mark.parametrize("n_g", [40, 700])
 def test_blocks_match_per_query_reference(n_g, kind, count, n_rank):
     n_q = max(1, COUNTS[count](_height(n_g)))
