@@ -13,7 +13,6 @@ other exception is a bug and ends the run with a traceback (exit 1).
 
 import argparse
 import contextlib
-import ctypes
 import dataclasses
 import hashlib
 import os
@@ -137,8 +136,18 @@ def cmd_eval(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
     return ckpt_paths, outputs
 
 
+# The dataset split each stage reads.
+STAGE_SPLITS = {"spl": "train", "train": "train", "eval": "test"}
+
+
 def _run_stages(command, stages, cfg: RunConfig, out_dir, config_path) -> int:
-    """Load and hash the dataset once, run the stages in order, write one manifest."""
+    """Load and hash the dataset once, run the stages in order, write one manifest.
+
+    Each stage holds only the splits it or a later stage reads (STAGE_SPLITS):
+    `val` is checked at load and released before the first stage, and in a
+    pipeline the training split is released before eval embeds and ranks.
+    The manifest's inputs still list every file read at load.
+    """
     t0 = time.perf_counter()
     if not cfg.manifest:
         raise ConfigError("config has no 'manifest' path to a dataset")
@@ -151,7 +160,10 @@ def _run_stages(command, stages, cfg: RunConfig, out_dir, config_path) -> int:
         os.remove(os.path.join(out_dir, RUN_MANIFEST))
     inputs = [config_path] + dataset.files
     records = []
-    for name, stage in stages.items():
+    names = list(stages)
+    for i, (name, stage) in enumerate(stages.items()):
+        needed = {STAGE_SPLITS[later] for later in names[i:]}
+        dataset.splits = {s: mods for s, mods in dataset.splits.items() if s in needed}
         start = time.perf_counter()
         try:
             read, written = stage(cfg, out_dir, dataset)
@@ -222,33 +234,8 @@ def _run(args) -> int:
     return _run_stages(args.command, stages, cfg, args.out, args.config)
 
 
-def _keep_freed_heap() -> None:
-    """Stop glibc from handing freed heap memory back to the kernel mid-run.
-
-    Training steps free no batch-sized arrays (they live in the stack's
-    workspace), but eval frees a 32 MB cosine matrix per 2000-item gallery
-    pair, and candidate scoring and eval free activations sized to a whole
-    split (8 MB per hidden layer at 16000 rows). Left to glibc (default mmap
-    threshold 128 KiB), such blocks are mapped and unmapped, or trimmed off
-    the top of the heap, and the next one faults the same pages back in. On
-    one CPU of a 2-vCPU VM a 2000-item gallery pipeline took ~17.8k minor
-    faults without this and ~11.2k with it, and 3-7% more wall time, for
-    0.1 MB less peak RSS. The values set are the ones the adaptive mode
-    itself reaches after freeing a 32 MiB block, so blocks up to 32 MiB stay
-    on the heap. Results are unaffected. Without glibc's mallopt this does
-    nothing.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _keep_freed_heap()
     try:
         return _run(args)
     except ConfigError as exc:

@@ -72,7 +72,12 @@ class ModalityData:
 
 @dataclass
 class MultimodalDataset:
-    """Train/val/test splits, each a list of K unpaired modalities."""
+    """Train/val/test splits, each a list of K unpaired modalities.
+
+    `validate` needs all three splits. After it, the CLI drops from `splits`
+    each split that no remaining stage reads (cli.STAGE_SPLITS), so a stage
+    finds only its own; `files` keeps every file read at load.
+    """
 
     num_classes: int
     splits: dict = field(default_factory=dict)  # split name -> list[ModalityData]

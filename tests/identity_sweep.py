@@ -11,6 +11,12 @@ Datasets are compared file by file (the run manifest aside: it holds a wall
 time), pipeline outputs by bench/identity.py's artifact set: prior.bin,
 encoder_*.bin, map_table.json and the PR CSVs. Every differing file is
 printed, and the exit status is 1 if any differ or a command fails, else 0.
+Each child is reaped with os.wait4, and both sides' peak RSS is printed
+for every command, with the largest increase of the checkout over REV at
+the end; memory does not change the exit status. The children are not
+pinned to one CPU, so OpenBLAS may start a thread per CPU and the peaks
+read higher than bench/run.py's one-CPU runs (`gallery_2k`: ~82 MB
+against ~74 MB).
 
 The file name keeps pytest from collecting it. It needs git, and no
 network.
@@ -44,20 +50,28 @@ def export(rev, dest):
     os.remove(tar_path)
 
 
-def run_both(trees, argvs):
-    """Run one priorcast command per tree, the trees in parallel; returns the
-    (tree, stderr) of each that failed."""
+def run_both(trees, argvs, label, peaks):
+    """Run one priorcast command per tree, the trees in parallel; prints both
+    children's peak RSS (os.wait4 on each pid) under label, appends the
+    increase over REV to peaks, and returns the (tree, stderr) of each that
+    failed."""
     procs = []
     for tree, argv in zip(trees, argvs):
         env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
         procs.append(subprocess.Popen([sys.executable, "-m", "priorcast.cli", *argv],
                                       env=env, stdout=subprocess.DEVNULL,
                                       stderr=subprocess.PIPE, text=True))
-    failed = []
+    mb, failed = [], []
     for tree, proc in zip(trees, procs):
-        _, err = proc.communicate()
+        with proc.stderr:
+            err = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        mb.append(usage.ru_maxrss / 1024.0)
         if proc.returncode != 0:
             failed.append((tree, f"exit {proc.returncode}: {err.strip()[-300:]}"))
+    print(f"{label}: peak RSS {mb[0]:.1f} MB at REV, {mb[1]:.1f} MB here", flush=True)
+    peaks.append((mb[1] - mb[0], label))
     return failed
 
 
@@ -71,7 +85,7 @@ def compare(work, names_of, what):
     return len(names), [f"{what}/{n}" for n in names if rev.get(n) != head.get(n)]
 
 
-def sweep(trees, work):
+def sweep(trees, work, peaks):
     """Every workload, seed and preset; returns (files compared, problems)."""
     compared, problems = 0, []
     for name in SWEEP_WORKLOADS:
@@ -87,7 +101,7 @@ def sweep(trees, work):
                         for w in work]
             failed = run_both(trees, [["synth", "--config", cfg, "--out", os.path.join(w, data),
                                        "--seed", str(seed)]
-                                      for cfg, w in zip(synth_cfgs, work)])
+                                      for cfg, w in zip(synth_cfgs, work)], data, peaks)
             if failed:
                 problems += [f"{data}: synth on {tree} {err}" for tree, err in failed]
                 continue
@@ -98,7 +112,7 @@ def sweep(trees, work):
                 ablation = [] if preset is None else ["--ablation", preset]
                 failed = run_both(trees, [["pipeline", "--config", cfg, "--out",
                                            os.path.join(w, out), "--seed", str(seed), *ablation]
-                                          for cfg, w in zip(run_cfgs, work)])
+                                          for cfg, w in zip(run_cfgs, work)], out, peaks)
                 if failed:
                     problems += [f"{out}: pipeline on {tree} {err}" for tree, err in failed]
                     continue
@@ -119,9 +133,13 @@ def main(argv):
         work = [os.path.join(tmp, "rev-runs"), os.path.join(tmp, "head-runs")]
         for w in work:
             os.mkdir(w)
-        compared, problems = sweep([rev_tree, ROOT], work)
+        peaks = []
+        compared, problems = sweep([rev_tree, ROOT], work, peaks)
     for problem in problems:
         print(problem)
+    if peaks:
+        increase, label = max(peaks)
+        print(f"largest peak RSS increase over {rev}: {increase:+.1f} MB ({label})")
     print(f"{rev} against {ROOT}: {compared} files compared, {len(problems)} differ")
     return 1 if problems else 0
 

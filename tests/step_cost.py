@@ -12,9 +12,7 @@ median over the rounds. A step serves all K modalities at once.
 With a git revision REV it also exports REV's src/priorcast (git archive)
 and times both in this one process, alternating round by round so that a
 busy host slows both alike, and prints the median of the per-round ratios
-of this checkout's time to REV's. Pin it to one CPU (taskset -c 0). Like
-`priorcast pipeline`, it first sets glibc's heap with
-cli._keep_freed_heap, so that freed arrays are reused the same way. It
+of this checkout's time to REV's. Pin it to one CPU (taskset -c 0). It
 reads only train_prior_stack's and train_rsc_stack's signatures, so REV
 may be any revision with them. It needs git for REV, and no network.
 
@@ -30,8 +28,6 @@ import sys
 import tarfile
 import tempfile
 import time
-
-from priorcast.cli import _keep_freed_heap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROWS = 480
@@ -80,7 +76,6 @@ def main():
     parser.add_argument("rev", nargs="?", help="git revision to compare against")
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args()
-    _keep_freed_heap()
     with tempfile.TemporaryDirectory(prefix="step-cost-") as tmp:
         packages = ([export(args.rev, tmp)] if args.rev else []) + ["priorcast"]
         runners = {(p, case): stage_runner(p, *case) for p in packages for case in CASES}

@@ -1,9 +1,12 @@
+import ctypes
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+from priorcast import cli
 from priorcast.cli import main
 from priorcast.data import ModalityData, load_manifest, write_dataset
 from priorcast.encoder import load_checkpoint, save_checkpoint
@@ -207,6 +210,55 @@ def test_pipeline_matches_stages_run_one_by_one(tmp_path):
     # files the pipeline wrote itself are outputs, not inputs
     assert "prior.bin" not in manifest["inputs"]
     assert "manifest.json" in manifest["inputs"]
+
+
+def _spy_on_stages(monkeypatch, on_start):
+    """Wrap each stage function so on_start(stage, dataset) runs as it starts."""
+    for name in ("spl", "train", "eval"):
+        real = getattr(cli, f"cmd_{name}")
+
+        def spy(cfg, out_dir, dataset, name=name, real=real):
+            on_start(name, dataset)
+            return real(cfg, out_dir, dataset)
+        monkeypatch.setattr(cli, f"cmd_{name}", spy)
+
+
+def test_each_stage_holds_only_the_splits_it_or_a_later_stage_reads(tmp_path, monkeypatch):
+    held = []
+    _spy_on_stages(monkeypatch, lambda name, dataset: held.append(
+        (name, sorted(dataset.splits))))
+    run = _run_cfg(tmp_path, _synth_data(tmp_path))
+    out = str(tmp_path / "run")
+    assert main(["pipeline", "--config", run, "--out", out]) == 0
+    assert held == [("spl", ["test", "train"]), ("train", ["test", "train"]),
+                    ("eval", ["test"])]
+    for command, split in (("spl", "train"), ("train", "train"), ("eval", "test")):
+        held.clear()
+        assert main([command, "--config", run, "--out", out]) == 0
+        assert held == [(command, [split])]
+
+
+def test_pipeline_frees_the_training_split_before_eval(tmp_path, monkeypatch):
+    refs, alive_at_eval = [], []
+
+    def on_start(name, dataset):
+        if name == "spl":
+            refs.append(weakref.ref(dataset.splits["train"][0].features))
+        elif name == "eval":
+            alive_at_eval.append(refs[0]() is not None)  # no gc.collect(): refcounts alone
+    _spy_on_stages(monkeypatch, on_start)
+    run = _run_cfg(tmp_path, _synth_data(tmp_path))
+    assert main(["pipeline", "--config", run, "--out", str(tmp_path / "run")]) == 0
+    assert alive_at_eval == [False]
+
+
+def test_runs_without_a_c_library_handle(tmp_path, monkeypatch):
+    """On Windows ctypes.CDLL(None) raises TypeError; no command may depend on it."""
+    def no_handle(*args, **kwargs):
+        raise TypeError("argument of type 'NoneType' is not iterable")
+    monkeypatch.setattr(ctypes, "CDLL", no_handle)
+    assert main(["synth", "--config", _synth_cfg(tmp_path),
+                 "--out", str(tmp_path / "data")]) == 0
 
 
 def test_eval_rejects_checkpoint_of_other_feature_dim(tmp_path, capsys):
