@@ -22,11 +22,7 @@ import time
 from . import __version__
 from .config import RunConfig, apply_ablation, load_config
 from .data import MultimodalDataset, load_manifest, synth_generate, write_dataset, write_json
-from .encoder import load_checkpoint, save_checkpoint
 from .errors import ConfigError, FormatError, NumericError
-from .evaluate import embed_split, table_from_embeddings, write_pr_csv
-from .prior import load_prior, run_spl, save_prior
-from .training import train_rsc_all
 
 PRIOR_FILE = "prior.bin"
 MAP_FILE = "map_table.json"
@@ -76,9 +72,12 @@ def cmd_synth(cfg: RunConfig, out_dir, config_path, seed_override=None):
 
 
 # Each stage reads what earlier stages wrote from --out and returns
-# (paths it read there, names it wrote there).
+# (paths it read there, names it wrote there). Its stage modules are imported
+# here, not at the top, so that `synth` loads none of them.
 
 def cmd_spl(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
+    from .prior import run_spl, save_prior
+
     prior, report = run_spl(dataset, cfg, cfg.seed)
     save_prior(os.path.join(out_dir, PRIOR_FILE), prior)
     write_json(os.path.join(out_dir, "spl_report.json"), dataclasses.asdict(report))
@@ -91,6 +90,10 @@ def cmd_spl(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
 
 
 def cmd_train(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
+    from .encoder import save_checkpoint
+    from .prior import load_prior
+    from .training import train_rsc_all
+
     t0 = time.perf_counter()
     prior_path = os.path.join(out_dir, PRIOR_FILE)
     prior = load_prior(prior_path)
@@ -112,6 +115,9 @@ def cmd_train(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
 
 
 def cmd_eval(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
+    from .encoder import load_checkpoint
+    from .evaluate import embed_split, table_from_embeddings, write_pr_csv
+
     encoders = {}
     ckpt_paths = []
     for mod in dataset.splits["test"]:
@@ -151,6 +157,8 @@ def _run_stages(command, stages, cfg: RunConfig, out_dir, config_path) -> int:
     t0 = time.perf_counter()
     if not cfg.manifest:
         raise ConfigError("config has no 'manifest' path to a dataset")
+    # before the load: imported after it, they move the heap layout and peak RSS
+    from . import encoder, evaluate, prior, training  # noqa: F401
     dataset = load_manifest(cfg.manifest)
     if cfg.embed_dim < dataset.num_classes:
         raise ConfigError(f"embed_dim {cfg.embed_dim} is below the dataset's "

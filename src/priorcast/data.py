@@ -318,6 +318,13 @@ def read_labels(path):
     return labels, num_classes
 
 
+def _refuse_unknown_keys(obj: dict, known, where: str) -> None:
+    # write_dataset writes no other key; one here is a typo or another format
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise FormatError(f"{where} has unknown keys {unknown}")
+
+
 def load_manifest(path) -> MultimodalDataset:
     """Load and fully validate a dataset from its manifest JSON.
 
@@ -331,11 +338,14 @@ def load_manifest(path) -> MultimodalDataset:
             raise FormatError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "num_classes" not in doc or "splits" not in doc:
         raise FormatError("manifest must be an object with num_classes and splits")
+    _refuse_unknown_keys(doc, ("num_classes", "splits"), "manifest")
     num_classes = doc["num_classes"]
-    if not isinstance(num_classes, int) or num_classes < 1:
+    # JSON true loads as bool, a subclass of int equal to 1
+    if isinstance(num_classes, bool) or not isinstance(num_classes, int) or num_classes < 1:
         raise FormatError("manifest num_classes must be a positive integer")
     if not isinstance(doc["splits"], dict):
         raise FormatError("manifest splits must be an object")
+    _refuse_unknown_keys(doc["splits"], SPLIT_NAMES, "manifest splits")
     base = os.path.dirname(os.path.abspath(path))
     splits = {}
     files = [path]
@@ -347,6 +357,8 @@ def load_manifest(path) -> MultimodalDataset:
         for entry in entries:
             if not isinstance(entry, dict):
                 raise FormatError(f"manifest split {split!r}: entry {entry!r} is not an object")
+            _refuse_unknown_keys(entry, ("name", "features", "labels"),
+                                 f"manifest split {split!r}: entry")
             for key in ("name", "features", "labels"):
                 if not isinstance(entry.get(key), str) or "\0" in entry[key]:
                     raise FormatError(f"manifest entry needs a string {key!r} without NUL")

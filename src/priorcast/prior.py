@@ -46,6 +46,8 @@ class PriorMatrix:
 class SplReport:
     scores: Dict[str, float] = field(default_factory=dict)
     selected: Optional[str] = None
+    runner_up: Optional[str] = None  # best of the others
+    lead: Optional[float] = None  # scores[selected] - scores[runner_up]
     epochs: int = 0
     seed: int = 0
     skipped: bool = False
@@ -119,9 +121,11 @@ def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
         candidates[mod.name] = w
         scores[mod.name] = _candidate_score(mod, w, params)
     best = select_prior(candidates, scores)
+    runner_up = select_prior({n: w for n, w in candidates.items() if n != best}, scores)
     prior = PriorMatrix(w=candidates[best], l=pseudo_inverse(candidates[best]),
                         score=scores[best], source_modality=best)
-    report = SplReport(scores=scores, selected=best, epochs=cfg.spl_epochs,
+    report = SplReport(scores=scores, selected=best, runner_up=runner_up,
+                       lead=scores[best] - scores[runner_up], epochs=cfg.spl_epochs,
                        seed=seed, wall_seconds=time.perf_counter() - t0)
     return prior, report
 

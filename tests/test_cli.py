@@ -1,6 +1,8 @@
 import ctypes
 import json
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -143,6 +145,10 @@ def test_pipeline_artifacts(tmp_path):
     assert manifest["inputs"]  # digests recorded
     report = json.loads((out / "training_report.json").read_text())
     assert len(report["modalities"]) == 2
+    spl = json.loads((out / "spl_report.json").read_text())
+    scores = spl["scores"]
+    assert spl["runner_up"] in scores and spl["runner_up"] != spl["selected"]
+    assert spl["lead"] == scores[spl["selected"]] - scores[spl["runner_up"]] >= 0
 
 
 def test_eval_n_rank_flag(tmp_path):
@@ -169,6 +175,19 @@ def test_pipeline_ablation_skip_spl(tmp_path):
     report = json.loads((out / "spl_report.json").read_text())
     assert report["skipped"] is True
     assert report["selected"] is None
+    assert report["runner_up"] is None
+    assert report["lead"] is None
+
+
+def test_stage_two_ablations_leave_the_prior_unchanged(tmp_path):
+    """fixed-q-* and no-label-loss act on stage two only (README)."""
+    run = _run_cfg(tmp_path, _synth_data(tmp_path))
+    priors = []
+    for i, flags in enumerate(([], ["--ablation", "fixed-q-0.5"], ["--ablation", "no-label-loss"])):
+        out = tmp_path / f"run{i}"
+        assert main(["spl", "--config", run, "--out", str(out), *flags]) == 0
+        priors.append((out / "prior.bin").read_bytes())
+    assert priors[1:] == priors[:1] * 2
 
 
 def test_seed_flag_changes_result(tmp_path):
@@ -447,15 +466,32 @@ def _eval_with_other_embed_dim(tmp_path):
     return _run("eval", embed_dim=8)(tmp_path)
 
 
+def _edited_manifest(change, edit=None):
+    """A pipeline on a synthetic dataset (edited by edit, if given) whose
+    manifest.json change(doc) then rewrote."""
+    def setup(tmp_path):
+        argv = _run(edit=edit)(tmp_path)
+        manifest = tmp_path / "data" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        change(doc)
+        _write(manifest, doc)
+        return argv
+    return setup
+
+
 def _rename_in_manifest(name):
     """A synthetic dataset whose manifest calls mod1 name in every split."""
-    def rename(data):
-        manifest = data / "manifest.json"
-        doc = json.loads(manifest.read_text())
+    def rename(doc):
         for entries in doc["splits"].values():
             entries[1]["name"] = name
-        _write(manifest, doc)
-    return _damaged(rename)
+    return _edited_manifest(rename)
+
+
+def _one_class(dataset):
+    dataset.num_classes = 1
+    for split in dataset.splits.values():
+        for k, mod in enumerate(split):
+            split[k] = ModalityData(mod.name, mod.features, np.zeros_like(mod.labels))
 
 
 def _eval_on_nan_checkpoint(tmp_path):
@@ -522,6 +558,18 @@ EXIT_CASES = {
                             _damaged(lambda data: (data / "manifest.json").write_text("[]"))),
     "manifest-not-utf8": (3, "format error: manifest is not valid JSON", _damaged(
         lambda data: (data / "manifest.json").write_bytes(b'{"num_classes": "\xff"}'))),
+    # true == 1 matches the one-class label headers
+    "manifest-num-classes-true": (3, "format error: manifest num_classes must be a positive",
+                                  _edited_manifest(lambda doc: doc.update(num_classes=True),
+                                                   edit=_one_class)),
+    "manifest-unknown-key": (3, "format error: manifest has unknown keys ['extra']",
+                             _edited_manifest(lambda doc: doc.update(extra=1))),
+    "manifest-unknown-split": (3, "format error: manifest splits has unknown keys ['extra']",
+                               _edited_manifest(
+                                   lambda doc: doc["splits"].update(extra=doc["splits"]["val"]))),
+    "manifest-entry-unknown-key": (
+        3, "format error: manifest split 'test': entry has unknown keys ['weight']",
+        _edited_manifest(lambda doc: doc["splits"]["test"][0].update(weight=2))),
     "data-file-missing": (3, "i/o error:", _damaged(lambda data: (data / "mod1_test.dlb").unlink())),
     "features-truncated": (3, "format error: truncated payload",
                            _damaged(lambda data: _truncate(data / "mod0_val.dfm"))),
@@ -581,7 +629,7 @@ def test_an_error_inside_a_stage_surfaces_as_a_bug(tmp_path, monkeypatch):
     main does not report as an input error but lets end the run (exit 1)."""
     def broken(*args):
         raise ValueError("kernel bug")
-    monkeypatch.setattr("priorcast.cli.run_spl", broken)
+    monkeypatch.setattr("priorcast.prior.run_spl", broken)
     with pytest.raises(ValueError, match="kernel bug"):
         main(_run("spl")(tmp_path))
 
@@ -596,3 +644,35 @@ def test_failed_pipeline_leaves_no_older_run_manifest(tmp_path):
         code = main(["pipeline", "--config", failing, "--out", str(out), "--ablation", "no-spl"])
     assert code == 4
     assert not (out / "run_manifest.json").exists()
+
+
+_IMPORT_PROBE = """
+import json, sys
+from priorcast import cli
+stage = [f"priorcast.{m}" for m in ("encoder", "losses", "prior", "training", "evaluate")]
+synth_cfg, data, run_cfg, out = sys.argv[1:]
+seen = {}
+assert cli.main(["synth", "--config", synth_cfg, "--out", data]) == 0
+seen["loaded by synth"] = [m for m in stage if m in sys.modules]
+real = cli.load_manifest
+def spy(path):
+    seen["missing at load_manifest"] = [m for m in stage if m not in sys.modules]
+    return real(path)
+cli.load_manifest = spy
+assert cli.main(["spl", "--config", run_cfg, "--out", out]) == 0
+print(json.dumps(seen))
+"""
+
+
+def test_synth_loads_no_stage_module_and_stages_load_them_before_the_dataset(tmp_path):
+    """In a fresh interpreter: `synth` imports none of the stage modules, and a
+    stage command has imported all of them when it loads the dataset."""
+    data = tmp_path / "data"
+    argv = [_synth_cfg(tmp_path), str(data), _run_cfg(tmp_path, str(data / "manifest.json")),
+            str(tmp_path / "run")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"loaded by synth": [], "missing at load_manifest": []}
