@@ -418,6 +418,7 @@ def _split_counts(n: int):
     return n - n_val - n_test, n_val, n_test
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the float32 range check reports overflow
 def synth_generate(cfg: SynthConfig) -> MultimodalDataset:
     """Generate a fully seeded multimodal dataset with shared class structure.
 
@@ -458,6 +459,8 @@ def synth_generate(cfg: SynthConfig) -> MultimodalDataset:
         feats = np.concatenate(feats)
         labels = np.concatenate(labels)
         # stored payload is float32; round now so file round trips are exact
+        if not np.abs(feats).max() <= np.finfo(np.float32).max:
+            raise ConfigError(f"separation and noise: modality 'mod{k}' features overflow float32")
         feats = feats.astype(np.float32).astype(np.float64)
 
         parts = {name: ([], []) for name in SPLIT_NAMES}

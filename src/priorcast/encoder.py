@@ -15,12 +15,13 @@ fails both).
 """
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import read_tensor_file, write_tensor_file
+from .data import lockstep_batches, max_batch_rows, read_tensor_file, write_tensor_file
 from .errors import FormatError, NumericError
 from .numerics import Workspace, unit_rows, unit_rows_grad
 
@@ -212,6 +213,30 @@ class EncoderStack:
         """Raise NumericError unless the losses and every parameter are finite."""
         if not (np.isfinite(losses).all() and np.isfinite(self.flat).all()):
             raise NumericError(f"{where}: loss or parameters not finite")
+
+
+def train_stack(stage, mods, cfg, rngs, num_classes, qs, terms, batch_step, extra=None):
+    """The epoch loop of both training stages: SGD on one EncoderStack of mods,
+    an epoch per q in qs. batch_step(stack, x, y, q) sets the gradients and
+    returns the batch's terms times its size, (len(terms), K). Returns the stack
+    and per modality a record per epoch: epoch, q, each term's mean, wall_seconds."""
+    stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
+                          for mod, rng in zip(mods, rngs)],
+                         max_batch_rows(mods[0], cfg.batch_size), extra)
+    epochs = [[] for _ in mods]
+    for epoch, q in enumerate(qs):
+        t0 = time.perf_counter()
+        sums = np.zeros((len(terms), len(mods)))
+        for x, y in lockstep_batches(mods, cfg.batch_size, rngs, num_classes, stack.workspace):
+            sums += batch_step(stack, x, y, q)
+            stack.step(cfg.lr)
+        stack.check_finite(sums, f"stage {stage}, epoch {epoch}")
+        wall_seconds = time.perf_counter() - t0
+        # an epoch visits every sample once
+        for records, means in zip(epochs, (sums / mods[0].num_samples).T):
+            records.append({"epoch": epoch, "q": q, **dict(zip(terms, means.tolist())),
+                            "wall_seconds": wall_seconds})
+    return stack, epochs
 
 
 def save_checkpoint(path, params: EncoderParams, modality_name: str) -> None:

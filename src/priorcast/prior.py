@@ -6,19 +6,20 @@ each candidate gets a quality score on its training split; the highest-scoring
 transformation becomes the shared prior for stage two, and its pseudo-inverse
 is the recasting matrix. The stage-one encoders are throwaway. Modalities of
 equal training-split size train in lockstep as one EncoderStack, each with
-the result it would get alone.
+the result it would get alone; the epoch loop is encoder.train_stack, shared
+with stage two, and its per-epoch records go into the report.
 """
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .config import RunConfig
-from .data import (ModalityData, MultimodalDataset, lockstep_batches, lockstep_map,
-                   max_batch_rows, read_tensor_file, write_tensor_file)
-from .encoder import EncoderStack, backward, embed, forward, init_params
+from .data import (ModalityData, MultimodalDataset, lockstep_map, read_tensor_file,
+                   write_tensor_file)
+from .encoder import backward, embed, forward, train_stack
 from .errors import FormatError
 from .losses import label_loss, q_at, quality_score
 from .numerics import make_rng, pseudo_inverse, random_orthogonal, split_seed
@@ -52,6 +53,7 @@ class SplReport:
     seed: int = 0
     skipped: bool = False
     wall_seconds: float = 0.0
+    modalities: List[dict] = field(default_factory=list)  # {name, epochs}, as training_report
 
 
 def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
@@ -60,26 +62,19 @@ def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
     The modalities must have equal training-split sizes; they train in
     lockstep as one EncoderStack, each from its own generator, and each
     result equals that of training the modality alone. Returns one
-    (w, params) per modality.
+    (w, params, epochs) per modality, with train_stack's label-loss records.
     """
-    stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
-                          for mod, rng in zip(mods, rngs)],
-                         max_batch_rows(mods[0], cfg.batch_size),
-                         extra=np.stack([w0] * len(mods)))
-    w, grad_w = stack.extra, stack.extra_grad
-    for epoch in range(cfg.spl_epochs):
-        q = q_at(cfg.q_start, cfg.spl_epochs, epoch)
-        loss_sum = 0.0
-        for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, w0.shape[1],
-                                         stack.workspace):
-            f, cache = forward(stack, x_b)
-            loss, d_f, d_logits = label_loss(f, y_b, w, q, stack.workspace)
-            loss_sum += loss
-            np.matmul(f.swapaxes(-1, -2), d_logits, out=grad_w)
-            backward(stack, cache, d_f)
-            stack.step(cfg.lr)
-        stack.check_finite(loss_sum, f"stage one, epoch {epoch}")
-    return list(zip(w, stack.members))
+    def label_step(stack, x, y, q):
+        f, cache = forward(stack, x)
+        loss, d_f, d_logits = label_loss(f, y, stack.extra, q, stack.workspace)
+        np.matmul(f.swapaxes(-1, -2), d_logits, out=stack.extra_grad)
+        backward(stack, cache, d_f)
+        return loss[None] * y.shape[1]
+
+    qs = [q_at(cfg.q_start, cfg.spl_epochs, epoch) for epoch in range(cfg.spl_epochs)]
+    stack, epochs = train_stack("one", mods, cfg, rngs, w0.shape[1], qs, ("label",),
+                                label_step, extra=np.stack([w0] * len(mods)))
+    return list(zip(stack.extra, stack.members, epochs))
 
 
 def _candidate_score(mod: ModalityData, w: np.ndarray, params) -> float:
@@ -107,17 +102,14 @@ def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
     w0 = random_orthogonal(cfg.embed_dim, dataset.num_classes,
                            make_rng(split_seed(seed, "spl", "shared-w")))
     if cfg.skip_spl:
-        prior = PriorMatrix(w=w0, l=pseudo_inverse(w0))
-        report = SplReport(seed=seed, skipped=True,
-                           wall_seconds=time.perf_counter() - t0)
-        return prior, report
+        return (PriorMatrix(w=w0, l=pseudo_inverse(w0)),
+                SplReport(seed=seed, skipped=True, wall_seconds=time.perf_counter() - t0))
 
     mods = dataset.splits["train"]
     results = lockstep_map(mods, [make_rng(split_seed(seed, "spl", mod.name)) for mod in mods],
                            lambda members, rngs: train_prior_stack(members, w0, cfg, rngs))
-    candidates: Dict[str, np.ndarray] = {}
-    scores: Dict[str, float] = {}
-    for mod, (w, params) in zip(mods, results):
+    candidates, scores = {}, {}
+    for mod, (w, params, _) in zip(mods, results):
         candidates[mod.name] = w
         scores[mod.name] = _candidate_score(mod, w, params)
     best = select_prior(candidates, scores)
@@ -126,7 +118,8 @@ def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
                         score=scores[best], source_modality=best)
     report = SplReport(scores=scores, selected=best, runner_up=runner_up,
                        lead=scores[best] - scores[runner_up], epochs=cfg.spl_epochs,
-                       seed=seed, wall_seconds=time.perf_counter() - t0)
+                       seed=seed, wall_seconds=time.perf_counter() - t0,
+                       modalities=[{"name": m.name, "epochs": r[2]} for m, r in zip(mods, results)])
     return prior, report
 
 

@@ -6,19 +6,18 @@ into the embedding space through the prior's recasting matrix, and the
 encoders follow the combined objective from the losses module with plain
 SGD. Modalities of equal training-split size train in lockstep as one
 EncoderStack, and a modality whose size no other shares as a stack of one;
-each gets the result it would get alone.
+each gets the result it would get alone. The epoch loop is
+encoder.train_stack, shared with stage one.
 """
 
 import dataclasses
 import math
-import time
-from typing import Dict, List
 
 import numpy as np
 
 from .config import RunConfig
-from .data import MultimodalDataset, lockstep_batches, lockstep_map, max_batch_rows
-from .encoder import EncoderParams, EncoderStack, backward, forward, init_params
+from .data import MultimodalDataset, lockstep_map
+from .encoder import backward, forward, train_stack
 from .losses import q_at, total_loss
 from .numerics import Workspace, make_rng, split_seed
 from .prior import PriorMatrix
@@ -78,66 +77,47 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
     if cfg.use_transpose:
         # the transpose ablation swaps the recaster, not the classifier matrix
         prior = dataclasses.replace(prior, l=prior.w.T.copy())
-    stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
-                          for mod, rng in zip(mods, rngs)],
-                         max_batch_rows(mods[0], cfg.batch_size))
-    ws = stack.workspace
     mix_embeddings = not (cfg.fa_off or cfg.fa_input_space)
-    epochs: List[List[dict]] = [[] for _ in mods]
     step_sums = np.empty((5, len(mods)))  # label, disc, mse and total (each * b), gap
-    for epoch in range(cfg.rsc_epochs):
-        t0 = time.perf_counter()
-        q = cfg.fixed_q if cfg.fixed_q is not None else q_at(cfg.q_start, cfg.rsc_epochs, epoch)
-        sums = np.zeros((5, len(mods)))
-        n_seen = 0
-        for x_b, y_b in lockstep_batches(mods, cfg.batch_size, rngs, prior.num_classes, ws):
-            b = y_b.shape[1]
-            if cfg.fa_input_space:
-                # input widths differ within a stack: mix each modality as a stack of one
-                x_mix, y_mix, _ = zip(*(feature_augment(x[None], y[None], cfg.mix_lambda, [rng])
-                                        for x, y, rng in zip(x_b, y_b, rngs)))
-                x_b, y_b = [x[0] for x in x_mix], np.concatenate(y_mix)
-            f_t, cache = forward(stack, x_b)
-            y_t = y_b
-            if mix_embeddings:
-                f_t, y_t, perm = feature_augment(f_t, y_b, cfg.mix_lambda, rngs, ws)
-            t = recast_invariant(y_t, prior, out=ws.get("recast", b, cfg.embed_dim))
-            value, d_ft, parts = total_loss(
-                f_t, y_t, prior.w, t, q, cfg.alpha, cfg.beta, drop_label=cfg.drop_label,
-                drop_disc=cfg.drop_disc, drop_mse=cfg.drop_mse, ws=ws)
-            if mix_embeddings:
-                # route the mixed-embedding gradient back to both branches;
-                # perm is a permutation, so each row receives one addition
-                d_f = np.multiply(d_ft, cfg.mix_lambda, out=ws.get("routed", b, cfg.embed_dim))
-                d_ft *= 1.0 - cfg.mix_lambda
-                d_f.reshape(-1, cfg.embed_dim)[perm] += d_ft
-            else:
-                d_f = d_ft
-            backward(stack, cache, d_f)
-            stack.step(cfg.lr)
-            n_seen += b
-            step_sums[0], step_sums[1], step_sums[2], step_sums[3] = (
-                parts["label"], parts["disc"], parts["mse"], value)
-            step_sums[:4] *= b
-            # np.linalg.norm of each (B, C) slice of f W - Y, which is this BLAS dot
-            gap = np.matmul(f_t, prior.w, out=ws.get("gap", b, prior.num_classes))
-            gap -= y_t
-            step_sums[4] = [math.sqrt(r.dot(r)) for r in gap.reshape(len(mods), -1)]
-            sums += step_sums
-        stack.check_finite(sums, f"stage two, epoch {epoch}")
-        wall_seconds = time.perf_counter() - t0
-        for k, records in enumerate(epochs):
-            label, disc, mse, total, gap = sums[:, k] / n_seen
-            records.append({
-                "epoch": epoch,
-                "q": q,
-                "label": float(label),
-                "disc": float(disc),
-                "mse": float(mse),
-                "total": float(total),
-                "recast_gap": float(gap),
-                "wall_seconds": wall_seconds,
-            })
+
+    def rsc_step(stack, x_b, y_b, q):
+        ws = stack.workspace
+        b = y_b.shape[1]
+        if cfg.fa_input_space:
+            # input widths differ within a stack: mix each modality as a stack of one
+            x_mix, y_mix, _ = zip(*(feature_augment(x[None], y[None], cfg.mix_lambda, [rng])
+                                    for x, y, rng in zip(x_b, y_b, rngs)))
+            x_b, y_b = [x[0] for x in x_mix], np.concatenate(y_mix)
+        f_t, cache = forward(stack, x_b)
+        y_t = y_b
+        if mix_embeddings:
+            f_t, y_t, perm = feature_augment(f_t, y_b, cfg.mix_lambda, rngs, ws)
+        t = recast_invariant(y_t, prior, out=ws.get("recast", b, cfg.embed_dim))
+        value, d_ft, parts = total_loss(
+            f_t, y_t, prior.w, t, q, cfg.alpha, cfg.beta, drop_label=cfg.drop_label,
+            drop_disc=cfg.drop_disc, drop_mse=cfg.drop_mse, ws=ws)
+        if mix_embeddings:
+            # route the mixed-embedding gradient back to both branches;
+            # perm is a permutation, so each row receives one addition
+            d_f = np.multiply(d_ft, cfg.mix_lambda, out=ws.get("routed", b, cfg.embed_dim))
+            d_ft *= 1.0 - cfg.mix_lambda
+            d_f.reshape(-1, cfg.embed_dim)[perm] += d_ft
+        else:
+            d_f = d_ft
+        backward(stack, cache, d_f)
+        step_sums[0], step_sums[1], step_sums[2], step_sums[3] = (
+            parts["label"], parts["disc"], parts["mse"], value)
+        step_sums[:4] *= b
+        # np.linalg.norm of each (B, C) slice of f W - Y, which is this BLAS dot
+        gap = np.matmul(f_t, prior.w, out=ws.get("gap", b, prior.num_classes))
+        gap -= y_t
+        step_sums[4] = [math.sqrt(r.dot(r)) for r in gap.reshape(len(mods), -1)]
+        return step_sums
+
+    qs = ([cfg.fixed_q] * cfg.rsc_epochs if cfg.fixed_q is not None else
+          [q_at(cfg.q_start, cfg.rsc_epochs, epoch) for epoch in range(cfg.rsc_epochs)])
+    stack, epochs = train_stack("two", mods, cfg, rngs, prior.num_classes, qs,
+                                ("label", "disc", "mse", "total", "recast_gap"), rsc_step)
     return list(zip(stack.members, epochs))
 
 
@@ -151,9 +131,6 @@ def train_rsc_all(dataset: MultimodalDataset, prior: PriorMatrix,
     mods = dataset.splits["train"]
     results = lockstep_map(mods, [make_rng(split_seed(seed, "rsc", mod.name)) for mod in mods],
                            lambda members, rngs: train_rsc_stack(members, prior, cfg, rngs))
-    encoders: Dict[str, EncoderParams] = {}
-    report = {"seed": seed, "modalities": []}
-    for mod, (params, epochs) in zip(mods, results):
-        encoders[mod.name] = params
-        report["modalities"].append({"name": mod.name, "epochs": epochs})
-    return encoders, report
+    return ({mod.name: params for mod, (params, _) in zip(mods, results)},
+            {"seed": seed, "modalities": [{"name": mod.name, "epochs": epochs}
+                                          for mod, (_, epochs) in zip(mods, results)]})

@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,10 @@ import pytest
 
 from priorcast import cli
 from priorcast.cli import main
+from priorcast.config import RunConfig
 from priorcast.data import ModalityData, load_manifest, write_dataset
 from priorcast.encoder import load_checkpoint, save_checkpoint
+from priorcast.losses import q_at
 from priorcast.prior import load_prior, save_prior
 
 
@@ -149,6 +152,13 @@ def test_pipeline_artifacts(tmp_path):
     scores = spl["scores"]
     assert spl["runner_up"] in scores and spl["runner_up"] != spl["selected"]
     assert spl["lead"] == scores[spl["selected"]] - scores[spl["runner_up"]] >= 0
+    # per-epoch stage-one records, in training_report.json's layout
+    assert [m["name"] for m in spl["modalities"]] == ["mod0", "mod1"]
+    for entry in spl["modalities"]:
+        assert [rec["epoch"] for rec in entry["epochs"]] == list(range(5))
+        assert [rec["q"] for rec in entry["epochs"]] == [q_at(RunConfig().q_start, 5, e) for e in range(5)]
+        assert all(math.isfinite(rec[key]) for rec in entry["epochs"]
+                   for key in ("label", "wall_seconds"))
 
 
 def test_eval_n_rank_flag(tmp_path):
@@ -177,6 +187,7 @@ def test_pipeline_ablation_skip_spl(tmp_path):
     assert report["selected"] is None
     assert report["runner_up"] is None
     assert report["lead"] is None
+    assert report["modalities"] == []
 
 
 def test_stage_two_ablations_leave_the_prior_unchanged(tmp_path):
@@ -535,6 +546,8 @@ EXIT_CASES = {
                              _raw_config(b'{"hidden_dim": 100000000000}')),
     "synth-out-of-range": (2, "config error: noise: standard deviations",
                            _synth_field(noise=[-1.0, 0.1])),
+    "synth-beyond-float32": (2, "config error: separation and noise: modality 'mod0' features",
+                             _synth_field(separation=1e300)),
     "synth-negative-seed": (2, "config error: seed: must be >= 0, got -1",
                             _synth_field(seed=-1)),
     "synth-list-of-strings": (2, "config error: synth.feature_dims must be a list of integers",

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,16 @@ def test_synth_config_validation():
         SynthConfig(feature_dims=[8, 8]).validate()  # K=3 needs 3 dims
     with pytest.raises(ConfigError):
         SynthConfig(samples_per_class=2).validate()
+
+
+@pytest.mark.parametrize("field", [dict(separation=1e39), dict(separation=1e300),
+                                   dict(noise=[0.1, 1e39, 0.1]), dict(noise=[1e308, 0.1, 0.1])])
+def test_synth_features_beyond_float32_are_a_config_error(field):
+    # finite settings whose features overflow the float32 payload, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="separation and noise: modality 'mod"):
+            synth_generate(SynthConfig(seed=1, **field))
 
 
 def test_minibatch_iter_partition():

@@ -37,6 +37,10 @@ def _assert_params_equal(a, b):
         assert np.array_equal(ta, tb)
 
 
+def _without_wall_seconds(epochs):
+    return [{k: v for k, v in rec.items() if k != "wall_seconds"} for rec in epochs]
+
+
 def _short_tail_dataset():
     """Three modalities of 30 training rows each, one stack: batch 8 gives
     8, 8, 8 and a short tail batch of 6."""
@@ -81,7 +85,7 @@ def test_stage_one_encoders_match_reference():
     mods = ds.splits["train"]
     results = lockstep_map(mods, [make_rng(split_seed(3, "spl", m.name)) for m in mods],
                            lambda members, rngs: train_prior_stack(members, w0, cfg, rngs))
-    for mod, (_, params) in zip(mods, results):
+    for mod, (_, params, _) in zip(mods, results):
         _assert_params_equal(params, ref_encoders[mod.name])
 
 
@@ -93,11 +97,12 @@ def test_spl_modality_independence():
     mods = ds.splits["train"]
     together = lockstep_map(mods, [make_rng(split_seed(5, "spl", m.name)) for m in mods],
                             lambda members, rngs: train_prior_stack(members, w0, cfg, rngs))
-    for mod, (w, params) in zip(mods, together):
+    for mod, (w, params, epochs) in zip(mods, together):
         rng = make_rng(split_seed(5, "spl", mod.name))
-        [(w_solo, params_solo)] = train_prior_stack([mod], w0, cfg, [rng])
+        [(w_solo, params_solo, epochs_solo)] = train_prior_stack([mod], w0, cfg, [rng])
         assert np.array_equal(w, w_solo)
         _assert_params_equal(params, params_solo)
+        assert _without_wall_seconds(epochs) == _without_wall_seconds(epochs_solo)
 
 
 def test_encoder_params_built_per_modality_not_per_step(monkeypatch):

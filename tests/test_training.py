@@ -8,7 +8,7 @@ from priorcast.config import RunConfig, apply_ablation
 from priorcast.data import ModalityData, SynthConfig, synth_generate
 from priorcast.losses import total_loss
 from priorcast.numerics import make_rng, split_seed
-from priorcast.prior import PriorMatrix, run_spl
+from priorcast.prior import PriorMatrix, run_spl, train_prior_stack
 from priorcast.training import (
     feature_augment,
     recast_invariant,
@@ -234,20 +234,21 @@ def test_mixing_off_and_input_space_variants_run():
         assert not np.array_equal(encoders["mod0"].w1, default["mod0"].w1)
 
 
-def test_stage_two_steps_allocate_no_batch_arrays(monkeypatch):
+@pytest.mark.parametrize("stage", ["one", "two"])
+def test_stage_steps_allocate_no_batch_arrays(monkeypatch, stage):
     # every batch-sized array of a step lives in the stack's workspace: after
     # a warm-up epoch has made its buffers, a whole epoch of K = 3, B = 256
     # steps (a batch of 256 and a short tail of 224) peaks below one
     # (K, B, hidden_dim) float64 activation
     import tracemalloc
 
-    from priorcast import training
+    from priorcast import encoder
 
     rng = make_rng(3)
     mods = [ModalityData(f"mod{i}", rng.standard_normal((480, width)),
                          rng.integers(0, 10, 480)) for i, width in enumerate((20, 24, 28))]
-    cfg = RunConfig(batch_size=256, rsc_epochs=2)
-    original = training.lockstep_batches
+    cfg = RunConfig(batch_size=256, spl_epochs=2, rsc_epochs=2)
+    original = encoder.lockstep_batches
     peaks = []
 
     def second_epoch_traced(*args):
@@ -258,11 +259,15 @@ def test_stage_two_steps_allocate_no_batch_arrays(monkeypatch):
         yield from original(*args)
         peaks.append(tracemalloc.get_traced_memory()[1] - start if traced else None)
 
-    monkeypatch.setattr(training, "lockstep_batches", second_epoch_traced)
+    monkeypatch.setattr(encoder, "lockstep_batches", second_epoch_traced)
+    prior = _prior(cfg.embed_dim, 10)
+    rngs = [make_rng(split_seed(4, i)) for i in range(3)]
     tracemalloc.start()
     try:
-        train_rsc_stack(mods, _prior(cfg.embed_dim, 10), cfg,
-                        [make_rng(split_seed(4, i)) for i in range(3)])
+        if stage == "one":
+            train_prior_stack(mods, prior.w, cfg, rngs)
+        else:
+            train_rsc_stack(mods, prior, cfg, rngs)
     finally:
         tracemalloc.stop()
     one_activation = 3 * 256 * cfg.hidden_dim * 8
