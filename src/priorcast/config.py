@@ -1,13 +1,12 @@
 """Run configuration: defaults, validation, ablation presets, JSON loading."""
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Union, get_args, get_origin
 
-from .data import _MAX_ELEMS, SynthConfig
-from .errors import ConfigError, FormatError
+from .data import _MAX_ELEMS, SynthConfig, parse_json, usable_text
+from .errors import ConfigError
 
 
 @dataclass
@@ -45,8 +44,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.manifest is not None and "\0" in self.manifest:
-            raise ConfigError("manifest path must not contain a NUL character")
+        if self.manifest is not None and not usable_text(self.manifest):
+            raise ConfigError("manifest path must be UTF-8 text without a NUL character")
         if self.synth is not None:
             self.synth.validate()
         if self.embed_dim < 1:
@@ -166,9 +165,6 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"config {path} is not valid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = parse_json(fh.read(), f"config {path} is not valid JSON")
     return config_from_dict(raw)

@@ -219,10 +219,31 @@ def _read_payload(fh, want: int, claim: str) -> bytes:
     return payload
 
 
-def _refuse_trailing_bytes(fh) -> None:
-    """Raise FormatError if the stream holds more bytes than its blocks claim."""
-    if fh.read(1):
-        raise FormatError("trailing bytes after the last block")
+def _read_file(path, parse):
+    """parse(fh) of the file at path, which must hold no more; a FormatError names the file."""
+    try:
+        with open(path, "rb") as fh:
+            result = parse(fh)
+            if fh.read(1):
+                raise FormatError("trailing bytes after the last block")
+    except FormatError as exc:
+        raise FormatError(f"{exc} (in {path})") from exc
+    return result
+
+
+def parse_json(data: bytes, what: str):
+    """UTF-8 JSON data; what json cannot take (bad UTF-8 or JSON, deep nesting,
+    an over-long integer) raises FormatError '<what>: <reason>'."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{what}: {exc}") from exc
+
+
+def usable_text(value) -> bool:
+    """Whether value is a str without NUL that encodes as UTF-8, as a path or seed key must."""
+    return (isinstance(value, str) and "\0" not in value
+            and value.encode("utf-8", "replace").decode("utf-8") == value)
 
 
 def read_features_from(fh) -> np.ndarray:
@@ -244,10 +265,7 @@ def read_features_from(fh) -> np.ndarray:
 
 def read_features(path) -> np.ndarray:
     """Read a DFM1 file that holds exactly one matrix."""
-    with open(path, "rb") as fh:
-        features = read_features_from(fh)
-        _refuse_trailing_bytes(fh)
-    return features
+    return _read_file(path, read_features_from)
 
 
 def write_tensor_file(path, header: dict, tensors) -> None:
@@ -268,22 +286,15 @@ def read_tensor_file(path, count: int):
     The header must be a JSON object; count DFM1 matrices of finite values
     follow it, and nothing after them.
     """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"malformed header in {path}: {exc}") from exc
+    def parse(fh):
+        header = parse_json(fh.readline(), "malformed header")
         if not isinstance(header, dict):
-            raise FormatError(f"malformed header in {path}: not a JSON object")
-        try:
-            mats = [read_features_from(fh) for _ in range(count)]
-            _refuse_trailing_bytes(fh)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    if not all(np.isfinite(m).all() for m in mats):
-        raise FormatError(f"{path}: non-finite tensor values")
-    return header, mats
+            raise FormatError("malformed header: not a JSON object")
+        mats = [read_features_from(fh) for _ in range(count)]
+        if not all(np.isfinite(m).all() for m in mats):
+            raise FormatError("non-finite tensor values")
+        return header, mats
+    return _read_file(path, parse)
 
 
 def write_labels(path, labels: np.ndarray, num_classes: int) -> None:
@@ -302,7 +313,7 @@ def write_labels(path, labels: np.ndarray, num_classes: int) -> None:
 
 def read_labels(path):
     """Read a DLB1 file; returns (labels, num_classes)."""
-    with open(path, "rb") as fh:
+    def parse(fh):
         magic = fh.read(4)
         if magic != LABEL_MAGIC:
             raise FormatError(f"malformed magic: expected {LABEL_MAGIC!r}, got {magic!r}")
@@ -310,12 +321,12 @@ def read_labels(path):
         if len(header) != 8:
             raise FormatError("truncated payload: incomplete label header")
         rows, num_classes = struct.unpack("<II", header)
-        payload = _read_payload(fh, rows * 4, f"{rows} labels")
-        _refuse_trailing_bytes(fh)
-        labels = np.frombuffer(payload, dtype="<u4").astype(np.int64)
-    if rows and labels.max() >= num_classes:
-        raise FormatError(f"label index outside [0, {num_classes})")
-    return labels, num_classes
+        labels = np.frombuffer(_read_payload(fh, rows * 4, f"{rows} labels"),
+                               dtype="<u4").astype(np.int64)
+        if rows and labels.max() >= num_classes:
+            raise FormatError(f"label index outside [0, {num_classes})")
+        return labels, num_classes
+    return _read_file(path, parse)
 
 
 def _refuse_unknown_keys(obj: dict, known, where: str) -> None:
@@ -331,11 +342,8 @@ def load_manifest(path) -> MultimodalDataset:
     File paths inside the manifest are resolved relative to the manifest's
     directory.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        doc = parse_json(fh.read(), "manifest is not valid JSON")
     if not isinstance(doc, dict) or "num_classes" not in doc or "splits" not in doc:
         raise FormatError("manifest must be an object with num_classes and splits")
     _refuse_unknown_keys(doc, ("num_classes", "splits"), "manifest")
@@ -360,8 +368,8 @@ def load_manifest(path) -> MultimodalDataset:
             _refuse_unknown_keys(entry, ("name", "features", "labels"),
                                  f"manifest split {split!r}: entry")
             for key in ("name", "features", "labels"):
-                if not isinstance(entry.get(key), str) or "\0" in entry[key]:
-                    raise FormatError(f"manifest entry needs a string {key!r} without NUL")
+                if not usable_text(entry.get(key)):
+                    raise FormatError(f"manifest entry needs a UTF-8 string {key!r} without NUL")
             feat_path = os.path.join(base, entry["features"])
             lab_path = os.path.join(base, entry["labels"])
             files += [feat_path, lab_path]

@@ -16,14 +16,14 @@ import math
 import numpy as np
 
 from .config import RunConfig
-from .data import MultimodalDataset, lockstep_map
+from .data import MultimodalDataset, lockstep_map, max_batch_rows
 from .encoder import backward, forward, train_stack
 from .losses import q_at, total_loss
 from .numerics import Workspace, make_rng, split_seed
 from .prior import PriorMatrix
 
 
-def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng, ws=None):
+def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng, ws):
     """Mix each row with a random partner row: lam*x_i + (1-lam)*x_pi(i).
 
     f and y are (K, B, .) stacks and rng is a sequence of K generators:
@@ -31,14 +31,11 @@ def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng, ws=None):
     (f_mix, y_mix, perm), where perm indexes the rows of f flattened to
     (K * B, .). The same permutation and factor apply to features and
     labels, so mixed label rows stay nonnegative and sum to 1. lam=1 is the
-    exact identity. The results go into the Workspace ws; a call without
-    one gets one of its own. The caller guarantees B >= 2 (minibatch_iter
-    on a split of at least two samples) and 0 < lam <= 1
-    (RunConfig.validate).
+    exact identity. The results go into the Workspace ws. The caller
+    guarantees B >= 2 (minibatch_iter on a split of at least two samples)
+    and 0 < lam <= 1 (RunConfig.validate).
     """
     b = f.shape[-2]
-    if ws is None:
-        ws = Workspace(f.shape[:-2], b)
     # shuffling row k of the index grid draws what g.permutation(b) + k * b
     # draws, from the same stream
     perm = ws.get("mix_perm", b, dtype=np.intp)
@@ -78,16 +75,19 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
         # the transpose ablation swaps the recaster, not the classifier matrix
         prior = dataclasses.replace(prior, l=prior.w.T.copy())
     mix_embeddings = not (cfg.fa_off or cfg.fa_input_space)
+    if cfg.fa_input_space:
+        # input widths differ within a stack: each modality mixes as a stack of one
+        input_ws = [Workspace((1,), max_batch_rows(mods[0], cfg.batch_size)) for _ in mods]
     step_sums = np.empty((5, len(mods)))  # label, disc, mse and total (each * b), gap
 
     def rsc_step(stack, x_b, y_b, q):
         ws = stack.workspace
         b = y_b.shape[1]
         if cfg.fa_input_space:
-            # input widths differ within a stack: mix each modality as a stack of one
-            x_mix, y_mix, _ = zip(*(feature_augment(x[None], y[None], cfg.mix_lambda, [rng])
-                                    for x, y, rng in zip(x_b, y_b, rngs)))
-            x_b, y_b = [x[0] for x in x_mix], np.concatenate(y_mix)
+            x_mix, y_mix, _ = zip(*(feature_augment(x[None], y[None], cfg.mix_lambda, [rng], ws_k)
+                                    for x, y, rng, ws_k in zip(x_b, y_b, rngs, input_ws)))
+            x_b = [x[0] for x in x_mix]
+            y_b = np.concatenate(y_mix, out=ws.get("input_y_mix", b, prior.num_classes))
         f_t, cache = forward(stack, x_b)
         y_t = y_b
         if mix_embeddings:

@@ -1,7 +1,7 @@
 import numpy as np
 
 from priorcast.encoder import EncoderParams
-from priorcast.numerics import NORM_EPS
+from priorcast.numerics import NORM_EPS, Workspace
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -42,6 +42,11 @@ def cosine(a, b):
     if na <= NORM_EPS or nb <= NORM_EPS:
         return 0.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def workspace_for(batch):
+    """A fresh Workspace for the rows of batch, (B, .) or (K, B, .)."""
+    return Workspace(batch.shape[:-2], batch.shape[-2])
 
 
 def stack_slice(stacked, k):

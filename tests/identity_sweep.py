@@ -9,8 +9,8 @@ and 7: one `priorcast synth` per workload and seed, then `priorcast
 pipeline` with the default config and with each --ablation preset.
 Datasets are compared file by file (the run manifest aside: it holds a wall
 time), pipeline outputs by bench/identity.py's artifact set: prior.bin,
-encoder_*.bin, map_table.json and the PR CSVs, and training_report.json
-with every wall_seconds removed. Every differing file is
+encoder_*.bin, map_table.json and the PR CSVs, and spl_report.json and
+training_report.json with every wall_seconds removed. Every differing file is
 printed, and the exit status is 1 if any differ or a command fails, else 0.
 Each child is reaped with os.wait4, and both sides' peak RSS is printed
 for every command, with the largest increase of the checkout over REV at
@@ -87,15 +87,22 @@ def compare(work, names_of, what):
     return len(names), [f"{what}/{n}" for n in names if rev.get(n) != head.get(n)]
 
 
-def compare_training_reports(work, what):
-    """The paths of the trees' training_report.json in run directory what if
-    they differ once every wall_seconds is removed, else []."""
-    reports = []
-    for w in work:
-        with open(os.path.join(w, what, "training_report.json"), encoding="utf-8") as fh:
-            reports.append(json.dumps(json.load(fh, object_hook=lambda record: {
-                k: v for k, v in record.items() if k != "wall_seconds"})))
-    return [] if reports[0] == reports[1] else [f"{what}/training_report.json"]
+REPORTS = ("spl_report.json", "training_report.json")
+
+
+def compare_reports(work, what):
+    """The paths of the REPORTS in run directory what that differ between
+    the trees once every wall_seconds is removed."""
+    differ = []
+    for name in REPORTS:
+        reports = []
+        for w in work:
+            with open(os.path.join(w, what, name), encoding="utf-8") as fh:
+                reports.append(json.dumps(json.load(fh, object_hook=lambda record: {
+                    k: v for k, v in record.items() if k != "wall_seconds"})))
+        if reports[0] != reports[1]:
+            differ.append(f"{what}/{name}")
+    return differ
 
 
 def sweep(trees, work, peaks):
@@ -130,8 +137,8 @@ def sweep(trees, work, peaks):
                     problems += [f"{out}: pipeline on {tree} {err}" for tree, err in failed]
                     continue
                 n, found = compare(work, identity.artifact_names, out)
-                compared, problems = compared + n + 1, problems + found
-                problems += compare_training_reports(work, out)
+                compared, problems = compared + n + len(REPORTS), problems + found
+                problems += compare_reports(work, out)
             print(f"{case}: done, {len(problems)} differences so far", flush=True)
     return compared, problems
 

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import max_rel_err, numeric_grad, stack_slice
+from conftest import max_rel_err, numeric_grad, stack_slice, workspace_for
 from priorcast.cli import main
 from priorcast.config import RunConfig, apply_ablation
 from priorcast.data import SynthConfig, synth_generate
@@ -83,21 +83,21 @@ def test_c2_gradient_oracle():
                 max_rel_err(f.T @ d_logits,
                             numeric_grad(lambda: label_loss(f, target, w, q)[0], w)))
 
-        _, g = mse_loss(f, y @ l)
+        _, g = mse_loss(f, y @ l, workspace_for(f))
         worst["mse_loss"] = max(
             worst.get("mse_loss", 0.0),
-            max_rel_err(g, numeric_grad(lambda: mse_loss(f, y @ l)[0], f)))
+            max_rel_err(g, numeric_grad(lambda: mse_loss(f, y @ l, workspace_for(f))[0], f)))
 
-        _, g = disc_loss(f, y @ l)
+        _, g = disc_loss(f, y @ l, workspace_for(f))
         worst["disc_loss"] = max(
             worst.get("disc_loss", 0.0),
-            max_rel_err(g, numeric_grad(lambda: disc_loss(f, y @ l)[0], f)))
+            max_rel_err(g, numeric_grad(lambda: disc_loss(f, y @ l, workspace_for(f))[0], f)))
 
-        _, g, _ = total_loss(f, soft, w, soft @ l, q, 0.1, 0.1)
+        _, g, _ = total_loss(f, soft, w, soft @ l, q, 0.1, 0.1, ws=workspace_for(f))
         worst["total_loss"] = max(
             worst.get("total_loss", 0.0),
             max_rel_err(g, numeric_grad(
-                lambda: total_loss(f, soft, w, soft @ l, q, 0.1, 0.1)[0], f)))
+                lambda: total_loss(f, soft, w, soft @ l, q, 0.1, 0.1, ws=workspace_for(f))[0], f)))
 
         # one encoder, as a stack of one; params views its parameters
         stack = EncoderStack([init_params(4, 6, 3, rng)], 4)

@@ -467,6 +467,14 @@ def _eval_on_checkpoint_with_trailing_bytes(tmp_path):
     return _run("eval")(tmp_path)
 
 
+def _train_on_prior_with_deep_header(tmp_path):
+    assert main(_run("spl")(tmp_path)) == 0
+    path = tmp_path / "run" / "prior.bin"
+    _, blocks = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(b"[" * 100_000 + b"\n" + blocks)
+    return _run("train")(tmp_path)
+
+
 def _train_on_prior_of_other_shape(tmp_path):
     assert main(_run("spl")(tmp_path)) == 0
     return _run("train", embed_dim=8)(tmp_path)
@@ -562,11 +570,20 @@ EXIT_CASES = {
     "negative-seed-flag": (2, "config error: --seed must be >= 0", _run("pipeline", "--seed", "-1")),
     "embed-dim-below-classes": (2, "config error: embed_dim 2 is below the dataset's 3 classes",
                                 _run(embed_dim=2)),
+    "config-manifest-lone-surrogate": (2, "config error: manifest path must be UTF-8 text",
+                                       _raw_config(b'{"manifest": "data/\\ud800.json"}')),
     # 3: I/O and file-format errors
     "config-missing": (3, "i/o error:", lambda tmp_path: [
         "spl", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "run")]),
     "config-not-json": (3, "format error: config", _raw_config(b"{not json")),
     "config-not-utf8": (3, "format error: config", _raw_config(b'{"seed": "\xff"}')),
+    "config-nested-too-deep": (3, "format error: config", _raw_config(b"[" * 100_000)),
+    "config-integer-too-long": (3, "format error: config",
+                                _raw_config(b'{"seed": 1' + b"0" * 5000 + b"}")),
+    "manifest-nested-too-deep": (3, "format error: manifest is not valid JSON", _damaged(
+        lambda data: (data / "manifest.json").write_bytes(b"[" * 100_000))),
+    "prior-header-nested-too-deep": (3, "format error: malformed header",
+                                     _train_on_prior_with_deep_header),
     "manifest-not-object": (3, "format error: manifest must be an object",
                             _damaged(lambda data: (data / "manifest.json").write_text("[]"))),
     "manifest-not-utf8": (3, "format error: manifest is not valid JSON", _damaged(
@@ -583,6 +600,9 @@ EXIT_CASES = {
     "manifest-entry-unknown-key": (
         3, "format error: manifest split 'test': entry has unknown keys ['weight']",
         _edited_manifest(lambda doc: doc["splits"]["test"][0].update(weight=2))),
+    "manifest-features-lone-surrogate": (
+        3, "format error: manifest entry needs a UTF-8 string 'features'",
+        _edited_manifest(lambda doc: doc["splits"]["train"][0].update(features="\udc00.dfm"))),
     "data-file-missing": (3, "i/o error:", _damaged(lambda data: (data / "mod1_test.dlb").unlink())),
     "features-truncated": (3, "format error: truncated payload",
                            _damaged(lambda data: _truncate(data / "mod0_val.dfm"))),
@@ -613,6 +633,8 @@ EXIT_CASES = {
                                   _rename_in_manifest("..")),
     "modality-name-empty": (3, "format error: modality name '' is not a safe",
                             _rename_in_manifest("")),
+    "modality-name-lone-surrogate": (3, "format error: manifest entry needs a UTF-8 string 'name'",
+                                     _rename_in_manifest("m\ud800")),
     # 4: numeric failures
     "non-finite-training": (4, "numeric failure: stage one, epoch 0", _run("spl", lr=1e200)),
 }
@@ -635,6 +657,15 @@ def test_exit_code_cases(tmp_path, capsys, case):
         assert main(argv) == code
     assert capsys.readouterr().err.startswith(prefix)
     assert _artifacts(tmp_path / "run") == before  # the failing command wrote nothing
+
+
+@pytest.mark.parametrize("case, name", [("features-truncated", "mod0_val.dfm"),
+                                        ("labels-trailing-bytes", "mod1_test.dlb")])
+def test_format_errors_name_the_file(tmp_path, capsys, case, name):
+    argv = EXIT_CASES[case][2](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.rstrip().endswith(f"(in {tmp_path / 'data' / name})")
 
 
 def test_an_error_inside_a_stage_surfaces_as_a_bug(tmp_path, monkeypatch):

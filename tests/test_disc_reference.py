@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_losses as ref
+from conftest import workspace_for
 from priorcast.losses import disc_loss
 from priorcast.numerics import NORM_EPS, make_rng
 
@@ -41,7 +42,7 @@ def _pair(rng, k, b, d, zero_rows=True):
 
 
 def _assert_matches_reference(f, t):
-    value, grad = disc_loss(f, t)
+    value, grad = disc_loss(f, t, workspace_for(f))
     ref_value, ref_grad = ref.gram_disc_loss(f, t)
     assert np.shape(value) == np.shape(ref_value)
     assert grad.shape == f.shape
@@ -65,7 +66,7 @@ def test_matches_reference(k, b, d):
 def test_degenerate_rows_have_zero_gradient():
     f, t = _pair(make_rng(3), 3, 33, 16)
     f[1, 5] = 1e-13  # below NORM_EPS
-    _, grad = disc_loss(f, t)
+    _, grad = disc_loss(f, t, workspace_for(f))
     assert not np.any(grad[:, 0])
     assert not np.any(grad[1, 5])
     _assert_matches_reference(f, t)
@@ -75,13 +76,13 @@ def test_all_rows_degenerate():
     f, t = _pair(make_rng(4), 3, 8, 5, zero_rows=False)
     f[...] = 0.0
     _assert_matches_reference(f, t)
-    assert not np.any(disc_loss(f, t)[1])
+    assert not np.any(disc_loss(f, t, workspace_for(f))[1])
 
 
 @pytest.mark.parametrize("k", [None, 3])
 def test_exactly_zero_at_f_equals_t(k):
     t = _pair(make_rng(5), k, 64, 16)[1]
-    value, grad = disc_loss(t.copy(), t)
+    value, grad = disc_loss(t.copy(), t, workspace_for(t))
     assert np.all(value == 0.0)
     assert not np.any(grad)
 
@@ -92,7 +93,7 @@ def test_relative_accuracy_near_f_equals_t(eps):
     rng = make_rng(6)
     t = rng.standard_normal((3, 64, 16))
     f = t + eps * rng.standard_normal(t.shape)
-    value, _ = disc_loss(f, t)
+    value, _ = disc_loss(f, t, workspace_for(f))
     ref_value, _ = ref.gram_disc_loss(f, t)
     assert np.all(value > 0.0)
     assert np.allclose(value, ref_value, rtol=1e-2, atol=0.0)
@@ -120,7 +121,7 @@ def test_no_batch_by_batch_allocation():
     f, t = _pair(make_rng(7), 1, 4096, 16)
     tracemalloc.start()
     try:
-        disc_loss(f, t)
+        disc_loss(f, t, workspace_for(f))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

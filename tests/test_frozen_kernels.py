@@ -13,6 +13,7 @@ import pytest
 
 import reference_losses as ref_losses
 import reference_training as ref
+from conftest import workspace_for
 from priorcast import prior
 from priorcast.data import ModalityData, MultimodalDataset, minibatch_iter
 from priorcast.encoder import init_params
@@ -43,14 +44,14 @@ def _same(stacked, per_slice):
 def test_losses_match_frozen_copies(k, b):
     f, y, w, l, ws = _stack(k * 1000 + b, k, b)
     t = y @ l
-    _same(mse_loss(f, t), [ref_losses.mse_loss(f[i], t[i]) for i in range(k)])
-    _same(disc_loss(f, t), [ref_losses.disc_loss(f[i], t[i]) for i in range(k)])
+    _same(mse_loss(f, t, workspace_for(f)), [ref_losses.mse_loss(f[i], t[i]) for i in range(k)])
+    _same(disc_loss(f, t, workspace_for(f)), [ref_losses.disc_loss(f[i], t[i]) for i in range(k)])
     for q in (0.01, 0.7, 1.0):
         _same(label_loss(f, y, w, q), [ref_losses.label_loss(f[i], y[i], w, q) for i in range(k)])
         _same(label_loss(f, y, ws, q),
               [ref_losses.label_loss(f[i], y[i], ws[i], q) for i in range(k)])
     for drop in ({}, {"drop_label": True}, {"drop_disc": True}, {"drop_mse": True}):
-        value, grad, parts = total_loss(f, y, w, t, 0.3, 0.25, 0.15, **drop)
+        value, grad, parts = total_loss(f, y, w, t, 0.3, 0.25, 0.15, **drop, ws=workspace_for(f))
         for i in range(k):
             value_i, grad_i, parts_i = ref_losses.total_loss(f[i], y[i], w, t[i], 0.3, 0.25,
                                                              0.15, **drop)
@@ -73,7 +74,8 @@ def test_softmax_quality_score_and_unit_rows_match_frozen_copies():
 @pytest.mark.parametrize("k, b", [(1, 2), (3, 9), (3, 256)])
 def test_feature_augment_slices_match_frozen_copy(k, b):
     f, y, _, _, _ = _stack(k + b, k, b)
-    f_mix, y_mix, perm = feature_augment(f, y, 0.7, [make_rng(40 + i) for i in range(k)])
+    f_mix, y_mix, perm = feature_augment(f, y, 0.7, [make_rng(40 + i) for i in range(k)],
+                                         workspace_for(f))
     for i in range(k):
         want_f, want_y, want_perm = ref.feature_augment(f[i], y[i], 0.7, make_rng(40 + i))
         assert np.array_equal(f_mix[i], want_f)

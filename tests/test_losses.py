@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import check_grad, cosine
+from conftest import check_grad, cosine, workspace_for
 from priorcast.losses import (
     disc_loss,
     label_loss,
@@ -125,22 +125,22 @@ def test_mse_hand_case():
     f = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.eye(2)
     l = np.zeros((2, 2))  # targets are the origin
-    loss, grad = mse_loss(f, y @ l)
+    loss, grad = mse_loss(f, y @ l, workspace_for(f))
     assert loss == pytest.approx(1.0)  # (1 + 1) / 2
     assert np.allclose(grad, f)  # (2/B)(f - 0) = f
 
 
 def test_mse_zero_at_fixed_point():
     _, y, w, l, _ = _instance(5)
-    loss, grad = mse_loss(y @ l, y @ l)
+    loss, grad = mse_loss(y @ l, y @ l, workspace_for(y))
     assert loss == pytest.approx(0.0, abs=1e-28)
     assert np.allclose(grad, 0.0, atol=1e-14)
 
 
 def test_mse_gradients():
     f, y, _, l, _ = _instance(6)
-    _, grad = mse_loss(f, y @ l)
-    check_grad(lambda: mse_loss(f, y @ l)[0], f, grad)
+    _, grad = mse_loss(f, y @ l, workspace_for(f))
+    check_grad(lambda: mse_loss(f, y @ l, workspace_for(f))[0], f, grad)
 
 
 # --- pairwise-structure loss ---
@@ -161,14 +161,14 @@ def _disc_brute(f, y, l):
 def test_disc_matches_brute_force():
     for seed in range(5):
         f, y, _, l, _ = _instance(seed, b=5)
-        loss, _ = disc_loss(f, y @ l)
+        loss, _ = disc_loss(f, y @ l, workspace_for(f))
         assert loss == pytest.approx(_disc_brute(f, y, l), abs=1e-12)
 
 
 def test_disc_zero_row_convention():
     f, y, _, l, _ = _instance(7)
     f[2] = 0.0
-    loss, grad = disc_loss(f, y @ l)
+    loss, grad = disc_loss(f, y @ l, workspace_for(f))
     assert np.isfinite(loss)
     assert loss == pytest.approx(_disc_brute(f, y, l), abs=1e-12)
     assert np.array_equal(grad[2], np.zeros(f.shape[1]))
@@ -178,15 +178,15 @@ def test_disc_zero_when_structures_match():
     # embeddings equal to the recast targets give a symmetric cross term
     # and identical gram matrices
     _, y, _, l, _ = _instance(8)
-    loss, _ = disc_loss(y @ l, y @ l)
+    loss, _ = disc_loss(y @ l, y @ l, workspace_for(y))
     assert loss == pytest.approx(0.0, abs=1e-24)
 
 
 def test_disc_gradients():
     for seed in range(3):
         f, y, _, l, _ = _instance(seed + 10)
-        _, grad = disc_loss(f, y @ l)
-        check_grad(lambda: disc_loss(f, y @ l)[0], f, grad)
+        _, grad = disc_loss(f, y @ l, workspace_for(f))
+        check_grad(lambda: disc_loss(f, y @ l, workspace_for(f))[0], f, grad)
 
 
 # --- combined objective ---
@@ -194,10 +194,10 @@ def test_disc_gradients():
 def test_total_loss_combination():
     f, y, w, l, _ = _instance(11)
     q, alpha, beta = 0.6, 0.3, 0.2
-    value, grad, parts = total_loss(f, y, w, y @ l, q, alpha, beta)
+    value, grad, parts = total_loss(f, y, w, y @ l, q, alpha, beta, ws=workspace_for(f))
     jl, gl, _ = label_loss(f, y, w, q)
-    jd, gd = disc_loss(f, y @ l)
-    jm, gm = mse_loss(f, y @ l)
+    jd, gd = disc_loss(f, y @ l, workspace_for(f))
+    jm, gm = mse_loss(f, y @ l, workspace_for(f))
     assert value == pytest.approx(jl + alpha * jd + beta * jm, abs=1e-14)
     assert parts == {"label": jl, "disc": jd, "mse": jm}
     assert np.allclose(grad, gl + alpha * gd + beta * gm, atol=1e-14)
@@ -206,18 +206,19 @@ def test_total_loss_combination():
 @pytest.mark.parametrize("flag", ["drop_label", "drop_disc", "drop_mse"])
 def test_total_loss_drop_flags(flag):
     f, y, w, l, _ = _instance(12)
-    value, _, parts = total_loss(f, y, w, y @ l, 0.5, 0.1, 0.1, **{flag: True})
+    value, _, parts = total_loss(f, y, w, y @ l, 0.5, 0.1, 0.1, **{flag: True},
+                                 ws=workspace_for(f))
     dropped = flag.split("_")[1]
     assert parts[dropped] == 0.0
-    full, _, _ = total_loss(f, y, w, y @ l, 0.5, 0.1, 0.1)
+    full, _, _ = total_loss(f, y, w, y @ l, 0.5, 0.1, 0.1, ws=workspace_for(f))
     assert value < full
 
 
 def test_total_loss_gradients():
     f, y, w, l, rng = _instance(14)
     q = float(rng.uniform(0.05, 1.0))
-    _, grad, _ = total_loss(f, y, w, y @ l, q, 0.25, 0.15)
-    check_grad(lambda: total_loss(f, y, w, y @ l, q, 0.25, 0.15)[0], f, grad)
+    _, grad, _ = total_loss(f, y, w, y @ l, q, 0.25, 0.15, ws=workspace_for(f))
+    check_grad(lambda: total_loss(f, y, w, y @ l, q, 0.25, 0.15, ws=workspace_for(f))[0], f, grad)
 
 
 @pytest.mark.parametrize("b", [6, 7, 150])
@@ -239,13 +240,16 @@ def test_stacked_losses_match_each_slice(b):
             for a, e in zip(stacked, one):
                 assert np.array_equal(np.asarray(a)[i], e)
 
-    same(mse_loss(f, y @ l), [mse_loss(f[i], y[i] @ l) for i in range(k)])
-    same(disc_loss(f, y @ l), [disc_loss(f[i], y[i] @ l) for i in range(k)])
+    same(mse_loss(f, y @ l, workspace_for(f)),
+         [mse_loss(f[i], y[i] @ l, workspace_for(f[i])) for i in range(k)])
+    same(disc_loss(f, y @ l, workspace_for(f)),
+         [disc_loss(f[i], y[i] @ l, workspace_for(f[i])) for i in range(k)])
     same(label_loss(f, y, w, q), [label_loss(f[i], y[i], w, q) for i in range(k)])
     same(label_loss(f, y, ws, q), [label_loss(f[i], y[i], ws[i], q) for i in range(k)])
-    value, grad, parts = total_loss(f, y, w, y @ l, q, 0.25, 0.15)
+    value, grad, parts = total_loss(f, y, w, y @ l, q, 0.25, 0.15, ws=workspace_for(f))
     for i in range(k):
-        value_i, grad_i, parts_i = total_loss(f[i], y[i], w, y[i] @ l, q, 0.25, 0.15)
+        value_i, grad_i, parts_i = total_loss(f[i], y[i], w, y[i] @ l, q, 0.25, 0.15,
+                                              ws=workspace_for(f[i]))
         assert value[i] == value_i
         assert np.array_equal(grad[i], grad_i)
         assert {key: part[i] for key, part in parts.items()} == parts_i

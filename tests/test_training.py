@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import check_grad
+from conftest import check_grad, workspace_for
 from priorcast.config import RunConfig, apply_ablation
 from priorcast.data import ModalityData, SynthConfig, synth_generate
 from priorcast.losses import total_loss
@@ -42,7 +42,7 @@ def test_augment_identity_at_lambda_one():
     rng = make_rng(0)
     f = rng.standard_normal((2, 5, 4))
     y = np.eye(3)[rng.integers(0, 3, (2, 5))]
-    f_mix, y_mix, _ = feature_augment(f, y, 1.0, [rng, make_rng(1)])
+    f_mix, y_mix, _ = feature_augment(f, y, 1.0, [rng, make_rng(1)], workspace_for(f))
     assert np.array_equal(f_mix, f)
     assert np.array_equal(y_mix, y)
 
@@ -51,7 +51,7 @@ def test_augment_hand_case():
     # slice 1 mixes within itself: perm indexes the flattened (K * B) rows
     f = np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]])
     y = np.stack([np.eye(2)] * 2)
-    f_mix, y_mix, p = feature_augment(f, y, 0.9, [make_rng(1), make_rng(2)])
+    f_mix, y_mix, p = feature_augment(f, y, 0.9, [make_rng(1), make_rng(2)], workspace_for(f))
     rows, labels = f.reshape(4, 2), y.reshape(4, 2)
     assert sorted(p[1]) == [2, 3]
     assert np.allclose(f_mix[0, 0], 0.9 * f[0, 0] + 0.1 * rows[p[0, 0]])
@@ -63,7 +63,7 @@ def test_augment_label_rows_stay_distributions():
     rng = make_rng(2)
     f = rng.standard_normal((3, 16, 4))
     y = np.eye(5)[rng.integers(0, 5, (3, 16))]
-    _, y_mix, _ = feature_augment(f, y, 0.7, [make_rng(k) for k in range(3)])
+    _, y_mix, _ = feature_augment(f, y, 0.7, [make_rng(k) for k in range(3)], workspace_for(f))
     assert np.all(y_mix >= 0)
     assert np.allclose(y_mix.sum(axis=-1), 1.0, atol=1e-14)
 
@@ -71,8 +71,8 @@ def test_augment_label_rows_stay_distributions():
 def test_augment_deterministic():
     f = make_rng(4).standard_normal((2, 6, 3))
     y = np.stack([np.eye(3)[[0, 1, 2, 0, 1, 2]]] * 2)
-    f_a, _, perm_a = feature_augment(f, y, 0.9, [make_rng(9), make_rng(10)])
-    f_b, _, perm_b = feature_augment(f, y, 0.9, [make_rng(9), make_rng(10)])
+    f_a, _, perm_a = feature_augment(f, y, 0.9, [make_rng(9), make_rng(10)], workspace_for(f))
+    f_b, _, perm_b = feature_augment(f, y, 0.9, [make_rng(9), make_rng(10)], workspace_for(f))
     assert np.array_equal(perm_a, perm_b)
     assert np.array_equal(f_a, f_b)
 
@@ -115,11 +115,11 @@ def test_mixed_batch_gradient():
     def loss_of_f():
         fm = lam * f + (1 - lam) * f[perm]
         ym = lam * y + (1 - lam) * y[perm]
-        return total_loss(fm, ym, prior.w, ym @ prior.l, 0.5, 0.1, 0.1)[0]
+        return total_loss(fm, ym, prior.w, ym @ prior.l, 0.5, 0.1, 0.1, ws=workspace_for(fm))[0]
 
     fm = lam * f + (1 - lam) * f[perm]
     ym = lam * y + (1 - lam) * y[perm]
-    _, d_fm, _ = total_loss(fm, ym, prior.w, ym @ prior.l, 0.5, 0.1, 0.1)
+    _, d_fm, _ = total_loss(fm, ym, prior.w, ym @ prior.l, 0.5, 0.1, 0.1, ws=workspace_for(fm))
     d_f = lam * d_fm
     np.add.at(d_f, perm, (1 - lam) * d_fm)
     check_grad(loss_of_f, f, d_f)
@@ -234,12 +234,13 @@ def test_mixing_off_and_input_space_variants_run():
         assert not np.array_equal(encoders["mod0"].w1, default["mod0"].w1)
 
 
-@pytest.mark.parametrize("stage", ["one", "two"])
+@pytest.mark.parametrize("stage", ["one", "two", "no-mixup", "input-mixup"])
 def test_stage_steps_allocate_no_batch_arrays(monkeypatch, stage):
-    # every batch-sized array of a step lives in the stack's workspace: after
-    # a warm-up epoch has made its buffers, a whole epoch of K = 3, B = 256
-    # steps (a batch of 256 and a short tail of 224) peaks below one
-    # (K, B, hidden_dim) float64 activation
+    # every batch-sized array of a step lives in a workspace built once per
+    # stack: after a warm-up epoch has made its buffers, a whole epoch of
+    # K = 3, B = 256 steps (a batch of 256 and a short tail of 224) peaks
+    # below half a (K, B, hidden_dim) float64 activation, which stage one
+    # exceeds (~370 KB) when its label term gets no workspace
     import tracemalloc
 
     from priorcast import encoder
@@ -248,6 +249,8 @@ def test_stage_steps_allocate_no_batch_arrays(monkeypatch, stage):
     mods = [ModalityData(f"mod{i}", rng.standard_normal((480, width)),
                          rng.integers(0, 10, 480)) for i, width in enumerate((20, 24, 28))]
     cfg = RunConfig(batch_size=256, spl_epochs=2, rsc_epochs=2)
+    if stage not in ("one", "two"):
+        cfg = apply_ablation(cfg, stage)
     original = encoder.lockstep_batches
     peaks = []
 
@@ -270,5 +273,5 @@ def test_stage_steps_allocate_no_batch_arrays(monkeypatch, stage):
             train_rsc_stack(mods, prior, cfg, rngs)
     finally:
         tracemalloc.stop()
-    one_activation = 3 * 256 * cfg.hidden_dim * 8
-    assert len(peaks) == 2 and peaks[1] < one_activation
+    half_activation = 3 * 256 * cfg.hidden_dim * 8 // 2
+    assert len(peaks) == 2 and peaks[1] < half_activation
