@@ -14,6 +14,7 @@ other exception is a bug and ends the run with a traceback (exit 1).
 import argparse
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import os
 import sys
@@ -260,5 +261,18 @@ def main(argv=None) -> int:
         return 4
 
 
+def run() -> None:
+    """Process entry point (`python -m priorcast.cli` and the `priorcast` script).
+
+    Runs main(), then freezes the heap, so that the interpreter's exit-time
+    collections skip the objects that numpy and the imports made; teardown
+    still runs atexit hooks and flushes. main() itself never freezes: tests
+    call it in-process, and a frozen heap would keep each call's garbage.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -448,48 +448,33 @@ def synth_generate(cfg: SynthConfig) -> MultimodalDataset:
         centers *= cfg.separation / min_dist
 
     n = cfg.samples_per_class
-    n_train, n_val, n_test = _split_counts(n)
+    cuts = np.cumsum((0, *_split_counts(n)))
+    classes = np.arange(cfg.num_classes, dtype=np.int64)
+    f32_max = np.finfo(np.float32).max
     splits = {name: [] for name in SPLIT_NAMES}
     for k in range(cfg.num_modalities):
         dim = cfg.feature_dims[k]
         rng_map = make_rng(split_seed(cfg.seed, "map", k))
         lin_map = rng_map.standard_normal((latent_dim, dim)) / np.sqrt(latent_dim)
         rng_noise = make_rng(split_seed(cfg.seed, "noise", k))
-        feats = []
-        labels = []
-        for c in range(cfg.num_classes):
+        # class c's rows are feats[c]: its noise drawn in place, scaled, plus its center
+        feats = np.empty((cfg.num_classes, n, dim))
+        for c, block in enumerate(feats):
             base = centers[c] @ lin_map
-            block = np.tile(base, (n, 1))
             if cfg.noise[k] > 0:
-                block = block + cfg.noise[k] * rng_noise.standard_normal((n, dim))
-            feats.append(block)
-            labels.append(np.full(n, c, dtype=np.int64))
-        feats = np.concatenate(feats)
-        labels = np.concatenate(labels)
-        # stored payload is float32; round now so file round trips are exact
-        if not np.abs(feats).max() <= np.finfo(np.float32).max:
+                rng_noise.standard_normal(out=block)
+                block *= cfg.noise[k]
+                block += base
+            else:
+                block[...] = base
+        # stored payload is float32; NaN fails both comparisons
+        if not (feats.max() <= f32_max and feats.min() >= -f32_max):
             raise ConfigError(f"separation and noise: modality 'mod{k}' features overflow float32")
-        feats = feats.astype(np.float32).astype(np.float64)
-
-        parts = {name: ([], []) for name in SPLIT_NAMES}
-        for c in range(cfg.num_classes):
-            idx = np.flatnonzero(labels == c)
-            cuts = {
-                "train": idx[:n_train],
-                "val": idx[n_train : n_train + n_val],
-                "test": idx[n_train + n_val :],
-            }
-            for name, rows in cuts.items():
-                parts[name][0].append(feats[rows])
-                parts[name][1].append(labels[rows])
-        for name in SPLIT_NAMES:
-            splits[name].append(
-                ModalityData(
-                    name=f"mod{k}",
-                    features=np.concatenate(parts[name][0]),
-                    labels=np.concatenate(parts[name][1]),
-                )
-            )
+        for name, lo, hi in zip(SPLIT_NAMES, cuts, cuts[1:]):
+            # each split is the same rows of every class; round now so file round trips are exact
+            part = feats[:, lo:hi].astype(np.float32).astype(np.float64)
+            splits[name].append(ModalityData(name=f"mod{k}", features=part.reshape(-1, dim),
+                                             labels=np.repeat(classes, hi - lo)))
     dataset = MultimodalDataset(num_classes=cfg.num_classes, splits=splits)
     dataset.validate()
     return dataset

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import json
 import math
 import os
@@ -690,6 +691,13 @@ def test_failed_pipeline_leaves_no_older_run_manifest(tmp_path):
     assert not (out / "run_manifest.json").exists()
 
 
+def _cli_process(*args):
+    """A fresh interpreter running `python args...` against this checkout's priorcast."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 _IMPORT_PROBE = """
 import json, sys
 from priorcast import cli
@@ -714,9 +722,54 @@ def test_synth_loads_no_stage_module_and_stages_load_them_before_the_dataset(tmp
     data = tmp_path / "data"
     argv = [_synth_cfg(tmp_path), str(data), _run_cfg(tmp_path, str(data / "manifest.json")),
             str(tmp_path / "run")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _cli_process("-c", _IMPORT_PROBE, *argv)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen == {"loaded by synth": [], "missing at load_manifest": []}
+
+
+def test_module_entry_exits_with_main_code(tmp_path):
+    out = tmp_path / "data"
+    done = _cli_process("-m", "priorcast.cli", "synth", "--config", _synth_cfg(tmp_path),
+                        "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"wrote dataset manifest {out / 'manifest.json'}\n"
+    assert done.stderr == ""
+    bad = _write(tmp_path / "bad.json", {"synth": {"noise": [-1.0, 0.1, 0.1]}})
+    done = _cli_process("-m", "priorcast.cli", "synth", "--config", bad,
+                        "--out", str(tmp_path / "x"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: ")
+
+
+_ATEXIT_WRAPPER = """
+import atexit, gc, sys
+from priorcast import cli
+atexit.register(lambda: print(f"atexit ran, {gc.get_freeze_count()} objects frozen"))
+cli.run()
+"""
+
+
+def test_process_entry_keeps_atexit_hooks_and_freezes_after_main(tmp_path):
+    """cli.run() ends the process through sys.exit, not os._exit: a hook a
+    wrapper registered still runs, and by then the heap is frozen."""
+    done = _cli_process("-c", _ATEXIT_WRAPPER, "synth", "--config", _synth_cfg(tmp_path),
+                        "--out", str(tmp_path / "data"))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("wrote dataset manifest ")
+    assert lines[1].startswith("atexit ran, ") and int(lines[1].split()[2]) > 0
+
+
+def test_main_does_not_freeze_the_heap(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["synth", "--config", _synth_cfg(tmp_path), "--out", str(tmp_path / "d")]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"priorcast": "priorcast.cli:run"}

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference_synth
 from priorcast.data import (
     ModalityData,
     SynthConfig,
@@ -231,14 +232,43 @@ def test_synth_config_validation():
         SynthConfig(samples_per_class=2).validate()
 
 
-@pytest.mark.parametrize("field", [dict(separation=1e39), dict(separation=1e300),
-                                   dict(noise=[0.1, 1e39, 0.1]), dict(noise=[1e308, 0.1, 0.1])])
+@pytest.mark.parametrize("field", [
+    dict(separation=1e39), dict(separation=1e300),
+    dict(noise=[0.1, 1e39, 0.1]), dict(noise=[1e308, 0.1, 0.1]),
+    # at seed 1 every feature of both modalities is below -float32 max
+    dict(num_modalities=2, num_classes=2, feature_dims=[1, 1], samples_per_class=3,
+         noise=[0.0, 0.0], separation=1e39),
+])
 def test_synth_features_beyond_float32_are_a_config_error(field):
     # finite settings whose features overflow the float32 payload, without a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="separation and noise: modality 'mod"):
             synth_generate(SynthConfig(seed=1, **field))
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(seed=5),
+    SynthConfig(num_modalities=2, num_classes=2, feature_dims=[1, 3],
+                samples_per_class=3, noise=[0.0, 0.2], seed=0),
+    SynthConfig(num_modalities=4, num_classes=12, feature_dims=[1, 7, 16, 5],
+                samples_per_class=3, noise=[0.3, 0.0, 1.5, 0.05], seed=17),
+    SynthConfig(num_modalities=3, num_classes=12, feature_dims=[20, 24, 28],
+                samples_per_class=23, noise=[0.0, 0.0, 0.0], separation=0.5, seed=3),
+    SynthConfig(num_modalities=2, num_classes=2, feature_dims=[9, 1],
+                samples_per_class=60, noise=[2.0, 0.1], separation=30.0, seed=2**31),
+], ids=["default", "c2-k2-n3-dim1-noise0", "c12-k4-n3", "c12-all-noise0", "c2-n60"])
+def test_synth_matches_frozen_generator(cfg):
+    ds = synth_generate(cfg)
+    expected = reference_synth.synth_generate(cfg)
+    for split in ("train", "val", "test"):
+        assert len(ds.splits[split]) == cfg.num_modalities
+        for k, (mod, (feats, labels)) in enumerate(zip(ds.splits[split], expected[split])):
+            assert mod.name == f"mod{k}"
+            assert mod.features.dtype == feats.dtype and mod.labels.dtype == labels.dtype
+            assert mod.features.shape == feats.shape and mod.labels.shape == labels.shape
+            assert mod.features.tobytes() == feats.tobytes()
+            assert np.array_equal(mod.labels, labels)
 
 
 def test_minibatch_iter_partition():

@@ -121,6 +121,6 @@ def test_reference_modules_import_no_priorcast_kernel():
     found = {path.name: _priorcast_imports(ast.parse(path.read_text(encoding="utf-8")))
              for path in sorted(tests.glob("reference_*.py"))}
     assert sorted(found) == ["reference_losses.py", "reference_ranking.py",
-                             "reference_training.py"]
+                             "reference_synth.py", "reference_training.py"]
     assert {name: sorted(set(names) - _REFERENCE_ALLOWED)
             for name, names in found.items()} == dict.fromkeys(found, [])
