@@ -22,7 +22,8 @@ import time
 
 from . import __version__
 from .config import RunConfig, apply_ablation, load_config
-from .data import MultimodalDataset, load_manifest, synth_generate, write_dataset, write_json
+from .data import (MultimodalDataset, load_manifest, pr_curve_file, synth_generate,
+                   write_dataset, write_json)
 from .errors import ConfigError, FormatError, NumericError
 
 PRIOR_FILE = "prior.bin"
@@ -81,8 +82,8 @@ def cmd_spl(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
 
     prior, report = run_spl(dataset, cfg, cfg.seed)
     save_prior(os.path.join(out_dir, PRIOR_FILE), prior)
-    write_json(os.path.join(out_dir, "spl_report.json"), dataclasses.asdict(report))
-    if report.skipped:
+    write_json(os.path.join(out_dir, "spl_report.json"), report)
+    if report["skipped"]:
         print("prior: random orthogonal (selection skipped)")
     else:
         print(f"prior: modality {prior.source_modality!r} "
@@ -135,7 +136,7 @@ def cmd_eval(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
     write_json(os.path.join(out_dir, MAP_FILE), table)
     outputs = [MAP_FILE]
     for (a, b), curve in curves.items():
-        name = f"pr_{a}_{b}.csv"
+        name = pr_curve_file(a, b)
         write_pr_csv(os.path.join(out_dir, name), curve)
         outputs.append(name)
     print(f"MAP@{table['n_rank']} avg {table['avg']:.4f} "

@@ -63,11 +63,10 @@ class ModalityData:
                 f"modality {self.name!r}: class index out of range [0, {num_classes})"
             )
 
-    def one_hot(self, num_classes: int) -> np.ndarray:
-        """Expand labels to a dense (N, C) one-hot float matrix."""
-        y = np.zeros((self.labels.shape[0], num_classes), dtype=np.float64)
-        y[np.arange(self.labels.shape[0]), self.labels] = 1.0
-        return y
+
+def pr_curve_file(query: str, gallery: str) -> str:
+    """Artifact name of the PR curve of one ordered (query, gallery) pair."""
+    return f"pr_{query}_{gallery}.csv"
 
 
 @dataclass
@@ -101,6 +100,12 @@ class MultimodalDataset:
                                   f"it must be nonempty, without '/', '\\' or '..'")
         if len(names) < 2 or len(set(names)) != len(names):
             raise FormatError(f"need at least two modalities, each named once; got {names}")
+        written = {}  # PR-curve file name -> the ordered pair that writes it
+        for pair in ((a, b) for a in names for b in names if a != b):
+            other = written.setdefault(pr_curve_file(*pair), pair)
+            if other != pair:
+                raise FormatError(f"modality pairs {other} and {pair} would both write "
+                                  f"{pr_curve_file(*pair)}")
         for split in SPLIT_NAMES:
             if [m.name for m in self.splits[split]] != names:
                 raise FormatError("splits disagree on modality names or order")

@@ -73,10 +73,11 @@ def label_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, q: float, ws=None):
     return loss, d_f, d_logits
 
 
-def quality_score(f: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    """Mean target-class softmax mass; higher means better label alignment."""
+def quality_score(f: np.ndarray, labels: np.ndarray, w: np.ndarray) -> float:
+    """Mean softmax mass on each row's own class (labels holds class
+    indices); higher means better label alignment."""
     s = softmax(f @ w)
-    return float(np.mean(np.sum(y * s, axis=1)))
+    return float(np.mean(s[np.arange(labels.shape[0]), labels]))
 
 
 def mse_loss(f: np.ndarray, t: np.ndarray, ws):

@@ -27,13 +27,14 @@ def make_rng(seed: int) -> np.random.Generator:
 def split_seed(seed: int, *keys) -> int:
     """Derive an independent child seed from a root seed and a key path.
 
-    Keys may be ints or strings; strings are folded to stable ints so the
-    derivation does not depend on Python's randomized hash.
+    Keys may be non-negative ints or strings; a string is folded to the
+    int of all its UTF-8 bytes, so the derivation does not depend on
+    Python's randomized hash and strings that share a prefix stay apart.
     """
     folded = [int(seed)]
     for key in keys:
         if isinstance(key, str):
-            folded.append(int.from_bytes(key.encode("utf-8"), "little") % (2**63))
+            folded.append(int.from_bytes(key.encode("utf-8"), "little"))
         else:
             folded.append(int(key))
     ss = np.random.SeedSequence(folded)

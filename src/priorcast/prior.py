@@ -10,9 +10,8 @@ the result it would get alone; the epoch loop is encoder.train_stack, shared
 with stage two, and its per-epoch records go into the report.
 """
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -43,19 +42,6 @@ class PriorMatrix:
         return self.w.shape[1]
 
 
-@dataclass
-class SplReport:
-    scores: Dict[str, float] = field(default_factory=dict)
-    selected: Optional[str] = None
-    runner_up: Optional[str] = None  # best of the others
-    lead: Optional[float] = None  # scores[selected] - scores[runner_up]
-    epochs: int = 0
-    seed: int = 0
-    skipped: bool = False
-    wall_seconds: float = 0.0
-    modalities: List[dict] = field(default_factory=list)  # {name, epochs}, as training_report
-
-
 def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
     """Joint SGD over each modality's encoder and candidate transformation.
 
@@ -82,7 +68,7 @@ def _candidate_score(mod: ModalityData, w: np.ndarray, params) -> float:
     # only the embeddings outlive embed's one-shot stack, so quality_score's
     # temporaries can reuse the rest of its memory: on a large split this is
     # the peak of the stage
-    return quality_score(embed(params, mod.features), mod.one_hot(w.shape[1]), w)
+    return quality_score(embed(params, mod.features), mod.labels, w)
 
 
 def select_prior(candidates: Dict[str, np.ndarray], scores: Dict[str, float]) -> str:
@@ -96,14 +82,16 @@ def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
     With cfg.skip_spl the shared random orthogonal initialization is used
     directly (unscored). Each modality trains its own encoder from its own
     derived seed; modalities of equal training-split size train in lockstep.
-    Returns (PriorMatrix, SplReport).
+    Returns (PriorMatrix, report): the report holds each candidate's score,
+    the selected one, the runner_up (best of the others), the selected
+    one's lead over it, and per modality train_stack's epoch records.
     """
-    t0 = time.perf_counter()
     w0 = random_orthogonal(cfg.embed_dim, dataset.num_classes,
                            make_rng(split_seed(seed, "spl", "shared-w")))
     if cfg.skip_spl:
         return (PriorMatrix(w=w0, l=pseudo_inverse(w0)),
-                SplReport(seed=seed, skipped=True, wall_seconds=time.perf_counter() - t0))
+                {"scores": {}, "selected": None, "runner_up": None, "lead": None,
+                 "epochs": 0, "seed": seed, "skipped": True, "modalities": []})
 
     mods = dataset.splits["train"]
     results = lockstep_map(mods, [make_rng(split_seed(seed, "spl", mod.name)) for mod in mods],
@@ -116,11 +104,10 @@ def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
     runner_up = select_prior({n: w for n, w in candidates.items() if n != best}, scores)
     prior = PriorMatrix(w=candidates[best], l=pseudo_inverse(candidates[best]),
                         score=scores[best], source_modality=best)
-    report = SplReport(scores=scores, selected=best, runner_up=runner_up,
-                       lead=scores[best] - scores[runner_up], epochs=cfg.spl_epochs,
-                       seed=seed, wall_seconds=time.perf_counter() - t0,
-                       modalities=[{"name": m.name, "epochs": r[2]} for m, r in zip(mods, results)])
-    return prior, report
+    return prior, {"scores": scores, "selected": best, "runner_up": runner_up,
+                   "lead": scores[best] - scores[runner_up], "epochs": cfg.spl_epochs,
+                   "seed": seed, "skipped": False,
+                   "modalities": [{"name": m.name, "epochs": r[2]} for m, r in zip(mods, results)]}
 
 
 def save_prior(path, prior: PriorMatrix) -> None:

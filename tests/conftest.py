@@ -1,7 +1,13 @@
 import numpy as np
+from hypothesis import settings
 
 from priorcast.encoder import EncoderParams
 from priorcast.numerics import NORM_EPS, Workspace
+
+# every property checks the same examples on every run: no example database,
+# no deadline; each property sets only its own max_examples
+settings.register_profile("priorcast", derandomize=True, database=None, deadline=None)
+settings.load_profile("priorcast")
 
 
 def numeric_grad(fn, x, h=1e-6):

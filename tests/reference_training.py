@@ -23,6 +23,13 @@ from reference_losses import label_loss, quality_score, total_loss, unit_rows
 ForwardCache = namedtuple("ForwardCache", "x a1 a2 unit safe degenerate")
 
 
+def one_hot(labels, num_classes):
+    """Labels as a dense (N, C) one-hot float matrix."""
+    y = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
+    y[np.arange(labels.shape[0]), labels] = 1.0
+    return y
+
+
 def forward(params, x):
     """Embed a (B, D) batch; returns (F, cache) with F row-normalized and
     rows of pre-normalization norm <= NORM_EPS passed through unchanged."""
@@ -94,7 +101,7 @@ def q_at(q_start, epochs, epoch):
 def train_prior_for_modality(mod, w0, cfg, rng):
     """Returns (w, params, score) for one modality."""
     x = mod.features
-    y = mod.one_hot(w0.shape[1])
+    y = one_hot(mod.labels, w0.shape[1])
     params = init_params(x.shape[1], cfg.hidden_dim, cfg.embed_dim, rng)
     w = w0.copy()
     for epoch in range(cfg.spl_epochs):
@@ -131,7 +138,7 @@ def train_rsc_for_modality(mod, prior, cfg, rng):
     if cfg.use_transpose:
         prior = dataclasses.replace(prior, l=prior.w.T.copy())
     x = mod.features
-    y = mod.one_hot(prior.num_classes)
+    y = one_hot(mod.labels, prior.num_classes)
     params = init_params(x.shape[1], cfg.hidden_dim, cfg.embed_dim, rng)
     epochs = []
     for epoch in range(cfg.rsc_epochs):

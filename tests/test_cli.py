@@ -129,6 +129,12 @@ def test_bad_n_rank(tmp_path):
                  "--n-rank", "zero"]) == 2
 
 
+# spl_report.json's keys, with selection and with no-spl; the stage's wall
+# time is run_manifest.json's
+SPL_REPORT_KEYS = {"scores", "selected", "runner_up", "lead", "epochs", "seed", "skipped",
+                   "modalities"}
+
+
 def test_pipeline_artifacts(tmp_path):
     cfg = _synth_cfg(tmp_path)
     data = tmp_path / "data"
@@ -150,6 +156,7 @@ def test_pipeline_artifacts(tmp_path):
     report = json.loads((out / "training_report.json").read_text())
     assert len(report["modalities"]) == 2
     spl = json.loads((out / "spl_report.json").read_text())
+    assert set(spl) == SPL_REPORT_KEYS
     scores = spl["scores"]
     assert spl["runner_up"] in scores and spl["runner_up"] != spl["selected"]
     assert spl["lead"] == scores[spl["selected"]] - scores[spl["runner_up"]] >= 0
@@ -184,6 +191,7 @@ def test_pipeline_ablation_skip_spl(tmp_path):
     assert main(["pipeline", "--config", run, "--out", str(out),
                  "--ablation", "no-spl"]) == 0
     report = json.loads((out / "spl_report.json").read_text())
+    assert set(report) == SPL_REPORT_KEYS
     assert report["skipped"] is True
     assert report["selected"] is None
     assert report["runner_up"] is None
@@ -636,6 +644,9 @@ EXIT_CASES = {
                             _rename_in_manifest("")),
     "modality-name-lone-surrogate": (3, "format error: manifest entry needs a UTF-8 string 'name'",
                                      _rename_in_manifest("m\ud800")),
+    "modality-names-share-a-pr-file": (
+        3, "format error: modality pairs ('mod0', 'mod0_mod0') and ('mod0_mod0', 'mod0') would "
+           "both write pr_mod0_mod0_mod0.csv", _rename_in_manifest("mod0_mod0")),
     # 4: numeric failures
     "non-finite-training": (4, "numeric failure: stage one, epoch 0", _run("spl", lr=1e200)),
 }

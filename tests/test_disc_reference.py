@@ -100,7 +100,7 @@ def test_relative_accuracy_near_f_equals_t(eps):
     _assert_matches_reference(f, t)
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_random_shapes_match_reference(data):
     k = data.draw(st.sampled_from([None, 1, 2, 3]), "k")

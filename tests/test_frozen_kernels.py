@@ -68,7 +68,9 @@ def test_softmax_quality_score_and_unit_rows_match_frozen_copies():
     assert np.array_equal(softmax(f @ w), ref_losses.softmax(f @ w))
     for got, want in zip(unit_rows(f), ref_losses.unit_rows(f)):
         assert np.array_equal(got, want)
-    assert quality_score(f[0], y[0], w) == ref_losses.quality_score(f[0], y[0], w)
+    labels = y[0].argmax(axis=1)
+    assert quality_score(f[0], labels, w) == ref_losses.quality_score(
+        f[0], ref.one_hot(labels, w.shape[1]), w)
 
 
 @pytest.mark.parametrize("k, b", [(1, 2), (3, 9), (3, 256)])
@@ -118,10 +120,11 @@ def test_embeddings_match_frozen_forward(rows, monkeypatch):
     scored = []
     original = prior.quality_score
     monkeypatch.setattr(prior, "quality_score",
-                        lambda f, y, w: scored.append(f) or original(f, y, w))
+                        lambda f, labels, w: scored.append(f) or original(f, labels, w))
     for mod in ds.splits["train"]:
         params, w = encoders[mod.name], rng.standard_normal((16, ds.num_classes))
         score = prior._candidate_score(mod, w, params)
         want = ref.forward(params, mod.features)[0]
         assert np.array_equal(scored.pop(), want)
-        assert score == ref_losses.quality_score(want, mod.one_hot(ds.num_classes), w)
+        y = ref.one_hot(mod.labels, ds.num_classes)
+        assert score == ref_losses.quality_score(want, y, w)

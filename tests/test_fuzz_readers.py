@@ -2,10 +2,10 @@
 
 Every malformed file (truncated, with bytes after its last block, with a
 bad magic or header) must raise FormatError and nothing else. The examples
-are derandomized, so every run checks the same inputs. Header dimensions of
-label files stay at most 2**12, so a reader that allocated what a header
-claims would still ask for little memory (the unbounded header has its own
-test in test_data.py).
+are derandomized (conftest.py's hypothesis profile), so every run checks
+the same inputs. Header dimensions of label files stay at most 2**12, so a
+reader that allocated what a header claims would still ask for little
+memory (the unbounded header has its own test in test_data.py).
 """
 
 import io
@@ -27,7 +27,7 @@ from priorcast.data import (
 )
 from priorcast.errors import FormatError
 
-FUZZ = settings(derandomize=True, database=None, max_examples=50, deadline=None)
+FUZZ = settings(max_examples=50)
 
 SMALL = st.integers(1, 6)
 # DFM1 dims may be huge: the element cap and the file-size check refuse

@@ -61,7 +61,7 @@ def test_stages_match_per_modality_reference(preset):
     assert np.array_equal(prior.l, ref_prior.l)
     assert prior.score == ref_prior.score
     assert prior.source_modality == ref_prior.source_modality
-    assert report.scores == ref_scores
+    assert report["scores"] == ref_scores
 
     encoders, rsc_report = train_rsc_all(ds, prior, cfg, seed=4)
     ref_encoders, ref_epochs = ref.train_rsc_all(ds, ref_prior, cfg, seed=4)
@@ -136,7 +136,7 @@ def test_short_tail_batch_matches_reference(preset):
     prior, report = run_spl(ds, cfg, seed=5)
     ref_prior, ref_scores, _ = ref.run_spl(ds, cfg, seed=5)
     assert np.array_equal(prior.w, ref_prior.w)
-    assert report.scores == ref_scores
+    assert report["scores"] == ref_scores
     encoders, rsc_report = train_rsc_all(ds, prior, cfg, seed=6)
     ref_encoders, ref_epochs = ref.train_rsc_all(ds, ref_prior, cfg, seed=6)
     for name in encoders:

@@ -45,7 +45,7 @@ def test_gce_small_q_approaches_log_loss():
         logits = np.log(np.array([[p, 1.0 - p]]))
         y = np.array([[1.0, 0.0]])
         loss, _, _ = label_loss(logits, y, np.eye(2), 1e-6)
-        assert quality_score(logits, y, np.eye(2)) == pytest.approx(p, abs=1e-12)
+        assert quality_score(logits, np.array([0]), np.eye(2)) == pytest.approx(p, abs=1e-12)
         assert abs(loss - (-np.log(p))) <= 1e-5
 
 
@@ -103,10 +103,10 @@ def test_label_loss_accepts_soft_labels():
 
 def test_quality_score_range_and_ceiling():
     f, y, w, _, _ = _instance(4)
-    s = quality_score(f, y, w)
+    s = quality_score(f, y.argmax(axis=1), w)
     assert 0.0 < s < 1.0
     # logits hugely aligned with the labels push the score to 1
-    s_hot = quality_score(y @ np.linalg.pinv(w) * 50.0, y, w)
+    s_hot = quality_score(y @ np.linalg.pinv(w) * 50.0, y.argmax(axis=1), w)
     assert s_hot > 0.99
 
 
@@ -115,8 +115,8 @@ def test_quality_score_is_mean_target_class_probability():
     # class and 1/6 elsewhere; the second row's target is not its top class
     f = np.eye(3)
     w = np.log(4.0) * np.eye(3)
-    y = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    assert quality_score(f, y, w) == pytest.approx((2 / 3 + 1 / 6 + 2 / 3) / 3, abs=1e-15)
+    labels = np.array([0, 0, 2])
+    assert quality_score(f, labels, w) == pytest.approx((2 / 3 + 1 / 6 + 2 / 3) / 3, abs=1e-15)
 
 
 # --- mse ---

@@ -114,6 +114,34 @@ def test_split_seed_streams():
     assert not np.allclose(a, d)
 
 
+def test_split_seed_reads_every_byte_of_a_string_key():
+    # the first 8 bytes agree ("modality"), and so did these seeds while a
+    # key was folded modulo 2**63
+    assert split_seed(7, "rsc", "modality_image") != split_seed(7, "rsc", "modality_text")
+    assert split_seed(7, "spl", "x" * 1000) != split_seed(7, "spl", "x" * 999 + "y")
+
+
+# split_seed(seed, *keys) for the keys in use, which every dataset and artifact
+# derives from: a change to any of them moves every benchmark byte
+GOLDEN_SEEDS = {
+    0: [9671809809654494827, 4211006418011631417, 9173629809779454138,
+        12398439662331823045, 7129548687932955440, 2308498904676602459],
+    1: [6426387364163845171, 10850716167497742849, 12805430358443860614,
+        4984077789285697892, 2070805949885924789, 10966933029750202225],
+    7: [13308060715500434949, 5749450261432888142, 7587120303009008681,
+        7130284673167911475, 14734882361449976649, 8304901540409643007],
+    2**31: [1559375709025898950, 688120609047177468, 10787388762778020004,
+            7357074445546356072, 2877820210998705981, 15103312129203218060],
+}
+
+
+@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+def test_split_seed_golden_values(seed):
+    keys = [("centers",), ("map", 1), ("noise", 2), ("spl", "shared-w"), ("spl", "mod0"),
+            ("rsc", "mod2")]
+    assert [split_seed(seed, *k) for k in keys] == GOLDEN_SEEDS[seed]
+
+
 def test_unit_rows_degenerate_row_convention():
     x = np.array([[3.0, 4.0], [0.0, 0.0], [1e-13, 0.0]])
     unit, safe, degenerate = unit_rows(x)

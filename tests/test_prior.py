@@ -27,10 +27,10 @@ def _cfg():
 
 def test_run_spl_scores_every_modality():
     prior, report = run_spl(_dataset(), _cfg(), seed=1)
-    assert set(report.scores) == {"mod0", "mod1"}
-    assert report.selected in report.scores
-    assert prior.score == max(report.scores.values())
-    assert prior.source_modality == report.selected
+    assert set(report["scores"]) == {"mod0", "mod1"}
+    assert report["selected"] in report["scores"]
+    assert prior.score == max(report["scores"].values())
+    assert prior.source_modality == report["selected"]
     assert 0.0 < prior.score <= 1.0
 
 
@@ -46,7 +46,7 @@ def test_run_spl_skip_uses_shared_random_matrix():
     cfg.skip_spl = True
     ds = _dataset()
     prior, report = run_spl(ds, cfg, seed=7)
-    assert report.skipped
+    assert report["skipped"]
     assert prior.score is None and prior.source_modality is None
     w0 = random_orthogonal(cfg.embed_dim, ds.num_classes,
                            make_rng(split_seed(7, "spl", "shared-w")))

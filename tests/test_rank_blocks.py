@@ -115,7 +115,7 @@ def test_ties_across_the_cutoff(n_rank):
     _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank, curve=True)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_small_blocks_match_per_query_reference(data):
     """Integer-valued embeddings (many ties and zero rows), any block height."""
@@ -136,7 +136,7 @@ def test_small_blocks_match_per_query_reference(data):
         _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank, curve)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_ulp_perturbed_galleries_match_per_query_reference(data):
     """Rows drawn from a few directions whose coordinates include +-0.0, +-1
