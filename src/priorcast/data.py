@@ -152,6 +152,14 @@ class SynthConfig:
             raise ConfigError("feature_dims: dimensions must be >= 1")
         if self.samples_per_class < 3:
             raise ConfigError("samples_per_class: need >= 3 so every split is nonempty")
+        # a train split over the readers' cap could never be read back, and
+        # synth_generate's (C, C, max D) centre differences and (max D, D)
+        # maps must not outgrow that cap either
+        c, top = self.num_classes, max(self.feature_dims)
+        if max(c * _split_counts(self.samples_per_class)[0], c * c, top) * top > _MAX_ELEMS:
+            raise ConfigError(f"num_classes, samples_per_class and feature_dims: {c} classes in "
+                              f"{top} dimensions would generate arrays of more than "
+                              f"{_MAX_ELEMS} elements")
         if not 0 < self.separation < np.inf:
             raise ConfigError("separation: must be finite and > 0")
         if len(self.noise) != self.num_modalities:

@@ -9,7 +9,8 @@ per mini-batch, with the batch size standing in for the modality size.
 One label term serves both stages: label_loss learns each modality's
 candidate w in stage one and applies the frozen prior w in stage two. It
 returns the logits' gradient too, so that stage one can form w's gradient
-f^T d_logits in place.
+f^T d_logits in place, and the logits f w, so that stage two reads its
+recast gap f w - y from them.
 
 The training loops pass (K, B, .) stacks of K batches: f, y and the
 recast targets t stacked and the other matrices shared (label_loss: one
@@ -59,8 +60,8 @@ def gce_from_logits(logits: np.ndarray, y: np.ndarray, q: float, ws):
 def label_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, q: float, ws=None):
     """The label term of both stages: GCE of softmax(f w) against soft targets y.
 
-    Returns (value, d_f, d_logits); the gradient with respect to w is
-    f^T d_logits, which only stage one, where w is learned, forms.
+    Returns (value, d_f, d_logits, logits); the gradient with respect to w
+    is f^T d_logits, which only stage one, where w is learned, forms.
     """
     if ws is None:
         # bench/test_bench.py::test_self_time_excludes_child_spans calls
@@ -70,7 +71,7 @@ def label_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, q: float, ws=None):
     logits = np.matmul(f, w, out=ws.get("logits", b, c))
     loss, d_logits = gce_from_logits(logits, y, q, ws)
     d_f = np.matmul(d_logits, w.swapaxes(-1, -2), out=ws.get("label_d_f", b, f.shape[-1]))
-    return loss, d_f, d_logits
+    return loss, d_f, d_logits, logits
 
 
 def quality_score(f: np.ndarray, labels: np.ndarray, w: np.ndarray) -> float:
@@ -140,31 +141,27 @@ def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray,
     """Weighted sum J_label + alpha * J_disc + beta * J_mse over one batch.
 
     t holds the recast targets y L. The drop flags are the ablation
-    switches; defaults give the full objective. Returns (value, d_f, parts)
-    where parts maps each term name to its unweighted value (0.0 when
-    dropped).
+    switches; defaults give the full objective. Returns (terms, d_f, logits):
+    terms is a (4, *lead) array of the unweighted label, disc and mse values
+    (0.0 where dropped) and their weighted sum, and logits is f w, from the
+    label term or, when it is dropped, formed here.
     """
-    parts = {"label": 0.0, "disc": 0.0, "mse": 0.0}
-    value = 0.0
-    grads = []  # each term's weighted gradient
-    if not drop_label:
-        parts["label"], g, _ = label_loss(f, y, w, q, ws)
-        value += parts["label"]
-        grads.append(g)
-    if not drop_disc:
-        parts["disc"], g = disc_loss(f, t, ws)
-        value += alpha * parts["disc"]
-        grads.append(np.multiply(g, alpha, out=g))
-    if not drop_mse:
-        parts["mse"], g = mse_loss(f, t, ws)
-        value += beta * parts["mse"]
-        grads.append(np.multiply(g, beta, out=g))
-    # the sum runs from +0.0: adding 0.0 turns a -0.0 of the first term into +0.0
+    terms = np.zeros((4, *f.shape[:-2]))
+    # the gradient sum runs from +0.0: adding 0.0 turns a -0.0 of the first term into +0.0
     d_f = ws.get("total_d_f", *f.shape[-2:])
-    if grads:
-        np.add(grads[0], 0.0, out=d_f)
-    else:
+    if drop_label:
+        logits = np.matmul(f, w, out=ws.get("total_logits", f.shape[-2], w.shape[-1]))
         d_f.fill(0.0)
-    for g in grads[1:]:
-        d_f += g
-    return value, d_f, parts
+    else:
+        terms[0], g, _, logits = label_loss(f, y, w, q, ws)
+        np.add(g, 0.0, out=d_f)
+    if not drop_disc:
+        terms[1], g = disc_loss(f, t, ws)
+        d_f += np.multiply(g, alpha, out=g)
+    if not drop_mse:
+        terms[2], g = mse_loss(f, t, ws)
+        d_f += np.multiply(g, beta, out=g)
+    # left to right; a dropped term adds its finite weight times +0.0, which
+    # changes no bit, since no partial sum is -0.0: the first term never is
+    terms[3] = terms[0] + alpha * terms[1] + beta * terms[2]
+    return terms, d_f, logits

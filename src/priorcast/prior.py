@@ -52,7 +52,7 @@ def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
     """
     def label_step(stack, x, y, q):
         f, cache = forward(stack, x)
-        loss, d_f, d_logits = label_loss(f, y, stack.extra, q, stack.workspace)
+        loss, d_f, d_logits, _ = label_loss(f, y, stack.extra, q, stack.workspace)
         np.matmul(f.swapaxes(-1, -2), d_logits, out=stack.extra_grad)
         backward(stack, cache, d_f)
         return loss[None] * y.shape[1]

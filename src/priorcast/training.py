@@ -68,8 +68,9 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
     lockstep as one EncoderStack, each from its own generator, and each
     result equals that of training the modality alone. Returns one
     (params, epochs) per modality, where epochs is a list of per-epoch
-    records: loss components, q, the label-recast gap diagnostic, and the
-    stack's wall-clock for the epoch.
+    records: loss components, q, the label-recast gap diagnostic (the root
+    mean square over the epoch's samples of the row norm of f W - Y), and
+    the stack's wall-clock for the epoch.
     """
     if cfg.use_transpose:
         # the transpose ablation swaps the recaster, not the classifier matrix
@@ -78,7 +79,7 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
     if cfg.fa_input_space:
         # input widths differ within a stack: each modality mixes as a stack of one
         input_ws = [Workspace((1,), max_batch_rows(mods[0], cfg.batch_size)) for _ in mods]
-    step_sums = np.empty((5, len(mods)))  # label, disc, mse and total (each * b), gap
+    step_sums = np.empty((5, len(mods)))  # label, disc, mse and total (each * b), gap^2
 
     def rsc_step(stack, x_b, y_b, q):
         ws = stack.workspace
@@ -93,7 +94,7 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
         if mix_embeddings:
             f_t, y_t, perm = feature_augment(f_t, y_b, cfg.mix_lambda, rngs, ws)
         t = recast_invariant(y_t, prior, out=ws.get("recast", b, cfg.embed_dim))
-        value, d_ft, parts = total_loss(
+        terms, d_ft, logits = total_loss(
             f_t, y_t, prior.w, t, q, cfg.alpha, cfg.beta, drop_label=cfg.drop_label,
             drop_disc=cfg.drop_disc, drop_mse=cfg.drop_mse, ws=ws)
         if mix_embeddings:
@@ -105,19 +106,20 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
         else:
             d_f = d_ft
         backward(stack, cache, d_f)
-        step_sums[0], step_sums[1], step_sums[2], step_sums[3] = (
-            parts["label"], parts["disc"], parts["mse"], value)
-        step_sums[:4] *= b
-        # np.linalg.norm of each (B, C) slice of f W - Y, which is this BLAS dot
-        gap = np.matmul(f_t, prior.w, out=ws.get("gap", b, prior.num_classes))
-        gap -= y_t
-        step_sums[4] = [math.sqrt(r.dot(r)) for r in gap.reshape(len(mods), -1)]
+        np.multiply(terms, b, out=step_sums[:4])
+        # the sum of squared row norms of each (B, C) slice of f W - Y
+        gap = np.subtract(logits, y_t, out=logits)
+        step_sums[4] = [r.dot(r) for r in gap.reshape(len(mods), -1)]
         return step_sums
 
     qs = ([cfg.fixed_q] * cfg.rsc_epochs if cfg.fixed_q is not None else
           [q_at(cfg.q_start, cfg.rsc_epochs, epoch) for epoch in range(cfg.rsc_epochs)])
     stack, epochs = train_stack("two", mods, cfg, rngs, prior.num_classes, qs,
                                 ("label", "disc", "mse", "total", "recast_gap"), rsc_step)
+    for records in epochs:
+        for record in records:
+            # the epoch's mean squared row norm, to the root mean square
+            record["recast_gap"] = math.sqrt(record["recast_gap"])
     return list(zip(stack.members, epochs))
 
 

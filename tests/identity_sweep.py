@@ -11,7 +11,9 @@ Datasets are compared file by file (the run manifest aside: it holds a wall
 time), pipeline outputs by bench/identity.py's artifact set: prior.bin,
 encoder_*.bin, map_table.json and the PR CSVs, and spl_report.json and
 training_report.json with every wall_seconds removed. Every differing file is
-printed, and the exit status is 1 if any differ or a command fails, else 0.
+printed, a report with the keys whose values differ in it (for example
+`.../training_report.json: recast_gap`), and the exit status is 1 if any
+differ or a command fails, else 0.
 Each child is reaped with os.wait4, and both sides' peak RSS is printed
 for every command, with the largest increase of the checkout over REV at
 the end; memory does not change the exit status. The children are not
@@ -90,18 +92,30 @@ def compare(work, names_of, what):
 REPORTS = ("spl_report.json", "training_report.json")
 
 
+def differing_keys(a, b, key=None):
+    """The names of the keys under which the JSON values a and b differ: for
+    each differing leaf, the innermost key above it (None at the top)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return set().union(*(differing_keys(a.get(k), b.get(k), k) for k in a.keys() | b.keys()))
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return set().union(*(differing_keys(x, y, key) for x, y in zip(a, b)))
+    return set() if json.dumps(a) == json.dumps(b) else {key}
+
+
 def compare_reports(work, what):
-    """The paths of the REPORTS in run directory what that differ between
-    the trees once every wall_seconds is removed."""
+    """Each of the REPORTS in run directory what that differs between the
+    trees once every wall_seconds is removed, as its path and the keys that
+    differ in it."""
     differ = []
     for name in REPORTS:
         reports = []
         for w in work:
             with open(os.path.join(w, what, name), encoding="utf-8") as fh:
-                reports.append(json.dumps(json.load(fh, object_hook=lambda record: {
-                    k: v for k, v in record.items() if k != "wall_seconds"})))
-        if reports[0] != reports[1]:
-            differ.append(f"{what}/{name}")
+                reports.append(json.load(fh, object_hook=lambda record: {
+                    k: v for k, v in record.items() if k != "wall_seconds"}))
+        keys = differing_keys(*reports)
+        if keys:
+            differ.append(f"{what}/{name}: " + ", ".join(sorted(map(str, keys))))
     return differ
 
 

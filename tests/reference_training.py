@@ -11,6 +11,7 @@ reproduce these results bit for bit.
 """
 
 import dataclasses
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -172,7 +173,8 @@ def train_rsc_for_modality(mod, prior, cfg, rng):
             for key in ("label", "disc", "mse"):
                 sums[key] += parts[key] * b
             sums["total"] += value * b
-            sums["gap"] += float(np.linalg.norm(f_t @ prior.w - y_t))
+            gap = (f_t @ prior.w - y_t).ravel()
+            sums["gap"] += float(gap.dot(gap))
         epochs.append({
             "epoch": epoch,
             "q": q,
@@ -180,7 +182,7 @@ def train_rsc_for_modality(mod, prior, cfg, rng):
             "disc": sums["disc"] / n_seen,
             "mse": sums["mse"] / n_seen,
             "total": sums["total"] / n_seen,
-            "recast_gap": sums["gap"] / n_seen,
+            "recast_gap": math.sqrt(sums["gap"] / n_seen),
         })
     return params, epochs
 

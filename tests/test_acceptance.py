@@ -18,6 +18,7 @@ from priorcast.losses import disc_loss, label_loss, mse_loss, total_loss
 from priorcast.numerics import make_rng, pseudo_inverse, random_orthogonal
 from priorcast.prior import run_spl
 from priorcast.training import train_rsc_all
+from selection_sweep import CLEAN_NOISE, selection_case
 
 
 def _verdict(num, desc, ok):
@@ -76,7 +77,7 @@ def test_c2_gradient_oracle():
         q = float(rng.uniform(0.05, 1.0))
 
         for target in (y, soft):
-            _, g, d_logits = label_loss(f, target, w, q)
+            _, g, d_logits, _ = label_loss(f, target, w, q)
             worst["label_loss"] = max(
                 worst.get("label_loss", 0.0),
                 max_rel_err(g, numeric_grad(lambda: label_loss(f, target, w, q)[0], f)),
@@ -97,7 +98,8 @@ def test_c2_gradient_oracle():
         worst["total_loss"] = max(
             worst.get("total_loss", 0.0),
             max_rel_err(g, numeric_grad(
-                lambda: total_loss(f, soft, w, soft @ l, q, 0.1, 0.1, ws=workspace_for(f))[0], f)))
+                lambda: total_loss(f, soft, w, soft @ l, q, 0.1, 0.1,
+                                   ws=workspace_for(f))[0][3], f)))
 
         # one encoder, as a stack of one; params views its parameters
         stack = EncoderStack([init_params(4, 6, 3, rng)], 4)
@@ -201,7 +203,7 @@ def test_c4_gce_limit():
         # same limit through the loss implementation
         logits = np.log(np.array([[p, 1.0 - p]]))
         y = np.array([[1.0, 0.0]])
-        loss, _, _ = label_loss(logits, y, np.eye(2), q)
+        loss, _, _, _ = label_loss(logits, y, np.eye(2), q)
         worst = max(worst, abs(loss - (-np.log(p))))
     ok = worst <= 1e-5
     _verdict(4, f"generalized CE at q=1e-6 vs -ln p: max diff {worst:.1e} "
@@ -232,6 +234,25 @@ def test_c6_prior_selectivity():
             wins += 1
     ok = wins >= 9
     _verdict(6, f"low-noise modality selected in {wins}/10 seeds (>=9)", ok)
+
+
+# the clean modality at noise CLEAN_NOISE and the two others at NOISE_GAP
+# times that, at train_b32 sizes; tests/selection_sweep.py prints the whole
+# curve. At this gap the clean one was selected in 9 of 9 cases, by leads
+# of 0.032 to 0.065 over the best other candidate.
+NOISE_GAP = 2.0
+LEAD_MARGIN = 0.02
+
+
+def test_c6_prior_selectivity_clean_at_each_position():
+    leads = []
+    for case in range(3):  # the clean modality at position 0, 1 and 2
+        report, clean = selection_case(CLEAN_NOISE * NOISE_GAP, case)
+        others = [score for name, score in report["scores"].items() if name != clean]
+        leads.append(report["scores"][clean] - max(others))
+    ok = min(leads) >= LEAD_MARGIN
+    _verdict(6, f"clean modality (noise {CLEAN_NOISE}, others x{NOISE_GAP}) selected at "
+                f"each position, leads {[round(x, 4) for x in leads]} (>={LEAD_MARGIN})", ok)
 
 
 def test_c7_prior_beats_random():

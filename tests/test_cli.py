@@ -573,6 +573,24 @@ EXIT_CASES = {
                           _synth_field(num_classes=5.5)),
     "synth-scalar-for-list": (2, "config error: synth.noise must be a list of numbers",
                               _synth_field(noise=0.1)),
+    # sizes that would once end in a MemoryError (exit 1) inside synth_generate
+    "synth-dims-over-cap": (2, "config error: num_classes, samples_per_class and feature_dims",
+                            _synth_field(feature_dims=[2**40, 4])),
+    "synth-classes-over-cap": (2, "config error: num_classes, samples_per_class and feature_dims",
+                               _synth_field(num_classes=2**40)),
+    "synth-samples-over-cap": (2, "config error: num_classes, samples_per_class and feature_dims",
+                               _synth_field(samples_per_class=2**40)),
+    # a train split of 70000 x 1, but (70000, 70000, 1) centre differences
+    "synth-centres-over-cap": (2, "config error: num_classes, samples_per_class and "
+                                  "feature_dims: 70000 classes in 1 dimensions",
+                               _synth_field(num_classes=70000, samples_per_class=3,
+                                            feature_dims=[1, 1])),
+    # a train split of 2 x 2**29 and (2, 2, 2**29) centre differences, but a
+    # (2**29, 2**29) latent map
+    "synth-map-over-cap": (2, "config error: num_classes, samples_per_class and "
+                              "feature_dims: 2 classes in 536870912 dimensions",
+                           _synth_field(num_classes=2, samples_per_class=3,
+                                        feature_dims=[2**29, 2**29])),
     "unknown-ablation": (2, "config error: unknown ablation 'bogus'",
                          _run("pipeline", "--ablation", "bogus")),
     "bad-n-rank-flag": (2, "config error: --n-rank must be 'all'", _run("eval", "--n-rank", "zero")),

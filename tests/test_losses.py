@@ -44,7 +44,7 @@ def test_gce_small_q_approaches_log_loss():
     for p in (0.1, 0.5, 0.9):
         logits = np.log(np.array([[p, 1.0 - p]]))
         y = np.array([[1.0, 0.0]])
-        loss, _, _ = label_loss(logits, y, np.eye(2), 1e-6)
+        loss, _, _, _ = label_loss(logits, y, np.eye(2), 1e-6)
         assert quality_score(logits, np.array([0]), np.eye(2)) == pytest.approx(p, abs=1e-12)
         assert abs(loss - (-np.log(p))) <= 1e-5
 
@@ -52,7 +52,7 @@ def test_gce_small_q_approaches_log_loss():
 def test_gce_q1_is_one_minus_p():
     logits = np.log(np.array([[0.3, 0.7]]))
     y = np.array([[1.0, 0.0]])
-    loss, _, _ = label_loss(logits, y, np.eye(2), 1.0)
+    loss, _, _, _ = label_loss(logits, y, np.eye(2), 1.0)
     assert loss == pytest.approx(0.7, abs=1e-12)
 
 
@@ -61,7 +61,7 @@ def test_gce_uniform_logits():
     logits = np.zeros((1, c))
     y = np.eye(c)[[2]]
     q = 0.3
-    loss, _, _ = label_loss(logits, y, np.eye(c), q)
+    loss, _, _, _ = label_loss(logits, y, np.eye(c), q)
     assert loss == pytest.approx((1.0 - (1.0 / c) ** q) / q)
 
 
@@ -69,8 +69,8 @@ def test_gce_shift_invariant():
     f, y, w, _, _ = _instance(0)
     logits = f @ w
     eye = np.eye(w.shape[1])
-    l0, _, g0 = label_loss(logits, y, eye, 0.4)
-    l1, _, g1 = label_loss(logits + 57.0, y, eye, 0.4)
+    l0, _, g0, _ = label_loss(logits, y, eye, 0.4)
+    l1, _, g1, _ = label_loss(logits + 57.0, y, eye, 0.4)
     assert l0 == pytest.approx(l1, abs=1e-10)
     assert np.allclose(g0, g1, atol=1e-12)
 
@@ -83,12 +83,12 @@ def test_label_loss_gradients():
     for seed in range(3):
         f, y, w, _, rng = _instance(seed)
         q = float(rng.uniform(0.05, 1.0))
-        _, d_f, d_logits = label_loss(f, y, w, q)
+        _, d_f, d_logits, _ = label_loss(f, y, w, q)
         check_grad(lambda: label_loss(f, y, w, q)[0], f, d_f)
         check_grad(lambda: label_loss(f, y, w, q)[0], w, f.T @ d_logits)
         fs, ys = np.stack([f, f[::-1]]), np.stack([y, y[::-1]])
         ws = np.stack([w, rng.standard_normal(w.shape)])
-        _, d_fs, d_logits = label_loss(fs, ys, ws, q)
+        _, d_fs, d_logits, _ = label_loss(fs, ys, ws, q)
         check_grad(lambda: label_loss(fs, ys, ws, q)[0].sum(), fs, d_fs)
         check_grad(lambda: label_loss(fs, ys, ws, q)[0].sum(), ws,
                    fs.swapaxes(-1, -2) @ d_logits)
@@ -97,7 +97,7 @@ def test_label_loss_gradients():
 def test_label_loss_accepts_soft_labels():
     f, y, w, _, rng = _instance(3)
     soft = 0.7 * y + 0.3 * y[rng.permutation(len(y))]
-    value, _, _ = label_loss(f, soft, w, 0.5)
+    value, _, _, _ = label_loss(f, soft, w, 0.5)
     assert 0.0 < value < 1.0 / 0.5  # (1 - p^q) / q lies in [0, 1/q)
 
 
@@ -194,31 +194,34 @@ def test_disc_gradients():
 def test_total_loss_combination():
     f, y, w, l, _ = _instance(11)
     q, alpha, beta = 0.6, 0.3, 0.2
-    value, grad, parts = total_loss(f, y, w, y @ l, q, alpha, beta, ws=workspace_for(f))
-    jl, gl, _ = label_loss(f, y, w, q)
+    terms, grad, logits = total_loss(f, y, w, y @ l, q, alpha, beta, ws=workspace_for(f))
+    jl, gl, _, _ = label_loss(f, y, w, q)
     jd, gd = disc_loss(f, y @ l, workspace_for(f))
     jm, gm = mse_loss(f, y @ l, workspace_for(f))
-    assert value == pytest.approx(jl + alpha * jd + beta * jm, abs=1e-14)
-    assert parts == {"label": jl, "disc": jd, "mse": jm}
+    assert terms[3] == pytest.approx(jl + alpha * jd + beta * jm, abs=1e-14)
+    assert list(terms[:3]) == [jl, jd, jm]
+    assert np.array_equal(logits, f @ w)
     assert np.allclose(grad, gl + alpha * gd + beta * gm, atol=1e-14)
 
 
 @pytest.mark.parametrize("flag", ["drop_label", "drop_disc", "drop_mse"])
 def test_total_loss_drop_flags(flag):
     f, y, w, l, _ = _instance(12)
-    value, _, parts = total_loss(f, y, w, y @ l, 0.5, 0.1, 0.1, **{flag: True},
-                                 ws=workspace_for(f))
-    dropped = flag.split("_")[1]
-    assert parts[dropped] == 0.0
+    terms, _, logits = total_loss(f, y, w, y @ l, 0.5, 0.1, 0.1, **{flag: True},
+                                  ws=workspace_for(f))
+    assert terms[["drop_label", "drop_disc", "drop_mse"].index(flag)] == 0.0
+    # the logits f w come back whether or not the label term forms them
+    assert np.array_equal(logits, f @ w)
     full, _, _ = total_loss(f, y, w, y @ l, 0.5, 0.1, 0.1, ws=workspace_for(f))
-    assert value < full
+    assert terms[3] < full[3]
 
 
 def test_total_loss_gradients():
     f, y, w, l, rng = _instance(14)
     q = float(rng.uniform(0.05, 1.0))
     _, grad, _ = total_loss(f, y, w, y @ l, q, 0.25, 0.15, ws=workspace_for(f))
-    check_grad(lambda: total_loss(f, y, w, y @ l, q, 0.25, 0.15, ws=workspace_for(f))[0], f, grad)
+    check_grad(lambda: total_loss(f, y, w, y @ l, q, 0.25, 0.15, ws=workspace_for(f))[0][3], f,
+               grad)
 
 
 @pytest.mark.parametrize("b", [6, 7, 150])
@@ -246,10 +249,10 @@ def test_stacked_losses_match_each_slice(b):
          [disc_loss(f[i], y[i] @ l, workspace_for(f[i])) for i in range(k)])
     same(label_loss(f, y, w, q), [label_loss(f[i], y[i], w, q) for i in range(k)])
     same(label_loss(f, y, ws, q), [label_loss(f[i], y[i], ws[i], q) for i in range(k)])
-    value, grad, parts = total_loss(f, y, w, y @ l, q, 0.25, 0.15, ws=workspace_for(f))
+    terms, grad, logits = total_loss(f, y, w, y @ l, q, 0.25, 0.15, ws=workspace_for(f))
     for i in range(k):
-        value_i, grad_i, parts_i = total_loss(f[i], y[i], w, y[i] @ l, q, 0.25, 0.15,
-                                              ws=workspace_for(f[i]))
-        assert value[i] == value_i
+        terms_i, grad_i, logits_i = total_loss(f[i], y[i], w, y[i] @ l, q, 0.25, 0.15,
+                                               ws=workspace_for(f[i]))
+        assert np.array_equal(terms[:, i], terms_i)
         assert np.array_equal(grad[i], grad_i)
-        assert {key: part[i] for key, part in parts.items()} == parts_i
+        assert np.array_equal(logits[i], logits_i)

@@ -6,6 +6,7 @@ import pytest
 from conftest import check_grad, workspace_for
 from priorcast.config import RunConfig, apply_ablation
 from priorcast.data import ModalityData, SynthConfig, synth_generate
+from priorcast.encoder import embed
 from priorcast.losses import total_loss
 from priorcast.numerics import make_rng, split_seed
 from priorcast.prior import PriorMatrix, run_spl, train_prior_stack
@@ -115,7 +116,7 @@ def test_mixed_batch_gradient():
     def loss_of_f():
         fm = lam * f + (1 - lam) * f[perm]
         ym = lam * y + (1 - lam) * y[perm]
-        return total_loss(fm, ym, prior.w, ym @ prior.l, 0.5, 0.1, 0.1, ws=workspace_for(fm))[0]
+        return total_loss(fm, ym, prior.w, ym @ prior.l, 0.5, 0.1, 0.1, ws=workspace_for(fm))[0][3]
 
     fm = lam * f + (1 - lam) * f[perm]
     ym = lam * y + (1 - lam) * y[perm]
@@ -193,6 +194,22 @@ def test_report_shape():
         # q ramps from q_start to 1
         assert rec["q"] == pytest.approx(cfg.q_start)
         assert entry["epochs"][-1]["q"] == pytest.approx(1.0)
+
+
+def test_recast_gap_is_the_rms_row_norm_at_any_batch_size():
+    # at lr 1e-300 without mixup the encoders stay at their initial weights
+    # (the same draws at every batch size), so one epoch's recast_gap is the
+    # root mean square over the split of each row's norm of f W - y
+    ds = _dataset()
+    prior, _ = run_spl(ds, _cfg(), seed=0)
+    for batch_size in (2, 7, 30):
+        cfg = apply_ablation(_cfg(rsc_epochs=1, lr=1e-300, batch_size=batch_size), "no-mixup")
+        encoders, report = train_rsc_all(ds, prior, cfg, seed=0)
+        for mod, entry in zip(ds.splits["train"], report["modalities"]):
+            rows = embed(encoders[mod.name], mod.features) @ prior.w
+            rows[np.arange(mod.num_samples), mod.labels] -= 1.0
+            want = np.sqrt(np.mean(np.sum(rows * rows, axis=1)))
+            assert entry["epochs"][0]["recast_gap"] == pytest.approx(want, rel=1e-12)
 
 
 def test_fixed_q_overrides_schedule():
