@@ -96,7 +96,6 @@ def cmd_train(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
     from .prior import load_prior
     from .training import train_rsc_all
 
-    t0 = time.perf_counter()
     prior_path = os.path.join(out_dir, PRIOR_FILE)
     prior = load_prior(prior_path)
     if prior.embed_dim != cfg.embed_dim or prior.num_classes != dataset.num_classes:
@@ -111,8 +110,7 @@ def cmd_train(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
         outputs.append(ckpt)
     write_json(os.path.join(out_dir, "training_report.json"), report)
     outputs.append("training_report.json")
-    print(f"trained {len(encoders)} encoders "
-          f"({time.perf_counter() - t0:.1f}s)")
+    print(f"trained {len(encoders)} encoders")
     return [prior_path], outputs
 
 
@@ -135,9 +133,9 @@ def cmd_eval(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
     table, curves = table_from_embeddings(embed_split(encoders, dataset, "test"), n_rank)
     write_json(os.path.join(out_dir, MAP_FILE), table)
     outputs = [MAP_FILE]
-    for (a, b), curve in curves.items():
+    for (a, b), (recall, precision) in curves.items():
         name = pr_curve_file(a, b)
-        write_pr_csv(os.path.join(out_dir, name), curve)
+        write_pr_csv(os.path.join(out_dir, name), recall, precision)
         outputs.append(name)
     print(f"MAP@{table['n_rank']} avg {table['avg']:.4f} "
           f"over {len(table['pairs'])} pairs")

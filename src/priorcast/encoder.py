@@ -227,9 +227,13 @@ def train_stack(stage, mods, cfg, rngs, num_classes, qs, terms, batch_step, extr
     for epoch, q in enumerate(qs):
         t0 = time.perf_counter()
         sums = np.zeros((len(terms), len(mods)))
-        for x, y in lockstep_batches(mods, cfg.batch_size, rngs, num_classes, stack.workspace):
-            sums += batch_step(stack, x, y, q)
-            stack.step(cfg.lr)
+        # check_finite reports what an overflow leads to; numpy's warnings
+        # would only print ahead of it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for x, y in lockstep_batches(mods, cfg.batch_size, rngs, num_classes,
+                                         stack.workspace):
+                sums += batch_step(stack, x, y, q)
+                stack.step(cfg.lr)
         stack.check_finite(sums, f"stage {stage}, epoch {epoch}")
         wall_seconds = time.perf_counter() - t0
         # an epoch visits every sample once

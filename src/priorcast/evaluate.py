@@ -7,12 +7,11 @@ bit-reproducible across runs.
 Scoring needs only the relevance of each rank position, not which gallery
 item holds it. So each block of query rows is ordered by one value sort of
 the negated cosines with each item's relevance in the lowest mantissa bit
-(_ranked_relevance); only rows whose sorted values come within a few units
-in the last place of each other (ties, +0.0 beside -0.0, near-equal
-cosines) take the exact path, a stable argsort (_ranking).
+(_ranked_relevance); only rows with two sorted values less than _GAP apart
+(ties, +0.0 beside -0.0, near-equal cosines) take the exact path, a stable
+argsort (_ranking).
 """
 
-from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
@@ -20,20 +19,6 @@ import numpy as np
 from .data import MultimodalDataset, atomic_open
 from .encoder import EncoderParams, embed
 from .numerics import unit_rows
-
-
-@dataclass
-class RetrievalResult:
-    aps: np.ndarray  # per-query average precision, index order
-    n_rank: int
-    map: float
-
-
-@dataclass
-class PrCurve:
-    rank: np.ndarray
-    recall: np.ndarray
-    precision: np.ndarray
 
 
 # Sets the height of a query block: each of its (rows, gallery) float64
@@ -45,17 +30,15 @@ def _ranking(neg: np.ndarray) -> np.ndarray:
     """Per-row stable argsort of neg: ties broken by ascending column index.
 
     This is the exact path of _ranked_relevance: it sees only the rows whose
-    value sort came within _NEAR units of a tie.
+    value sort held two values less than _GAP apart.
     """
     return np.argsort(neg, axis=1, kind="stable")
 
 
-# Maps a float64 bit pattern b to an int64 that orders as the float does
-# (b ^ ((b >> 63) & _MAGNITUDE)); -0.0 and +0.0 land one unit apart.
-_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
-# Sorted neighbours closer than this many units may be tied, or out of
-# order, once each value's lowest bit holds a relevance flag.
-_NEAR = 5
+# Sorted neighbours closer than this may be tied, or out of order, once each
+# value's lowest bit holds a relevance flag. Below magnitude 2 a unit in the
+# last place is at most 2 ** -52, so _GAP spans at least 8 of them.
+_GAP = 2.0 ** -49
 
 
 def _ranked_relevance(sims: np.ndarray, relevant: np.ndarray) -> np.ndarray:
@@ -64,23 +47,20 @@ def _ranked_relevance(sims: np.ndarray, relevant: np.ndarray) -> np.ndarray:
 
     The lowest bit of each negated similarity is replaced by its item's
     relevance, and one value sort orders each row. The bit moves a value by
-    at most one unit of its order-preserving integer, so a row whose sorted
-    neighbours are all at least _NEAR units apart has no ties, its order is
-    exactly that of the unmodified similarities, and the low bits are its
-    relevance in ranked order. The other rows (ties, +0.0 beside -0.0,
-    values a few ulps apart) take the exact path, _ranking. Similarities
-    must be finite and of magnitude below 2, as cosines of unit rows are, so
-    the differences of their integers cannot overflow.
+    at most one unit in the last place, so a row whose sorted neighbours are
+    all at least _GAP apart has no ties, its order is exactly that of the
+    unmodified similarities, and the low bits are its relevance in ranked
+    order. The other rows (ties, +0.0 beside -0.0, values a few ulps apart)
+    take the exact path, _ranking. Similarities must be finite and of
+    magnitude below 2, as cosines of unit rows are, so that _GAP spans
+    several units in the last place of every value.
     """
     ranked = np.negative(sims)
     bits = ranked.view(np.int64)
     bits &= -2
     bits |= relevant
     ranked.sort(axis=1)
-    key = bits >> 63
-    key &= _MAGNITUDE
-    key ^= bits
-    near = np.min(key[:, 1:] - key[:, :-1], axis=1, initial=_NEAR) < _NEAR
+    near = np.min(ranked[:, 1:] - ranked[:, :-1], axis=1, initial=_GAP) < _GAP
     rel = bits & 1
     if near.any():
         exact = np.flatnonzero(near)
@@ -94,16 +74,17 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
     """Rank the gallery for every query and score each ranking.
 
     Similarity is the cosine over unit rows; ties are broken by ascending
-    gallery index. Returns (result, pr): result holds each query's AP over
-    the top n_rank ("all", or a depth clamped to the gallery size) in query
-    order, and their mean, the MAP. A query's AP sums (relevant-in-top-k)/k
-    over the relevant positions k of the window and divides by the number of
-    relevant items there; with none it is 0. pr holds precision and recall
-    at each rank cutoff k, averaged over queries: recall = retrieved-relevant
-    / total-relevant, precision = retrieved-relevant / k. Queries with no
-    relevant gallery item have no defined recall and are left out, so some
-    query must have one: MultimodalDataset.validate makes every two test
-    splits share a class.
+    gallery index. Returns (aps, recall, precision). aps holds each query's
+    AP over the top n_rank ("all", or a depth clamped to the gallery size) in
+    query order; their mean is the MAP. A query's AP sums
+    (relevant-in-top-k)/k over the relevant positions k of the window and
+    divides by the number of relevant items there; with none it is 0. recall
+    and precision hold the PR curve, one value per rank cutoff k = 1..n_g,
+    averaged over queries: recall = retrieved-relevant / total-relevant,
+    precision = retrieved-relevant / k. Queries with no relevant gallery
+    item have no defined recall and are left out, so some query must have
+    one: MultimodalDataset.validate makes every two test splits share a
+    class.
 
     Queries are ranked in blocks of rows with the bits of one stable argsort
     and one AP per query. Each block gets one value sort that carries each
@@ -142,10 +123,7 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
         precision_sum = np.add.reduce(np.concatenate((precision_sum[None], precision[found])),
                                       axis=0)
         count += len(recall)
-    result = RetrievalResult(aps=aps, n_rank=depth, map=float(np.mean(aps)))
-    return result, PrCurve(rank=np.arange(1, n_g + 1),
-                           recall=recall_sum / count,
-                           precision=precision_sum / count)
+    return aps, recall_sum / count, precision_sum / count
 
 
 def embed_split(encoders: Dict[str, EncoderParams], dataset: MultimodalDataset,
@@ -158,8 +136,8 @@ def embed_split(encoders: Dict[str, EncoderParams], dataset: MultimodalDataset,
 def table_from_embeddings(embedded: dict, n_rank="all"):
     """MAP for every ordered modality pair, plus the grand average.
 
-    Returns (table, pr): pr maps each (query, gallery) pair to its PR curve
-    from the same ranking pass.
+    Returns (table, pr): pr maps each (query, gallery) pair to its
+    (recall, precision) curve from the same ranking pass.
     """
     names = list(embedded)
     pairs = []
@@ -170,15 +148,17 @@ def table_from_embeddings(embedded: dict, n_rank="all"):
                 continue
             qe, ql = embedded[a]
             ge, gl = embedded[b]
-            result, pr[(a, b)] = rank_pair(qe, ql, ge, gl, n_rank)
-            pairs.append({"query": a, "gallery": b, "map": result.map})
+            aps, recall, precision = rank_pair(qe, ql, ge, gl, n_rank)
+            pr[(a, b)] = recall, precision
+            pairs.append({"query": a, "gallery": b, "map": float(np.mean(aps))})
     avg = float(np.mean([p["map"] for p in pairs]))
     label = "all" if n_rank == "all" else int(n_rank)
     return {"pairs": pairs, "avg": avg, "n_rank": label}, pr
 
 
-def write_pr_csv(path, curve: PrCurve) -> None:
-    rows = zip(curve.rank.tolist(), curve.recall.tolist(), curve.precision.tolist())
+def write_pr_csv(path, recall: np.ndarray, precision: np.ndarray) -> None:
+    """One row per rank cutoff, numbered from 1."""
+    rows = enumerate(zip(recall.tolist(), precision.tolist()), 1)
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("rank,recall,precision\n"
-                 + "".join(f"{r},{rec!r},{prec!r}\n" for r, rec, prec in rows))
+                 + "".join(f"{r},{rec!r},{prec!r}\n" for r, (rec, prec) in rows))

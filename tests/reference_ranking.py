@@ -9,7 +9,6 @@ frozen copy in reference_losses, not from priorcast.
 
 import numpy as np
 
-from priorcast.evaluate import PrCurve, RetrievalResult
 from reference_losses import unit_rows
 
 
@@ -30,8 +29,9 @@ def average_precision(relevance, n_rank: int) -> float:
 
 
 def rank_pair(queries, query_labels, gallery, gallery_labels, n_rank="all", curve=False):
-    """Same contract as priorcast.evaluate.rank_pair, one query at a time;
-    pr is None unless curve is set."""
+    """Same contract as priorcast.evaluate.rank_pair, one query at a time:
+    returns (aps, recall, precision); recall and precision are None unless
+    curve is set."""
     n_g = gallery.shape[0]
     depth = n_g if n_rank == "all" else min(n_rank, n_g)
     sims = unit_rows(queries)[0] @ unit_rows(gallery)[0].T
@@ -52,9 +52,6 @@ def rank_pair(queries, query_labels, gallery, gallery_labels, n_rank="all", curv
         recall_sum += cum / total
         precision_sum += cum / k
         count += 1
-    result = RetrievalResult(aps=aps, n_rank=depth, map=float(np.mean(aps)))
     if not curve:
-        return result, None
-    return result, PrCurve(rank=np.arange(1, n_g + 1),
-                           recall=recall_sum / count,
-                           precision=precision_sum / count)
+        return aps, None, None
+    return aps, recall_sum / count, precision_sum / count

@@ -1,4 +1,5 @@
-"""Microseconds per lockstep SGD step of each training stage.
+"""Microseconds per lockstep SGD step of each training stage, and
+milliseconds per ranked modality pair.
 
     PYTHONPATH=src python tests/step_cost.py [REV] [--rounds N]
 
@@ -7,14 +8,17 @@ the default config on a synthetic split of 480 rows per modality (the
 training split of the train_b32 and train_b256 benchmark workloads), at
 K = 1 and K = 3 modalities in one stack and batch sizes 32 and 256, a few
 epochs per round, and prints each stage's process (CPU) time per step, the
-median over the rounds. A step serves all K modalities at once.
+median over the rounds. A step serves all K modalities at once. It also
+times evaluate.rank_pair on one pair at the gallery_2k workload's test
+shape: 2000 random 16-wide queries against 2000 gallery items, 10 classes.
 
 With a git revision REV it also exports REV's src/priorcast (git archive)
 and times both in this one process, alternating round by round so that a
 busy host slows both alike, and prints the median of the per-round ratios
 of this checkout's time to REV's. Pin it to one CPU (taskset -c 0). It
-reads only train_prior_stack's and train_rsc_stack's signatures, so REV
-may be any revision with them. It needs git for REV, and no network.
+reads only the signatures of train_prior_stack, train_rsc_stack and
+rank_pair, not what rank_pair returns, so REV may be any revision with
+them. It needs git for REV, and no network.
 
 The file name keeps pytest from collecting it.
 """
@@ -34,7 +38,8 @@ ROWS = 480
 NUM_CLASSES = 10
 WIDTHS = (20, 24, 28)
 EPOCHS = 4
-CASES = [(batch, k, stage) for batch in (32, 256) for k in (1, 3) for stage in (1, 2)]
+RANK_ITEMS, RANK_DIM = 2000, 16
+CASES = [(batch, k, stage) for batch in (32, 256) for k in (1, 3) for stage in (1, 2)] + ["rank"]
 
 
 def export(rev, dest):
@@ -49,12 +54,18 @@ def export(rev, dest):
     return "priorcast_base"
 
 
-def stage_runner(package, batch, k, stage):
-    """A function that trains one stage from fresh generators, and its step count."""
-    config, data, numerics, prior, training = (
+def runner(package, case):
+    """A function that runs one case, and the count its time is divided by:
+    the steps of a training case from fresh generators, one ranked pair."""
+    config, data, evaluate, numerics, prior, training = (
         importlib.import_module(f"{package}.{name}")
-        for name in ("config", "data", "numerics", "prior", "training"))
+        for name in ("config", "data", "evaluate", "numerics", "prior", "training"))
     rng = numerics.make_rng(0)
+    if case == "rank":
+        queries, gallery = (rng.standard_normal((RANK_ITEMS, RANK_DIM)) for _ in range(2))
+        q_labels, g_labels = (rng.integers(0, NUM_CLASSES, RANK_ITEMS) for _ in range(2))
+        return lambda: evaluate.rank_pair(queries, q_labels, gallery, g_labels), 1
+    batch, k, stage = case
     mods = [data.ModalityData(f"mod{i}", rng.standard_normal((ROWS, WIDTHS[i])),
                               rng.integers(0, NUM_CLASSES, ROWS)) for i in range(k)]
     cfg = config.RunConfig(batch_size=batch, spl_epochs=EPOCHS, rsc_epochs=EPOCHS)
@@ -78,7 +89,7 @@ def main():
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="step-cost-") as tmp:
         packages = ([export(args.rev, tmp)] if args.rev else []) + ["priorcast"]
-        runners = {(p, case): stage_runner(p, *case) for p in packages for case in CASES}
+        runners = {(p, case): runner(p, case) for p in packages for case in CASES}
         times = {key: [] for key in runners}
         for r in range(args.rounds + 1):  # round 0 warms up and is not counted
             for p in packages if r % 2 else packages[::-1]:
@@ -87,14 +98,19 @@ def main():
                     start = time.process_time()
                     run()
                     if r:
-                        times[p, case].append(1e6 * (time.process_time() - start) / steps)
-    print(f"us per step, median of {args.rounds} rounds"
+                        times[p, case].append((time.process_time() - start) / steps)
+    print(f"median of {args.rounds} rounds"
           + (f"; {args.rev} -> this checkout" if args.rev else ""))
-    for batch, k, stage in CASES:
-        own = times["priorcast", (batch, k, stage)]
-        line = f"B={batch:3d} K={k} stage {'one' if stage == 1 else 'two'}: "
+    for case in CASES:
+        if case == "rank":
+            line, scale = f"rank {RANK_ITEMS} x {RANK_ITEMS}, ms per pair: ", 1e3
+        else:
+            batch, k, stage = case
+            line = f"B={batch:3d} K={k} stage {'one' if stage == 1 else 'two'}, us per step: "
+            scale = 1e6
+        own = [scale * t for t in times["priorcast", case]]
         if args.rev:
-            base = times[packages[0], (batch, k, stage)]
+            base = [scale * t for t in times[packages[0], case]]
             ratio = statistics.median(o / b for o, b in zip(own, base))
             line += f"{statistics.median(base):7.1f} -> {statistics.median(own):7.1f} (x{ratio:.3f})"
         else:

@@ -176,10 +176,14 @@ def test_eval_n_rank_flag(tmp_path):
     run = _run_cfg(tmp_path, str(data / "manifest.json"))
     out = tmp_path / "run"
     main(["pipeline", "--config", run, "--out", str(out)])
-    assert main(["eval", "--config", run, "--out", str(out),
-                 "--n-rank", "5"]) == 0
-    table = json.loads((out / "map_table.json").read_text())
-    assert table["n_rank"] == 5
+    full = json.loads((out / "map_table.json").read_text())
+    # the table records the depth asked for; each 3-item test gallery ranks 3 deep
+    for depth in (5, 5000):
+        assert main(["eval", "--config", run, "--out", str(out),
+                     "--n-rank", str(depth)]) == 0
+        table = json.loads((out / "map_table.json").read_text())
+        assert table["n_rank"] == depth
+    assert table["pairs"] == full["pairs"] and table["avg"] == full["avg"]
 
 
 def test_pipeline_ablation_skip_spl(tmp_path):
@@ -769,6 +773,18 @@ def test_module_entry_exits_with_main_code(tmp_path):
                         "--out", str(tmp_path / "x"))
     assert done.returncode == 2
     assert done.stderr.startswith("config error: ")
+
+
+def test_overflowing_loss_weights_exit_4_without_numpy_warnings(tmp_path):
+    """Weights of 1e308 overflow stage two's loss in its first epoch. Exit 4
+    reports that; numpy's overflow warnings must not print ahead of it."""
+    run = _run_cfg(tmp_path, _synth_data(tmp_path), alpha=1e308, beta=1e308)
+    done = _cli_process("-m", "priorcast.cli", "pipeline", "--config", run,
+                        "--out", str(tmp_path / "run"))
+    assert done.returncode == 4
+    failure = "stage two, epoch 0: loss or parameters not finite"
+    assert done.stderr.splitlines() == [f"pipeline stage 'train' failed: {failure}",
+                                        f"numeric failure: {failure}"]
 
 
 _ATEXIT_WRAPPER = """

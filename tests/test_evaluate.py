@@ -47,11 +47,11 @@ def test_rank_gallery_orders_by_cosine():
     queries = np.tile([1.0, 0.0], (3, 1))
     gallery = np.array([[0.0, 1.0], [1.0, 0.1], [1.0, 0.0]])
     q_labels, g_labels = np.array([0, 1, 2]), np.array([2, 1, 0])
-    result, curve = rank_pair(queries, q_labels, gallery, g_labels)
-    assert np.array_equal(result.aps, [1.0, 1.0 / 2.0, 1.0 / 3.0])
-    assert result.map == pytest.approx(11.0 / 18.0, abs=1e-15)
-    assert np.allclose(curve.recall, [1 / 3, 2 / 3, 1.0], rtol=0, atol=1e-15)
-    assert np.allclose(curve.precision, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
+    aps, recall, precision = rank_pair(queries, q_labels, gallery, g_labels)
+    assert np.array_equal(aps, [1.0, 1.0 / 2.0, 1.0 / 3.0])
+    assert np.mean(aps) == pytest.approx(11.0 / 18.0, abs=1e-15)
+    assert np.allclose(recall, [1 / 3, 2 / 3, 1.0], rtol=0, atol=1e-15)
+    assert np.allclose(precision, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
 
 
 def test_rank_gallery_tie_break_ascending():
@@ -66,13 +66,13 @@ def test_rank_gallery_tie_break_ascending():
     rank = np.empty(n)
     rank[0::2] = np.arange(1, 11)
     rank[1::2] = np.arange(11, 21)
-    result, curve = rank_pair(queries, labels, gallery, labels)
-    assert np.array_equal(result.aps, 1.0 / rank)
+    aps, recall, precision = rank_pair(queries, labels, gallery, labels)
+    assert np.array_equal(aps, 1.0 / rank)
     top2 = np.zeros(n)
     top2[[0, 2]] = [1.0, 0.5]
-    assert np.array_equal(rank_pair(queries, labels, gallery, labels, n_rank=2)[0].aps, top2)
-    assert np.allclose(curve.recall, np.arange(1, n + 1) / n, rtol=0, atol=1e-15)
-    assert np.allclose(curve.precision, 1.0 / n, rtol=0, atol=1e-15)
+    assert np.array_equal(rank_pair(queries, labels, gallery, labels, n_rank=2)[0], top2)
+    assert np.allclose(recall, np.arange(1, n + 1) / n, rtol=0, atol=1e-15)
+    assert np.allclose(precision, 1.0 / n, rtol=0, atol=1e-15)
 
 
 def test_rank_gallery_scale_invariant():
@@ -80,12 +80,12 @@ def test_rank_gallery_scale_invariant():
     queries = np.tile(rng.standard_normal(5), (8, 1))
     gallery = rng.standard_normal((8, 5))
     labels = np.arange(8)  # as above: the APs give each item's rank
-    base = rank_pair(queries, labels, gallery, labels)[0].aps
+    base = rank_pair(queries, labels, gallery, labels)[0]
     assert sorted(np.rint(1.0 / base)) == list(range(1, 9))
     scaled = gallery.copy()
     scaled[3] *= 77.0
-    assert np.array_equal(rank_pair(queries, labels, scaled, labels)[0].aps, base)
-    assert np.array_equal(rank_pair(queries * 0.01, labels, gallery, labels)[0].aps, base)
+    assert np.array_equal(rank_pair(queries, labels, scaled, labels)[0], base)
+    assert np.array_equal(rank_pair(queries * 0.01, labels, gallery, labels)[0], base)
 
 
 def _brute_map(queries, q_labels, gallery, g_labels, n_rank):
@@ -129,8 +129,8 @@ def test_map_matches_brute_force():
         g_labels = rng.integers(0, 3, n_g)
         depth = int(rng.integers(1, n_g + 1))
         with np.errstate(invalid="ignore"):  # no relevant item anywhere: a NaN curve
-            result, _ = rank_pair(queries, q_labels, gallery, g_labels, depth)
-        assert result.map == pytest.approx(
+            aps = rank_pair(queries, q_labels, gallery, g_labels, depth)[0]
+        assert np.mean(aps) == pytest.approx(
             _brute_map(queries, q_labels, gallery, g_labels, depth), abs=1e-12)
 
 
@@ -140,27 +140,26 @@ def test_map_all_and_clamp():
     gallery = rng.standard_normal((10, 3))
     ql = rng.integers(0, 2, 4)
     gl = rng.integers(0, 2, 10)
-    full, _ = rank_pair(queries, ql, gallery, gl, "all")
-    assert full.n_rank == 10
-    clamped, _ = rank_pair(queries, ql, gallery, gl, 50)
-    assert clamped.n_rank == 10
-    assert clamped.map == full.map
+    full = rank_pair(queries, ql, gallery, gl, "all")[0]
+    # a depth past the gallery's 10 items ranks those 10
+    for depth in (10, 50):
+        assert np.array_equal(rank_pair(queries, ql, gallery, gl, depth)[0], full)
 
 
 def test_map_self_retrieval_distinct_classes():
     emb = np.eye(4)
     labels = np.arange(4)
-    result, _ = rank_pair(emb, labels, emb, labels, "all")
-    assert result.map == 1.0
-    assert np.all(result.aps == 1.0)
+    aps = rank_pair(emb, labels, emb, labels, "all")[0]
+    assert np.all(aps == 1.0)
+    assert np.mean(aps) == 1.0
 
 
 def test_pr_curve_hand_case():
     queries = np.array([[1.0, 0.0]])
     gallery = np.array([[1.0, 0.0], [0.0, 1.0]])
-    _, curve = rank_pair(queries, [0], gallery, [0, 1])
-    assert np.allclose(curve.recall, [1.0, 1.0])
-    assert np.allclose(curve.precision, [1.0, 0.5])
+    _, recall, precision = rank_pair(queries, [0], gallery, [0, 1])
+    assert np.allclose(recall, [1.0, 1.0])
+    assert np.allclose(precision, [1.0, 0.5])
 
 
 def test_pr_curve_recall_monotone():
@@ -170,9 +169,9 @@ def test_pr_curve_recall_monotone():
         gallery = rng.standard_normal((12, 3))
         ql = rng.integers(0, 2, 5)
         gl = np.concatenate([[0, 1], rng.integers(0, 2, 10)])  # both classes present
-        _, curve = rank_pair(queries, ql, gallery, gl)
-        assert np.all(np.diff(curve.recall) >= -1e-15)
-        assert np.all((curve.precision >= 0) & (curve.precision <= 1))
+        _, recall, precision = rank_pair(queries, ql, gallery, gl)
+        assert np.all(np.diff(recall) >= -1e-15)
+        assert np.all((precision >= 0) & (precision <= 1))
 
 
 def _trained(seed=0):
@@ -214,17 +213,17 @@ def test_table_and_csv_writers(tmp_path):
     assert back["n_rank"] == 5
 
     (qe, ql), (ge, gl) = embed_split(encoders, ds, "test").values()
-    _, curve = rank_pair(qe, ql, ge, gl)
+    _, recall, precision = rank_pair(qe, ql, ge, gl)
     csv_path = tmp_path / "pr.csv"
-    write_pr_csv(csv_path, curve)
+    write_pr_csv(csv_path, recall, precision)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "rank,recall,precision"
-    assert len(lines) == 1 + len(curve.rank)
+    assert len(lines) == 1 + len(ge)
     first = lines[1].split(",")
     assert first[0] == "1"
     float(first[1]); float(first[2])  # parseable numbers
     # one line per rank, each float at its shortest round-trip repr
     assert csv_path.read_text() == lines[0] + "\n" + "".join(
         f"{r},{float(rec)!r},{float(prec)!r}\n"
-        for r, rec, prec in zip(curve.rank, curve.recall, curve.precision))
+        for r, rec, prec in zip(range(1, len(ge) + 1), recall, precision))
 

@@ -2,16 +2,18 @@
 
 rank_pair orders each block of queries with one value sort of the negated
 cosines, each carrying its item's relevance in the lowest mantissa bit, and
-sends only the rows whose sorted values come within a few units in the last
-place of each other to the exact path, _ranking (one stable argsort of the
-block's rows). reference_ranking ranks one query at a time with a stable
-argsort. APs, MAP, recall and precision must agree in every bit: on query
-counts around the block height, on tie-heavy, mostly identical and all-zero
-rows, with ties across the n_rank cutoff, with queries that have no
-relevant gallery item, and at the near-tie boundary: galleries of a few
-directions nudged by 0-5 ulps per coordinate, +0.0 and -0.0 cosines, and
-cosines a few subnormal steps either side of 0. A spy on _ranking checks
-that untied rows stay on the value-sort path.
+sends only the rows with two sorted values less than _GAP = 2 ** -49 apart
+(at least 8 units in the last place of any value below 2) to the exact
+path, _ranking (one stable argsort of the block's rows). reference_ranking
+ranks one query at a time with a stable argsort. APs, recall and precision
+must agree in every bit: on query counts around the block height, on
+tie-heavy, mostly identical and all-zero rows, with ties across the n_rank
+cutoff, with queries that have no relevant gallery item, and at the
+near-tie boundary: galleries of a few directions nudged by 0-5 ulps per
+coordinate, +0.0 and -0.0 cosines, cosines a few subnormal steps either
+side of 0, and pairs 0-20 units in the last place apart on either side of
+_GAP. A spy on _ranking checks that untied rows stay on the value-sort
+path.
 """
 
 from unittest import mock
@@ -28,15 +30,10 @@ from priorcast.numerics import make_rng, unit_rows
 
 def _assert_same_bits(args, n_rank, curve):
     """curve: compare the PR curves too, which needs a query with a relevant item."""
-    got, got_pr = evaluate.rank_pair(*args, n_rank=n_rank)
-    want, want_pr = ref.rank_pair(*args, n_rank=n_rank, curve=curve)
-    assert got.n_rank == want.n_rank
-    assert got.aps.tobytes() == want.aps.tobytes()
-    assert np.float64(got.map).tobytes() == np.float64(want.map).tobytes()
-    if curve:
-        assert np.array_equal(got_pr.rank, want_pr.rank)
-        assert got_pr.recall.tobytes() == want_pr.recall.tobytes()
-        assert got_pr.precision.tobytes() == want_pr.precision.tobytes()
+    got = evaluate.rank_pair(*args, n_rank=n_rank)
+    want = ref.rank_pair(*args, n_rank=n_rank, curve=curve)
+    for got_part, want_part in zip(got, want if curve else want[:1]):
+        assert got_part.tobytes() == want_part.tobytes()
 
 
 def _nudged(x, rng):
@@ -161,11 +158,34 @@ def test_ulp_perturbed_galleries_match_per_query_reference(data):
         _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank, curve=True)
 
 
+def _pairs_k_units_apart(rng):
+    """Rows of 30 well-separated values but for one pair k = 0..20 units in
+    the last place apart, in [1, 2) and in [0.5, 1), with the pair's
+    relevance bits set both ways and its larger value in either column.
+    _GAP = 2 ** -49 is 8 units of [1, 2) and 16 of [0.5, 1), so the rows
+    fall on both sides of it."""
+    rows, relevance = [], []
+    for base in (1.5, 0.75):
+        for k in range(21):
+            pair = (np.array([base, base]).view(np.int64) + [0, k]).view(np.float64)
+            for flags in ((True, False), (False, True)):
+                for order in (pair, pair[::-1]):
+                    row = rng.permutation(np.linspace(-1.0, 1.0, 30))
+                    row[[2, 5]] = order
+                    rows.append(row)
+                    relevance.append(rng.random(30) < 0.5)
+                    relevance[-1][[2, 5]] = flags
+    return np.array(rows), np.array(relevance)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_signed_zero_similarities_rank_stably(seed):
-    """+0.0 and -0.0 are equal but one unit apart as ordered integers; a
-    matmul with another BLAS may give either, so they are fed in directly,
-    among subnormals either side of 0 and rows of well-separated values."""
+    """+0.0 and -0.0 are equal, and with relevance bits their negations
+    become subnormals of either sign; a matmul with another BLAS may give
+    either zero, so they are fed in directly, among subnormals either side
+    of 0, rows of well-separated values and rows with one pair a few units
+    in the last place apart (_pairs_k_units_apart). A row whose values are
+    all at least 2 ** -48 apart stays off the exact path."""
     rng = make_rng(seed)
     values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 0.5, -0.5])
     sims = values[rng.integers(0, len(values), (8, 30))]
@@ -176,8 +196,15 @@ def test_signed_zero_similarities_rank_stably(seed):
     # with their relevance bits the negated values sort the other way
     sims[1, [5, 9]] = -0.0, 0.0
     relevant[1, [5, 9]] = True, False
+    pairs, pair_relevant = _pairs_k_units_apart(rng)
+    sims, relevant = np.concatenate((sims, pairs)), np.concatenate((relevant, pair_relevant))
+    with mock.patch.object(evaluate, "_ranking", wraps=evaluate._ranking) as spy:
+        got = evaluate._ranked_relevance(sims, relevant)
     want = np.take_along_axis(relevant, np.argsort(-sims, axis=1, kind="stable"), axis=1)
-    assert np.array_equal(evaluate._ranked_relevance(sims, relevant), want)
+    assert np.array_equal(got, want)
+    sent = {row.tobytes() for call in spy.call_args_list for row in call.args[0]}
+    apart = np.diff(np.sort(sims, axis=1), axis=1).min(axis=1) >= 2.0 ** -48
+    assert not [row for row in -sims[apart] if row.tobytes() in sent]
 
 
 def _exact_path_rows(args):

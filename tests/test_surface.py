@@ -97,7 +97,7 @@ def test_backward_reads_every_forward_cache_field():
 # What tests/reference_*.py may import from priorcast
 _REFERENCE_ALLOWED = {
     "EncoderParams", "PriorMatrix", "RunConfig", "ModalityData", "MultimodalDataset",
-    "SynthConfig", "PrCurve", "RetrievalResult",  # containers
+    "SynthConfig",  # containers
     "make_rng", "split_seed",  # seeding
     "init_params", "random_orthogonal",  # initialisers
     "pseudo_inverse", "select_prior",
