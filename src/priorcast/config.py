@@ -8,13 +8,15 @@ from typing import Optional, Union, get_args, get_origin
 from .data import _MAX_ELEMS, SynthConfig, parse_json, usable_text
 from .errors import ConfigError
 
+MIXUP_MODES = ("embedding", "input", "off")  # what stage two mixes with a shuffled copy
+
 
 @dataclass
 class RunConfig:
     """Knobs for one training/evaluation run.
 
     Defaults are desk-scale: small embedding, short schedules, quick on a
-    laptop CPU. The ablation flags all default to the full method.
+    laptop CPU. The ablation switches all default to the full method.
     """
 
     seed: int = 0
@@ -30,16 +32,13 @@ class RunConfig:
     alpha: float = 0.1
     beta: float = 0.1
     mix_lambda: float = 0.9
+    mixup: str = "embedding"  # one of MIXUP_MODES
     n_rank: int = 0  # 0 means rank the whole gallery
     # ablation switches
     skip_spl: bool = False
     drop_label: bool = False
-    drop_disc: bool = False
-    drop_mse: bool = False
     fixed_q: Optional[float] = None
     use_transpose: bool = False
-    fa_off: bool = False
-    fa_input_space: bool = False
 
     def validate(self) -> None:
         if self.seed < 0:
@@ -72,12 +71,12 @@ class RunConfig:
             raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if not 0 < self.mix_lambda <= 1:
             raise ConfigError(f"mix_lambda must be in (0, 1], got {self.mix_lambda}")
+        if self.mixup not in MIXUP_MODES:
+            raise ConfigError(f"mixup must be one of {', '.join(MIXUP_MODES)}, got {self.mixup!r}")
         if self.n_rank < 0:
             raise ConfigError(f"n_rank must be >= 0, got {self.n_rank}")
         if self.fixed_q is not None and not 0 < self.fixed_q < math.inf:
             raise ConfigError(f"fixed_q must be finite and > 0, got {self.fixed_q}")
-        if self.fa_off and self.fa_input_space:
-            raise ConfigError("fa_off and fa_input_space are mutually exclusive")
 
 
 # Named single-switch variants used by the ablation sweep. Each entry maps a
@@ -85,15 +84,15 @@ class RunConfig:
 ABLATION_PRESETS = {
     "no-spl": {"skip_spl": True},
     "no-label-loss": {"drop_label": True},
-    "no-disc-loss": {"drop_disc": True},
-    "no-mse-loss": {"drop_mse": True},
+    "no-disc-loss": {"alpha": 0.0},
+    "no-mse-loss": {"beta": 0.0},
     "fixed-q-0.01": {"fixed_q": 0.01},
     "fixed-q-0.5": {"fixed_q": 0.5},
     "fixed-q-1.0": {"fixed_q": 1.0},
     "fixed-q-2.0": {"fixed_q": 2.0},
     "transpose-prior": {"use_transpose": True},
-    "no-mixup": {"fa_off": True},
-    "input-mixup": {"fa_input_space": True},
+    "no-mixup": {"mixup": "off"},
+    "input-mixup": {"mixup": "input"},
 }
 
 

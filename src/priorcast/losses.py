@@ -135,16 +135,15 @@ def disc_loss(f: np.ndarray, t: np.ndarray, ws):
 
 
 def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray,
-               q: float, alpha: float, beta: float, *,
-               drop_label: bool = False, drop_disc: bool = False,
-               drop_mse: bool = False, ws):
+               q: float, alpha: float, beta: float, *, drop_label: bool = False, ws):
     """Weighted sum J_label + alpha * J_disc + beta * J_mse over one batch.
 
-    t holds the recast targets y L. The drop flags are the ablation
-    switches; defaults give the full objective. Returns (terms, d_f, logits):
-    terms is a (4, *lead) array of the unweighted label, disc and mse values
-    (0.0 where dropped) and their weighted sum, and logits is f w, from the
-    label term or, when it is dropped, formed here.
+    t holds the recast targets y L. drop_label drops the label term, which
+    has no weight, and a zero alpha or beta drops its term: a dropped term
+    is not computed. Returns (terms, d_f, logits): terms is a (4, *lead)
+    array of the unweighted label, disc and mse values (0.0 where dropped)
+    and their weighted sum, and logits is f w, from the label term or, when
+    it is dropped, formed here.
     """
     terms = np.zeros((4, *f.shape[:-2]))
     # the gradient sum runs from +0.0: adding 0.0 turns a -0.0 of the first term into +0.0
@@ -155,13 +154,13 @@ def total_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray,
     else:
         terms[0], g, _, logits = label_loss(f, y, w, q, ws)
         np.add(g, 0.0, out=d_f)
-    if not drop_disc:
+    if alpha:
         terms[1], g = disc_loss(f, t, ws)
         d_f += np.multiply(g, alpha, out=g)
-    if not drop_mse:
+    if beta:
         terms[2], g = mse_loss(f, t, ws)
         d_f += np.multiply(g, beta, out=g)
-    # left to right; a dropped term adds its finite weight times +0.0, which
+    # left to right; a dropped term adds its zero weight times 0.0, which
     # changes no bit, since no partial sum is -0.0: the first term never is
     terms[3] = terms[0] + alpha * terms[1] + beta * terms[2]
     return terms, d_f, logits

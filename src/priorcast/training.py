@@ -16,42 +16,49 @@ import math
 import numpy as np
 
 from .config import RunConfig
-from .data import MultimodalDataset, lockstep_map, max_batch_rows
+from .data import MultimodalDataset, lockstep_map
 from .encoder import backward, forward, train_stack
 from .losses import q_at, total_loss
-from .numerics import Workspace, make_rng, split_seed
+from .numerics import make_rng, split_seed
 from .prior import PriorMatrix
 
 
-def feature_augment(f: np.ndarray, y: np.ndarray, lam: float, rng, ws):
+def feature_augment(f, y: np.ndarray, lam: float, rng, ws):
     """Mix each row with a random partner row: lam*x_i + (1-lam)*x_pi(i).
 
-    f and y are (K, B, .) stacks and rng is a sequence of K generators:
-    slice k mixes within itself by a permutation drawn from rng[k]. Returns
-    (f_mix, y_mix, perm), where perm indexes the rows of f flattened to
-    (K * B, .). The same permutation and factor apply to features and
+    y is a (K, B, C) stack, f a (K, B, d) stack or a list of K (B, D_k)
+    inputs, and rng a sequence of K generators: slice k mixes within itself
+    by a permutation drawn from rng[k]. Returns (f_mix, y_mix, perm), f_mix
+    a stack or a list as f is, where perm indexes the rows of y flattened
+    to (K * B, .). The same permutation and factor apply to features and
     labels, so mixed label rows stay nonnegative and sum to 1. lam=1 is the
-    exact identity. The results go into the Workspace ws. The caller
-    guarantees B >= 2 (minibatch_iter on a split of at least two samples)
-    and 0 < lam <= 1 (RunConfig.validate).
+    identity up to the sign of zero (-0.0 may come back as +0.0). The
+    results go into the Workspace ws. The caller guarantees B >= 2
+    (minibatch_iter on a split of at least two samples) and 0 < lam <= 1
+    (RunConfig.validate).
     """
-    b = f.shape[-2]
+    b = y.shape[-2]
     # shuffling row k of the index grid draws what g.permutation(b) + k * b
     # draws, from the same stream
     perm = ws.get("mix_perm", b, dtype=np.intp)
     np.copyto(perm, np.arange(perm.size).reshape(perm.shape))
     for row, g in zip(perm, rng):
         g.shuffle(row)
-    return _mix(f, perm, lam, ws, "f"), _mix(y, perm, lam, ws, "y"), perm
+    if isinstance(f, list):
+        # row k of perm indexes input k's B rows modulo B
+        f_mix = [_mix(x, row, lam, ws, ("x_mix", k)) for k, (x, row) in enumerate(zip(f, perm))]
+    else:
+        f_mix = _mix(f, perm, lam, ws, "f_mix")
+    return f_mix, _mix(y, perm, lam, ws, "y_mix"), perm
 
 
 def _mix(a, perm, lam, ws, name):
-    """lam * a + (1 - lam) * a's rows at perm, in ws's `name`_mix buffer."""
-    b, width = a.shape[-2:]
-    partner = a.reshape(-1, width).take(perm, axis=0, mode="clip",
-                                        out=ws.get(name + "_partner", b, width))
+    """lam * a + (1 - lam) * a's rows at perm modulo its row count, in ws's `name`."""
+    *lead, b, width = a.shape
+    partner = a.reshape(-1, width).take(perm, axis=0, mode="wrap",
+                                        out=ws.get(("partner", name), b, width, lead=lead))
     partner *= 1.0 - lam
-    out = np.multiply(a, lam, out=ws.get(name + "_mix", b, width))
+    out = np.multiply(a, lam, out=ws.get(name, b, width, lead=lead))
     out += partner
     return out
 
@@ -75,29 +82,21 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
     if cfg.use_transpose:
         # the transpose ablation swaps the recaster, not the classifier matrix
         prior = dataclasses.replace(prior, l=prior.w.T.copy())
-    mix_embeddings = not (cfg.fa_off or cfg.fa_input_space)
-    if cfg.fa_input_space:
-        # input widths differ within a stack: each modality mixes as a stack of one
-        input_ws = [Workspace((1,), max_batch_rows(mods[0], cfg.batch_size)) for _ in mods]
     step_sums = np.empty((5, len(mods)))  # label, disc, mse and total (each * b), gap^2
 
     def rsc_step(stack, x_b, y_b, q):
         ws = stack.workspace
         b = y_b.shape[1]
-        if cfg.fa_input_space:
-            x_mix, y_mix, _ = zip(*(feature_augment(x[None], y[None], cfg.mix_lambda, [rng], ws_k)
-                                    for x, y, rng, ws_k in zip(x_b, y_b, rngs, input_ws)))
-            x_b = [x[0] for x in x_mix]
-            y_b = np.concatenate(y_mix, out=ws.get("input_y_mix", b, prior.num_classes))
+        if cfg.mixup == "input":
+            x_b, y_b, _ = feature_augment(x_b, y_b, cfg.mix_lambda, rngs, ws)
         f_t, cache = forward(stack, x_b)
         y_t = y_b
-        if mix_embeddings:
+        if cfg.mixup == "embedding":
             f_t, y_t, perm = feature_augment(f_t, y_b, cfg.mix_lambda, rngs, ws)
         t = recast_invariant(y_t, prior, out=ws.get("recast", b, cfg.embed_dim))
         terms, d_ft, logits = total_loss(
-            f_t, y_t, prior.w, t, q, cfg.alpha, cfg.beta, drop_label=cfg.drop_label,
-            drop_disc=cfg.drop_disc, drop_mse=cfg.drop_mse, ws=ws)
-        if mix_embeddings:
+            f_t, y_t, prior.w, t, q, cfg.alpha, cfg.beta, drop_label=cfg.drop_label, ws=ws)
+        if cfg.mixup == "embedding":
             # route the mixed-embedding gradient back to both branches;
             # perm is a permutation, so each row receives one addition
             d_f = np.multiply(d_ft, cfg.mix_lambda, out=ws.get("routed", b, cfg.embed_dim))

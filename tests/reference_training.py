@@ -148,10 +148,10 @@ def train_rsc_for_modality(mod, prior, cfg, rng):
         n_seen = 0
         for idx in minibatch_iter(mod, cfg.batch_size, rng):
             x_b, y_b = x[idx], y[idx]
-            if cfg.fa_off:
+            if cfg.mixup == "off":
                 f_t, cache = forward(params, x_b)
                 y_t = y_b
-            elif cfg.fa_input_space:
+            elif cfg.mixup == "input":
                 f_mix, y_t, _ = feature_augment(x_b, y_b, cfg.mix_lambda, rng)
                 f_t, cache = forward(params, f_mix)
             else:
@@ -159,9 +159,9 @@ def train_rsc_for_modality(mod, prior, cfg, rng):
                 f_t, y_t, perm = feature_augment(f, y_b, cfg.mix_lambda, rng)
             value, d_ft, parts = total_loss(
                 f_t, y_t, prior.w, y_t @ prior.l, q, cfg.alpha, cfg.beta,
-                drop_label=cfg.drop_label, drop_disc=cfg.drop_disc,
-                drop_mse=cfg.drop_mse)
-            if cfg.fa_off or cfg.fa_input_space:
+                drop_label=cfg.drop_label, drop_disc=cfg.alpha == 0.0,
+                drop_mse=cfg.beta == 0.0)
+            if cfg.mixup != "embedding":
                 d_f = d_ft
             else:
                 d_f = cfg.mix_lambda * d_ft

@@ -8,7 +8,9 @@ the default config on a synthetic split of 480 rows per modality (the
 training split of the train_b32 and train_b256 benchmark workloads), at
 K = 1 and K = 3 modalities in one stack and batch sizes 32 and 256, a few
 epochs per round, and prints each stage's process (CPU) time per step, the
-median over the rounds. A step serves all K modalities at once. It also
+median over the rounds. A step serves all K modalities at once. Stage two
+also runs under the input-mixup ablation (apply_ablation) at K = 3, which
+no benchmark workload runs. It also
 times evaluate.rank_pair on one pair at the gallery_2k workload's test
 shape: 2000 random 16-wide queries against 2000 gallery items, 10 classes.
 
@@ -16,8 +18,8 @@ With a git revision REV it also exports REV's src/priorcast (git archive)
 and times both in this one process, alternating round by round so that a
 busy host slows both alike, and prints the median of the per-round ratios
 of this checkout's time to REV's. Pin it to one CPU (taskset -c 0). It
-reads only the signatures of train_prior_stack, train_rsc_stack and
-rank_pair, not what rank_pair returns, so REV may be any revision with
+reads only the signatures of train_prior_stack, train_rsc_stack,
+apply_ablation and rank_pair, not what rank_pair returns, so REV may be any revision with
 them. It needs git for REV, and no network.
 
 The file name keeps pytest from collecting it.
@@ -39,7 +41,8 @@ NUM_CLASSES = 10
 WIDTHS = (20, 24, 28)
 EPOCHS = 4
 RANK_ITEMS, RANK_DIM = 2000, 16
-CASES = [(batch, k, stage) for batch in (32, 256) for k in (1, 3) for stage in (1, 2)] + ["rank"]
+CASES = ([(batch, k, stage, None) for batch in (32, 256) for k in (1, 3) for stage in (1, 2)]
+         + [(batch, 3, 2, "input-mixup") for batch in (32, 256)] + ["rank"])
 
 
 def export(rev, dest):
@@ -65,10 +68,12 @@ def runner(package, case):
         queries, gallery = (rng.standard_normal((RANK_ITEMS, RANK_DIM)) for _ in range(2))
         q_labels, g_labels = (rng.integers(0, NUM_CLASSES, RANK_ITEMS) for _ in range(2))
         return lambda: evaluate.rank_pair(queries, q_labels, gallery, g_labels), 1
-    batch, k, stage = case
+    batch, k, stage, ablation = case
     mods = [data.ModalityData(f"mod{i}", rng.standard_normal((ROWS, WIDTHS[i])),
                               rng.integers(0, NUM_CLASSES, ROWS)) for i in range(k)]
     cfg = config.RunConfig(batch_size=batch, spl_epochs=EPOCHS, rsc_epochs=EPOCHS)
+    if ablation:
+        cfg = config.apply_ablation(cfg, ablation)
     w0 = numerics.random_orthogonal(cfg.embed_dim, NUM_CLASSES, numerics.make_rng(1))
     selected = prior.PriorMatrix(w=w0, l=numerics.pseudo_inverse(w0))
 
@@ -105,8 +110,9 @@ def main():
         if case == "rank":
             line, scale = f"rank {RANK_ITEMS} x {RANK_ITEMS}, ms per pair: ", 1e3
         else:
-            batch, k, stage = case
-            line = f"B={batch:3d} K={k} stage {'one' if stage == 1 else 'two'}, us per step: "
+            batch, k, stage, ablation = case
+            line = (f"B={batch:3d} K={k} stage {'one' if stage == 1 else 'two'}"
+                    f"{' ' + ablation if ablation else ''}, us per step: ")
             scale = 1e6
         own = [scale * t for t in times["priorcast", case]]
         if args.rev:

@@ -558,6 +558,13 @@ EXIT_CASES = {
                                 _raw_config(b'{"seed": 1}')),
     "config-unknown-key": (2, "config error: unknown config keys",
                            _raw_config(b'{"learning_rate": 0.1}')),
+    # the retired ablation flags are unknown keys; mixup names one of three modes
+    "config-retired-fa-off": (2, "config error: unknown config keys: ['fa_off']",
+                              _raw_config(b'{"fa_off": true}')),
+    "config-retired-drop-disc": (2, "config error: unknown config keys: ['drop_disc']",
+                                 _raw_config(b'{"drop_disc": true}')),
+    "config-unknown-mixup": (2, "config error: mixup must be one of embedding, input, off, "
+                                "got 'both'", _raw_config(b'{"mixup": "both"}')),
     "config-wrong-type": (2, "config error: batch_size must be an integer",
                           _raw_config(b'{"batch_size": "big"}')),
     "config-out-of-range": (2, "config error: mix_lambda must be in (0, 1]",

@@ -5,6 +5,7 @@ import pytest
 
 from priorcast.config import (
     ABLATION_PRESETS,
+    MIXUP_MODES,
     RunConfig,
     apply_ablation,
     config_from_dict,
@@ -49,10 +50,12 @@ def test_field_specific_rejections(field, value, msg):
         cfg.validate()
 
 
-def test_mixing_flags_mutually_exclusive():
-    cfg = RunConfig(fa_off=True, fa_input_space=True)
-    with pytest.raises(ConfigError, match="exclusive"):
-        cfg.validate()
+def test_mixup_must_be_a_known_mode():
+    for mode in MIXUP_MODES:
+        RunConfig(mixup=mode).validate()
+    for mode in ("both", "Embedding", ""):
+        with pytest.raises(ConfigError, match="mixup must be one of embedding, input, off"):
+            RunConfig(mixup=mode).validate()
 
 
 def test_all_eleven_presets_exist():

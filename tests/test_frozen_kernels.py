@@ -51,11 +51,14 @@ def test_losses_match_frozen_copies(k, b):
               [ref_losses.label_loss(f[i], y[i], w, q) for i in range(k)])
         _same(label_loss(f, y, ws, q)[:3],
               [ref_losses.label_loss(f[i], y[i], ws[i], q) for i in range(k)])
-    for drop in ({}, {"drop_label": True}, {"drop_disc": True}, {"drop_mse": True}):
-        terms, grad, _ = total_loss(f, y, w, t, 0.3, 0.25, 0.15, **drop, ws=workspace_for(f))
+    # a zero alpha or beta drops its term as the frozen copy's drop flag does
+    for alpha, beta, drop in ((0.25, 0.15, None), (0.25, 0.15, "drop_label"),
+                              (0.0, 0.15, "drop_disc"), (0.25, 0.0, "drop_mse")):
+        terms, grad, _ = total_loss(f, y, w, t, 0.3, alpha, beta,
+                                    drop_label=drop == "drop_label", ws=workspace_for(f))
         for i in range(k):
-            value_i, grad_i, parts_i = ref_losses.total_loss(f[i], y[i], w, t[i], 0.3, 0.25,
-                                                             0.15, **drop)
+            value_i, grad_i, parts_i = ref_losses.total_loss(f[i], y[i], w, t[i], 0.3, alpha,
+                                                             beta, **({drop: True} if drop else {}))
             assert list(terms[:, i]) == [*parts_i.values(), value_i]
             assert np.array_equal(grad[i], grad_i)
 
@@ -71,11 +74,17 @@ def test_softmax_quality_score_and_unit_rows_match_frozen_copies():
         f[0], ref.one_hot(labels, w.shape[1]), w)
 
 
-@pytest.mark.parametrize("k, b", [(1, 2), (3, 9), (3, 256)])
-def test_feature_augment_slices_match_frozen_copy(k, b):
+@pytest.mark.parametrize("k, b, widths", [(1, 2, None), (3, 9, None), (3, 256, None),
+                                         (3, 32, (20, 24, 28))],
+                         ids=["1-2", "3-9", "3-256", "inputs-3-32"])
+def test_feature_augment_slices_match_frozen_copy(k, b, widths):
     f, y, _, _, _ = _stack(k + b, k, b)
+    if widths:
+        # input-space mixing: a list of K input matrices of different widths
+        rng = make_rng(k * b)
+        f = [rng.standard_normal((b, width)) for width in widths]
     f_mix, y_mix, perm = feature_augment(f, y, 0.7, [make_rng(40 + i) for i in range(k)],
-                                         workspace_for(f))
+                                         workspace_for(y))
     for i in range(k):
         want_f, want_y, want_perm = ref.feature_augment(f[i], y[i], 0.7, make_rng(40 + i))
         assert np.array_equal(f_mix[i], want_f)

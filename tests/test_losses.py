@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_losses as ref_losses
 from conftest import check_grad, cosine, workspace_for
 from priorcast.losses import (
     disc_loss,
@@ -206,10 +207,15 @@ def test_total_loss_combination():
 
 @pytest.mark.parametrize("flag", ["drop_label", "drop_disc", "drop_mse"])
 def test_total_loss_drop_flags(flag):
+    # the label term drops by its flag, the disc and mse terms by a zero weight
     f, y, w, l, _ = _instance(12)
-    terms, _, logits = total_loss(f, y, w, y @ l, 0.5, 0.1, 0.1, **{flag: True},
-                                  ws=workspace_for(f))
+    weights = {"drop_disc": (0.0, 0.1), "drop_mse": (0.1, 0.0)}.get(flag, (0.1, 0.1))
+    terms, grad, logits = total_loss(f, y, w, y @ l, 0.5, *weights,
+                                     drop_label=flag == "drop_label", ws=workspace_for(f))
     assert terms[["drop_label", "drop_disc", "drop_mse"].index(flag)] == 0.0
+    # the frozen copy's gradient with the term dropped by its flag, bit for bit
+    assert np.array_equal(grad, ref_losses.total_loss(f, y, w, y @ l, 0.5, *weights,
+                                                      **{flag: True})[1])
     # the logits f w come back whether or not the label term forms them
     assert np.array_equal(logits, f @ w)
     full, _, _ = total_loss(f, y, w, y @ l, 0.5, 0.1, 0.1, ws=workspace_for(f))

@@ -46,6 +46,12 @@ def test_augment_identity_at_lambda_one():
     f_mix, y_mix, _ = feature_augment(f, y, 1.0, [rng, make_rng(1)], workspace_for(f))
     assert np.array_equal(f_mix, f)
     assert np.array_equal(y_mix, y)
+    # up to the sign of zero: -0.0 * 1.0 plus a partner's +0.0 * 0.0 is +0.0
+    f = np.array([[[-0.0, 1.0], [0.5, 0.0], [2.0, -3.0]]])
+    f_mix, _, perm = feature_augment(f, np.eye(3)[None], 1.0, [make_rng(0)], workspace_for(f))
+    assert perm[0, 0] != 0
+    assert np.array_equal(f_mix, f)
+    assert np.signbit(f[0, 0, 0]) and not np.signbit(f_mix[0, 0, 0])
 
 
 def test_augment_hand_case():
