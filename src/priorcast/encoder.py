@@ -3,7 +3,8 @@ representation layer, with hand-derived gradients and plain SGD updates.
 
 forward and backward run the K encoders of an EncoderStack at once, on
 (K, B, .) batches, and write into the stack's workspace; a single encoder
-runs as a stack of one.
+runs as a stack of one. embed runs forward's layers for one encoder on
+fresh arrays, freeing each whole split's hidden activation early.
 
 The backward pass includes the Jacobian of the row normalization
 (numerics.unit_rows_grad) and defines the ReLU subgradient at exactly 0 as
@@ -85,6 +86,36 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
     )
 
 
+def _first_layer(x, w1, b1, out) -> np.ndarray:
+    """relu(x_k @ w1_k + b1) of each of the K inputs x_k, into out (K, B, H)."""
+    # np.dot is np.matmul's BLAS call, cheaper
+    for x_k, w1_k, out_k in zip(x, w1, out):
+        np.dot(x_k, w1_k, out=out_k)
+    out += b1
+    return np.maximum(out, 0.0, out=out)
+
+
+def _affine(a, w, b, out) -> np.ndarray:
+    """a @ w + b into out."""
+    np.matmul(a, w, out=out)
+    out += b
+    return out
+
+
+def _hidden(a, w, b, out) -> np.ndarray:
+    """relu(a @ w + b) into out."""
+    return np.maximum(_affine(a, w, b, out), 0.0, out=out)
+
+
+def _normalized(z3, out=(None, None, None)):
+    """(F, *unit_rows(z3)): F is the unit rows, degenerate rows passed through."""
+    unit, safe, degenerate = unit_rows(z3, out)
+    f = unit
+    if np.count_nonzero(degenerate):
+        f = np.where(degenerate[..., None], z3, unit)
+    return f, unit, safe, degenerate
+
+
 def forward(stack: "EncoderStack", x):
     """Embed K batches at once; returns (F, cache) with F row-normalized.
 
@@ -97,32 +128,28 @@ def forward(stack: "EncoderStack", x):
     params, ws = stack.params, stack.workspace
     b = x[0].shape[0]
     width, out_dim = params.b1.shape[-1], params.b3.shape[-1]
-    # two buffers, not one (2, K, B, H) block: freeing a whole split's block
-    # would raise glibc's adaptive mmap threshold to twice the size, and with
-    # it the peak RSS of what eval allocates next
-    a1, a2 = ws.get("a1", b, width), ws.get("a2", b, width)
-    # biases and ReLUs in place; np.dot is np.matmul's BLAS call, cheaper
-    for x_k, w1_k, a1_k in zip(x, params.w1, a1):
-        np.dot(x_k, w1_k, out=a1_k)
-    a1 += params.b1
-    np.maximum(a1, 0.0, out=a1)
-    np.matmul(a1, params.w2, out=a2)
-    a2 += params.b2
-    np.maximum(a2, 0.0, out=a2)
-    z3 = np.matmul(a2, params.w3, out=ws.get("z3", b, out_dim))
-    z3 += params.b3
-    unit, safe, degenerate = unit_rows(z3, (ws.get("unit", b, out_dim), ws.get("safe", b),
-                                            ws.get("degenerate", b, dtype=bool)))
-    f = unit
-    if np.count_nonzero(degenerate):
-        f = np.where(degenerate[..., None], z3, unit)
+    a1 = _first_layer(x, params.w1, params.b1, ws.get("a1", b, width))
+    a2 = _hidden(a1, params.w2, params.b2, ws.get("a2", b, width))
+    z3 = _affine(a2, params.w3, params.b3, ws.get("z3", b, out_dim))
+    f, unit, safe, degenerate = _normalized(z3, (ws.get("unit", b, out_dim), ws.get("safe", b),
+                                                 ws.get("degenerate", b, dtype=bool)))
     return f, ForwardCache(x, a1, a2, unit, safe, degenerate)
 
 
 def embed(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Embeddings of the rows of x under one encoder: forward on a one-shot
-    stack sized to x."""
-    return forward(EncoderStack([params], x.shape[0]), [x])[0][0]
+    """Embeddings of the rows of x under one encoder: forward's bits for a
+    stack of one, from the same calls and layouts on fresh arrays. Each
+    hidden activation is dropped once the next layer is formed, so at most
+    two (N, H) arrays are held at once."""
+    n, width, out_dim = x.shape[0], params.hidden_dim, params.output_dim
+    # z3 is written over a1, which a2 no longer needs: one buffer fewer
+    # leaves less heap above the next stage's peak
+    first = np.empty(n * max(width, out_dim))
+    a1 = _first_layer([x], [params.w1], params.b1, first[:n * width].reshape(1, n, width))
+    a2 = _hidden(a1, params.w2, params.b2, np.empty((1, n, width)))
+    z3 = _affine(a2, params.w3, params.b3, first[:n * out_dim].reshape(1, n, out_dim))
+    del a1, a2
+    return _normalized(z3)[0][0]
 
 
 def backward(stack: "EncoderStack", cache: ForwardCache, d_f: np.ndarray) -> None:

@@ -5,11 +5,12 @@ deterministic tie-break (ascending gallery index), so results are
 bit-reproducible across runs.
 
 Scoring needs only the relevance of each rank position, not which gallery
-item holds it. So each block of query rows is ordered by one value sort of
-the negated cosines with each item's relevance in the lowest mantissa bit
-(_ranked_relevance); only rows with two sorted values less than _GAP apart
-(ties, +0.0 beside -0.0, near-equal cosines) take the exact path, a stable
-argsort (_ranking).
+item holds it. So each block of query rows forms its own cosines and is
+ordered by one value sort of the negated cosines with each item's relevance
+in the lowest mantissa bit (_ranked_relevance). Only rows with two sorted
+values less than _gap(d) apart (ties, +0.0 beside -0.0, near-equal cosines)
+take the exact path, a stable argsort (_ranking) of the full product's
+rows, formed at most once per pair (_full_cosines).
 """
 
 from typing import Dict
@@ -21,51 +22,60 @@ from .encoder import EncoderParams, embed
 from .numerics import unit_rows
 
 
-# Sets the height of a query block: each of its (rows, gallery) float64
-# temporaries stays near this many bytes whatever the gallery size.
+# Sets the height of a query block: its cosines and each other (rows,
+# gallery) temporary stay near this many bytes whatever the gallery size.
 _BLOCK_BYTES = 1 << 18
 
 
-def _ranking(neg: np.ndarray) -> np.ndarray:
-    """Per-row stable argsort of neg: ties broken by ascending column index.
+def _ranking(neg: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+    """Per row, relevant in the order of a stable argsort of neg (ties by
+    ascending column index): the exact path."""
+    return np.take_along_axis(relevant, np.argsort(neg, axis=1, kind="stable"), axis=1)
 
-    This is the exact path of _ranked_relevance: it sees only the rows whose
-    value sort held two values less than _GAP apart.
+
+def _gap(d: int) -> float:
+    """Sorted neighbours closer than this may be tied, or out of order, in
+    the full product once each value's lowest bit holds a relevance flag;
+    d is the embedding width.
+
+    A float64 dot product of two stored unit rows of width d, in any
+    summation order and with or without FMA, lies within gamma_d, about
+    d * 2 ** -53, of the exact one, so a block's cosine and the full
+    product's differ by at most 2 * gamma_d; the relevance bit moves a value
+    below magnitude 2 by at most 2 ** -52. Tagged block values at least
+    4 * gamma_d + 2 ** -51, about (d + 1) * 2 ** -51, apart thus come from
+    full-product values in the same order and untied. The gap is twice
+    that, plus 2 ** -50 for second-order terms (the rows' norms are 1 only
+    to within O(d * 2 ** -53)); at d = 0 it is 2 ** -49.
     """
-    return np.argsort(neg, axis=1, kind="stable")
+    return (d + 2) * 2.0 ** -50
 
 
-# Sorted neighbours closer than this may be tied, or out of order, once each
-# value's lowest bit holds a relevance flag. Below magnitude 2 a unit in the
-# last place is at most 2 ** -52, so _GAP spans at least 8 of them.
-_GAP = 2.0 ** -49
-
-
-def _ranked_relevance(sims: np.ndarray, relevant: np.ndarray) -> np.ndarray:
-    """Per row, relevant taken in the order of descending sims with ties by
-    ascending column index; an int array of 0 and 1.
+def _ranked_relevance(sims: np.ndarray, relevant: np.ndarray, gap: float):
+    """Per row, relevant taken in the order of descending sims, as an int
+    array of 0 and 1, and the indices of the rows it does not hold (near).
+    Overwrites sims.
 
     The lowest bit of each negated similarity is replaced by its item's
-    relevance, and one value sort orders each row. The bit moves a value by
-    at most one unit in the last place, so a row whose sorted neighbours are
-    all at least _GAP apart has no ties, its order is exactly that of the
-    unmodified similarities, and the low bits are its relevance in ranked
-    order. The other rows (ties, +0.0 beside -0.0, values a few ulps apart)
-    take the exact path, _ranking. Similarities must be finite and of
-    magnitude below 2, as cosines of unit rows are, so that _GAP spans
-    several units in the last place of every value.
+    relevance, and one value sort orders each row. A row whose sorted
+    neighbours are all at least gap apart has no ties, is ordered as the
+    full product orders it (see _gap), and its low bits are its relevance
+    in ranked order. The other rows are near, for the exact path.
+    Similarities must be finite and of magnitude below 2, as cosines of
+    unit rows are, so that gap spans several units in the last place.
     """
-    ranked = np.negative(sims)
+    ranked = np.negative(sims, out=sims)
     bits = ranked.view(np.int64)
     bits &= -2
     bits |= relevant
     ranked.sort(axis=1)
-    near = np.min(ranked[:, 1:] - ranked[:, :-1], axis=1, initial=_GAP) < _GAP
-    rel = bits & 1
-    if near.any():
-        exact = np.flatnonzero(near)
-        rel[exact] = np.take_along_axis(relevant[exact], _ranking(-sims[exact]), axis=1)
-    return rel
+    near = np.min(ranked[:, 1:] - ranked[:, :-1], axis=1, initial=gap) < gap
+    return bits & 1, np.flatnonzero(near)
+
+
+def _full_cosines(uq: np.ndarray, ug: np.ndarray) -> np.ndarray:
+    """The full product of the unit rows, whose bits the exact path ranks."""
+    return uq @ ug.T
 
 
 def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
@@ -87,17 +97,23 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
     class.
 
     Queries are ranked in blocks of rows with the bits of one stable argsort
-    and one AP per query. Each block gets one value sort that carries each
-    item's relevance in the lowest bit, and only rows with near-tied
-    similarities take the stable argsort (see _ranked_relevance). A block's
-    PR rows join the sums in one axis-0 reduction. Both paths compare
-    similarities, so they must be finite: load_manifest and
-    read_tensor_file refuse non-finite features and tensors, and their
-    float32 range keeps the float64 forward pass finite.
+    of the full cosine product and one AP per query. Each block forms its
+    own cosines and gets one value sort that carries each item's relevance
+    in the lowest bit, and only rows with near-tied similarities take the
+    stable argsort (see _ranked_relevance). A block's PR rows join the sums
+    in one axis-0 reduction. Both paths compare similarities, so they must
+    be finite: load_manifest and read_tensor_file refuse non-finite
+    features and tensors, and their float32 range keeps the float64 forward
+    pass finite.
     """
     n_g = gallery.shape[0]
     depth = n_g if n_rank == "all" else min(n_rank, n_g)
-    sims = unit_rows(queries)[0] @ unit_rows(gallery)[0].T
+    uq, ug = unit_rows(queries)[0], unit_rows(gallery)[0]
+    # a block's gemm runs ~2x as fast on a C-ordered (d, n_g) operand as on
+    # the transposed view, and its bits need only stay within _gap's bound
+    ug_t = np.ascontiguousarray(ug.T)
+    gap = _gap(uq.shape[1])
+    full = None
     g_labels = np.asarray(gallery_labels)
     q_labels = np.asarray(query_labels)
     aps = np.zeros(len(queries))
@@ -106,9 +122,16 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
     precision_sum = np.zeros(n_g)
     count = 0
     height = max(1, _BLOCK_BYTES // (8 * n_g))
+    block = np.empty((min(height, len(queries)), n_g))
     for start in range(0, len(queries), height):
         rows = slice(start, start + height)
-        rel = _ranked_relevance(sims[rows], g_labels == q_labels[rows, None])
+        relevant = g_labels == q_labels[rows, None]
+        sims = np.matmul(uq[rows], ug_t, out=block[:len(relevant)])
+        rel, near = _ranked_relevance(sims, relevant, gap)
+        if near.size:
+            if full is None:
+                full = _full_cosines(uq, ug)
+            rel[near] = _ranking(-full[start + near], relevant[near])
         # integer counts add faster than float64 ones and convert exactly
         cum = np.cumsum(rel, axis=1).astype(np.float64)
         precision = cum / k

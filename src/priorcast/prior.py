@@ -65,9 +65,9 @@ def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
 
 def _candidate_score(mod: ModalityData, w: np.ndarray, params) -> float:
     """quality_score of a trained candidate on the modality's full split."""
-    # only the embeddings outlive embed's one-shot stack, so quality_score's
-    # temporaries can reuse the rest of its memory: on a large split this is
-    # the peak of the stage
+    # only the embeddings outlive embed's hidden activations, so
+    # quality_score's temporaries can reuse their memory: on a large split
+    # embed's two (N, H) arrays are the peak of the stage
     return quality_score(embed(params, mod.features), mod.labels, w)
 
 

@@ -4,9 +4,11 @@
 
 Exports REV with `git archive` into a temporary directory, then runs its
 src/ and this checkout's src/ side by side on the benchmark workloads
-train_b32, train_b256 and gallery_2k (bench/run.py's WORKLOADS), at seeds 1
-and 7: one `priorcast synth` per workload and seed, then `priorcast
-pipeline` with the default config and with each --ablation preset.
+train_b32, train_b256 and gallery_2k (bench/run.py's WORKLOADS) and on
+ties, a tie-heavy dataset whose ranking takes the exact path (TIES), at
+seeds 1 and 7: one `priorcast synth` per workload and seed, then
+`priorcast pipeline` with the default config and with each --ablation
+preset.
 Datasets are compared file by file (the run manifest aside: it holds a wall
 time), pipeline outputs by bench/identity.py's artifact set: prior.bin,
 encoder_*.bin, map_table.json and the PR CSVs, and spl_report.json and
@@ -18,8 +20,8 @@ Each child is reaped with os.wait4, and both sides' peak RSS is printed
 for every command, with the largest increase of the checkout over REV at
 the end; memory does not change the exit status. The children are not
 pinned to one CPU, so OpenBLAS may start a thread per CPU and the peaks
-read higher than bench/run.py's one-CPU runs (`gallery_2k`: ~82 MB
-against ~74 MB).
+read higher than bench/run.py's one-CPU runs (`gallery_2k`: ~73 MB
+against ~65 MB).
 
 The file name keeps pytest from collecting it. It needs git, and no
 network.
@@ -39,7 +41,14 @@ import identity  # noqa: E402  (bench/identity.py)
 from priorcast.config import ABLATION_PRESETS  # noqa: E402
 from run import WORKLOADS, write_json  # noqa: E402  (bench/run.py)
 
-SWEEP_WORKLOADS = ("train_b32", "train_b256", "gallery_2k")
+# train_b32's sizes with modality mod0 at noise 0: each of its rows repeats
+# its class centre, so as a gallery it ties in every query's row and ranking
+# takes the exact path, on the full cosine product
+TIES = {"synth": {"num_modalities": 3, "num_classes": 10, "feature_dims": [20, 24, 28],
+                  "samples_per_class": 60, "separation": 6.0, "noise": [0.0, 1.3, 1.6]},
+        "run": {"batch_size": 32}}
+SWEEP_WORKLOADS = {**{name: WORKLOADS[name] for name in ("train_b32", "train_b256", "gallery_2k")},
+                   "ties": TIES}
 SEEDS = (1, 7)
 PRESETS = (None, *sorted(ABLATION_PRESETS))
 
@@ -122,8 +131,7 @@ def compare_reports(work, what):
 def sweep(trees, work, peaks):
     """Every workload, seed and preset; returns (files compared, problems)."""
     compared, problems = 0, []
-    for name in SWEEP_WORKLOADS:
-        spec = WORKLOADS[name]
+    for name, spec in SWEEP_WORKLOADS.items():
         for seed in SEEDS:
             case = f"{name}-seed{seed}"
             data = f"{case}-data"

@@ -12,7 +12,9 @@ median over the rounds. A step serves all K modalities at once. Stage two
 also runs under the input-mixup ablation (apply_ablation) at K = 3, which
 no benchmark workload runs. It also
 times evaluate.rank_pair on one pair at the gallery_2k workload's test
-shape: 2000 random 16-wide queries against 2000 gallery items, 10 classes.
+shape: 2000 random 16-wide queries against 2000 gallery items, 10 classes,
+and prints the traced (tracemalloc) peak of one such call in MB, outside
+the timed rounds.
 
 With a git revision REV it also exports REV's src/priorcast (git archive)
 and times both in this one process, alternating round by round so that a
@@ -34,6 +36,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROWS = 480
@@ -87,6 +90,16 @@ def runner(package, case):
     return run, EPOCHS * len(data.minibatch_iter(mods[0], batch, numerics.make_rng(2)))
 
 
+def traced_peak_mb(run):
+    """The tracemalloc peak of one call of run, in MB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("rev", nargs="?", help="git revision to compare against")
@@ -104,6 +117,7 @@ def main():
                     run()
                     if r:
                         times[p, case].append((time.process_time() - start) / steps)
+        peaks = [traced_peak_mb(runners[p, "rank"][0]) for p in packages]
     print(f"median of {args.rounds} rounds"
           + (f"; {args.rev} -> this checkout" if args.rev else ""))
     for case in CASES:
@@ -121,6 +135,8 @@ def main():
             line += f"{statistics.median(base):7.1f} -> {statistics.median(own):7.1f} (x{ratio:.3f})"
         else:
             line += f"{statistics.median(own):7.1f}"
+        if case == "rank":
+            line += "; traced peak MB: " + " -> ".join(f"{mb:.2f}" for mb in peaks)
         print(line)
 
 

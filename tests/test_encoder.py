@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import check_grad, stack_slice
 from priorcast.encoder import (
     EncoderStack,
     backward,
+    embed,
     forward,
     init_params,
     load_checkpoint,
@@ -65,6 +67,34 @@ def test_forward_identical_rows():
     x[2] = x[0]
     f, _ = _embed(params, x)
     assert np.array_equal(f[2], f[0])
+
+
+def test_embed_gives_forward_bits_with_two_hidden_arrays_at_most():
+    """embed of a whole (N, D) split has forward's bits, a degenerate row
+    passed through, and at its traced peak holds no more than two
+    (N, hidden) float64 arrays and one (N, embed_dim)."""
+    n, hidden, out_dim = 4000, 64, 16
+    params, _, rng = _toy(seed=6, d_in=20, hidden=hidden, d_out=out_dim)
+    params.b3 = np.full(out_dim, 1e-14)
+    x = rng.standard_normal((n, 20))
+    x[0] = 0.0  # zero biases elsewhere: z3[0] == b3, below NORM_EPS
+    want = forward(EncoderStack([params], n), [x])[0][0]
+    tracemalloc.start()
+    try:
+        got = embed(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got[0], params.b3)
+    assert peak <= 8 * n * (2 * hidden + out_dim)
+
+
+def test_embed_wider_than_hidden_gives_forward_bits():
+    """z3 is written over the first hidden layer's buffer, which must then
+    hold an embedding row wider than a hidden one."""
+    params, x, _ = _toy(seed=7, hidden=4, d_out=9)
+    assert embed(params, x).tobytes() == _embed(params, x)[0].tobytes()
 
 
 def test_init_deterministic_and_bounded():

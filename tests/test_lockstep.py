@@ -123,9 +123,10 @@ def test_encoder_params_built_per_modality_not_per_step(monkeypatch):
         train_rsc_all(ds, prior, cfg, seed=2)
         counts.append(len(built))
     # per stage: one init per modality, one view per modality, and the
-    # stacked params and grads of each of the two stacks; stage one then
-    # scores each candidate through a stack of one (params, grads, view)
-    assert counts == [2 * (2 * 3 + 2 * 2) + 3 * 3] * 2
+    # stacked params and grads of each of the two stacks; stage one's
+    # candidate scoring embeds each split through its member view and
+    # builds none
+    assert counts == [2 * (2 * 3 + 2 * 2)] * 2
 
 
 @pytest.mark.parametrize("preset", [None, "no-mixup", "input-mixup"])

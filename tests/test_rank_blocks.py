@@ -1,21 +1,25 @@
 """Block ranking against the per-query reference, bit for bit.
 
-rank_pair orders each block of queries with one value sort of the negated
-cosines, each carrying its item's relevance in the lowest mantissa bit, and
-sends only the rows with two sorted values less than _GAP = 2 ** -49 apart
-(at least 8 units in the last place of any value below 2) to the exact
-path, _ranking (one stable argsort of the block's rows). reference_ranking
-ranks one query at a time with a stable argsort. APs, recall and precision
-must agree in every bit: on query counts around the block height, on
-tie-heavy, mostly identical and all-zero rows, with ties across the n_rank
-cutoff, with queries that have no relevant gallery item, and at the
-near-tie boundary: galleries of a few directions nudged by 0-5 ulps per
+rank_pair forms each block's cosines with its own matmul and orders the
+block with one value sort of the negated cosines, each carrying its item's
+relevance in the lowest mantissa bit. Only the rows with two sorted values
+less than _gap(d) = (d + 2) * 2 ** -50 apart go to the exact path, _ranking
+(one stable argsort of those rows of the full product, which rank_pair
+forms at most once per pair, with _full_cosines). reference_ranking ranks
+one query at a time with a stable argsort of the full product. APs, recall
+and precision must agree in every bit: on query counts around the block
+height, on tie-heavy, mostly identical and all-zero rows, with ties across
+the n_rank cutoff, with queries that have no relevant gallery item, at the
+near-tie boundary (galleries of a few directions nudged by 0-5 ulps per
 coordinate, +0.0 and -0.0 cosines, cosines a few subnormal steps either
 side of 0, and pairs 0-20 units in the last place apart on either side of
-_GAP. A spy on _ranking checks that untied rows stay on the value-sort
-path.
+_gap(0) = 2 ** -49), and where the block cosines' bits differ from the
+full product's. Spies on _ranking and _full_cosines check that untied rows
+stay on the value-sort path and form no full product, and that tied blocks
+share one.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -162,7 +166,7 @@ def _pairs_k_units_apart(rng):
     """Rows of 30 well-separated values but for one pair k = 0..20 units in
     the last place apart, in [1, 2) and in [0.5, 1), with the pair's
     relevance bits set both ways and its larger value in either column.
-    _GAP = 2 ** -49 is 8 units of [1, 2) and 16 of [0.5, 1), so the rows
+    _gap(0) = 2 ** -49 is 8 units of [1, 2) and 16 of [0.5, 1), so the rows
     fall on both sides of it."""
     rows, relevance = [], []
     for base in (1.5, 0.75):
@@ -199,7 +203,10 @@ def test_signed_zero_similarities_rank_stably(seed):
     pairs, pair_relevant = _pairs_k_units_apart(rng)
     sims, relevant = np.concatenate((sims, pairs)), np.concatenate((relevant, pair_relevant))
     with mock.patch.object(evaluate, "_ranking", wraps=evaluate._ranking) as spy:
-        got = evaluate._ranked_relevance(sims, relevant)
+        # given similarities are their own full product: the gap of d = 0,
+        # 2 ** -49
+        got, near = evaluate._ranked_relevance(sims.copy(), relevant, evaluate._gap(0))
+        got[near] = evaluate._ranking(-sims[near], relevant[near])
     want = np.take_along_axis(relevant, np.argsort(-sims, axis=1, kind="stable"), axis=1)
     assert np.array_equal(got, want)
     sent = {row.tobytes() for call in spy.call_args_list for row in call.args[0]}
@@ -207,25 +214,89 @@ def test_signed_zero_similarities_rank_stably(seed):
     assert not [row for row in -sims[apart] if row.tobytes() in sent]
 
 
-def _exact_path_rows(args):
-    """The rows rank_pair sends to _ranking, as the bytes of each negated row."""
-    with mock.patch.object(evaluate, "_ranking", wraps=evaluate._ranking) as spy:
+def _exact_path(args):
+    """The rows rank_pair sends to _ranking, as the bytes of each negated
+    row, and the number of times it formed the full product."""
+    with mock.patch.object(evaluate, "_ranking", wraps=evaluate._ranking) as ranking, \
+            mock.patch.object(evaluate, "_full_cosines", wraps=evaluate._full_cosines) as full:
         evaluate.rank_pair(*args)
-    return [row.tobytes() for call in spy.call_args_list for row in call.args[0]]
+    return [row.tobytes() for call in ranking.call_args_list for row in call.args[0]], \
+        full.call_count
 
 
 @pytest.mark.parametrize("n_g", [700, 2000])
 def test_untied_rows_skip_the_exact_path(n_g):
     n_q = 2 * _height(n_g) + 1
-    assert _exact_path_rows(_case("gaussian", n_q, n_g, seed=n_g)) == []
+    assert _exact_path(_case("gaussian", n_q, n_g, seed=n_g)) == ([], 0)
 
 
 def test_tied_rows_take_the_exact_path():
     args = _case("rounded", 40, 700, seed=3)  # every row ties somewhere
     ranked = np.sort(-(unit_rows(args[0])[0] @ unit_rows(args[2])[0].T), axis=1)
     assert (ranked[:, 1:] == ranked[:, :-1]).any(axis=1).all()
-    assert len(_exact_path_rows(args)) == 40
+    sent, formed = _exact_path(args)
+    assert (len(sent), formed) == (40, 1)
     queries, q_labels, gallery, g_labels = _case("gaussian", 40, 700, seed=4)
     queries[::4] = 0.0  # only the zero queries tie: all their cosines are 0
-    sent = _exact_path_rows((queries, q_labels, gallery, g_labels))
-    assert sent == [np.full(700, -0.0).tobytes()] * 10
+    assert _exact_path((queries, q_labels, gallery, g_labels)) == (
+        [np.full(700, -0.0).tobytes()] * 10, 1)
+
+
+def test_tied_blocks_form_the_full_product_once():
+    """Every gallery item appears twice, so every row ties, and query 7 is
+    degenerate (cosine 0 with all): each of the four blocks has near rows,
+    and they share one full product."""
+    rng = make_rng(11)
+    gallery = np.repeat(rng.standard_normal((200, 4)), 2, axis=0)
+    queries = rng.standard_normal((3 * _height(400) + 1, 4))
+    queries[7] = 0.0
+    q_labels, g_labels = rng.integers(0, 3, len(queries)), rng.integers(0, 3, 400)
+    with mock.patch.object(evaluate, "_full_cosines", wraps=evaluate._full_cosines) as full:
+        _assert_same_bits((queries, q_labels, gallery, g_labels), "all", curve=True)
+    assert full.call_count == 1
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "nudged"])
+def test_block_cosines_that_differ_from_the_full_product_rank_alike(kind):
+    """2000 queries and 1500 items at d = 16 make blocks of 21 rows, and
+    some of their cosines differ from the full product's in the last bits
+    (5121 of the gaussian pair's with numpy 2.4's OpenBLAS on x86-64). The
+    ranking must follow the full product's bits where they order a row
+    differently: "nudged" draws both sides from 40 directions moved 0-5 ulps
+    per coordinate, so most rows hold near-equal cosines."""
+    rng = make_rng(12)
+    if kind == "gaussian":
+        queries, gallery = rng.standard_normal((2000, 16)), rng.standard_normal((1500, 16))
+    else:
+        directions = rng.standard_normal((40, 16))
+        queries, gallery = (_nudged(directions[rng.integers(0, 40, n)], rng)
+                            for n in (2000, 1500))
+    q_labels, g_labels = rng.integers(0, 10, 2000), rng.integers(0, 10, 1500)
+    blocks, ranked_relevance = [], evaluate._ranked_relevance
+
+    def record(sims, *rest):
+        blocks.append(sims.copy())
+        return ranked_relevance(sims, *rest)
+
+    with mock.patch.object(evaluate, "_ranked_relevance", record):
+        _assert_same_bits((queries, q_labels, gallery, g_labels), "all", curve=True)
+    assert _height(1500) == 21 and len(blocks) == -(-2000 // 21)
+    full = unit_rows(queries)[0] @ unit_rows(gallery)[0].T
+    assert np.count_nonzero(np.concatenate(blocks) != full) > 0, \
+        "this BLAS forms every block with the full product's bits"
+
+
+def test_untied_pair_holds_no_full_product():
+    """A 2000 x 2000 pair of random embeddings ranks without the full
+    (2000, 2000) float64 product: its traced peak stays below a quarter of
+    one."""
+    rng = make_rng(13)
+    queries, gallery = rng.standard_normal((2000, 16)), rng.standard_normal((2000, 16))
+    q_labels, g_labels = rng.integers(0, 10, 2000), rng.integers(0, 10, 2000)
+    tracemalloc.start()
+    try:
+        evaluate.rank_pair(queries, q_labels, gallery, g_labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 8 / 4
