@@ -22,8 +22,8 @@ import time
 
 from . import __version__
 from .config import RunConfig, apply_ablation, load_config
-from .data import (MultimodalDataset, load_manifest, pr_curve_file, synth_generate,
-                   write_dataset, write_json)
+from .data import (_MAX_ELEMS, MultimodalDataset, load_manifest, pr_curve_file,
+                   synth_generate, write_dataset, write_json)
 from .errors import ConfigError, FormatError, NumericError
 
 PRIOR_FILE = "prior.bin"
@@ -163,6 +163,10 @@ def _run_stages(command, stages, cfg: RunConfig, out_dir, config_path) -> int:
     if cfg.embed_dim < dataset.num_classes:
         raise ConfigError(f"embed_dim {cfg.embed_dim} is below the dataset's "
                           f"{dataset.num_classes} classes")
+    width = max(mod.feature_dim for mod in dataset.splits["train"])
+    if width * cfg.hidden_dim > _MAX_ELEMS:
+        raise ConfigError(f"hidden_dim {cfg.hidden_dim} and the widest feature width {width} "
+                          f"give a first-layer tensor of more than {_MAX_ELEMS} elements")
     # a failed run must not leave an older run's manifest beside its outputs
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, RUN_MANIFEST))

@@ -22,7 +22,7 @@ from typing import List
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .numerics import make_rng, random_orthogonal, split_seed
+from .numerics import make_rng, split_seed
 
 FEATURE_MAGIC = b"DFM1"
 LABEL_MAGIC = b"DLB1"
@@ -513,24 +513,6 @@ def max_batch_rows(modality: ModalityData, batch_size: int) -> int:
     """An upper bound on the rows of any batch minibatch_iter yields: a
     merged one-row tail can make one batch_size + 1 rows."""
     return min(batch_size + 1, modality.num_samples)
-
-
-def lockstep_map(modalities, rngs, train):
-    """Run train(members, member_rngs) once per group of modalities that can
-    train in lockstep; returns its per-member results in modality order.
-
-    Modalities with equal sample counts get equal batch sizes from
-    minibatch_iter, so they form one group (in order of first appearance).
-    """
-    groups = {}
-    for pos, mod in enumerate(modalities):
-        groups.setdefault(mod.num_samples, []).append(pos)
-    results = [None] * len(modalities)
-    for group in groups.values():
-        out = train([modalities[pos] for pos in group], [rngs[pos] for pos in group])
-        for pos, result in zip(group, out):
-            results[pos] = result
-    return results
 
 
 def lockstep_batches(modalities, batch_size: int, rngs, num_classes: int, ws):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import lockstep_batches, max_batch_rows, read_tensor_file, write_tensor_file
 from .errors import FormatError, NumericError
-from .numerics import Workspace, unit_rows, unit_rows_grad
+from .numerics import Workspace, make_rng, split_seed, unit_rows, unit_rows_grad
 
 _TENSOR_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -242,32 +242,55 @@ class EncoderStack:
             raise NumericError(f"{where}: loss or parameters not finite")
 
 
-def train_stack(stage, mods, cfg, rngs, num_classes, qs, terms, batch_step, extra=None):
-    """The epoch loop of both training stages: SGD on one EncoderStack of mods,
-    an epoch per q in qs. batch_step(stack, x, y, q) sets the gradients and
-    returns the batch's terms times its size, (len(terms), K). Returns the stack
-    and per modality a record per epoch: epoch, q, each term's mean, wall_seconds."""
-    stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
-                          for mod, rng in zip(mods, rngs)],
-                         max_batch_rows(mods[0], cfg.batch_size), extra)
-    epochs = [[] for _ in mods]
-    for epoch, q in enumerate(qs):
-        t0 = time.perf_counter()
-        sums = np.zeros((len(terms), len(mods)))
-        # check_finite reports what an overflow leads to; numpy's warnings
-        # would only print ahead of it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for x, y in lockstep_batches(mods, cfg.batch_size, rngs, num_classes,
-                                         stack.workspace):
-                sums += batch_step(stack, x, y, q)
-                stack.step(cfg.lr)
-        stack.check_finite(sums, f"stage {stage}, epoch {epoch}")
-        wall_seconds = time.perf_counter() - t0
-        # an epoch visits every sample once
-        for records, means in zip(epochs, (sums / mods[0].num_samples).T):
-            records.append({"epoch": epoch, "q": q, **dict(zip(terms, means.tolist())),
-                            "wall_seconds": wall_seconds})
-    return stack, epochs
+def train_stack(stage, mods, cfg, seed, key, num_classes, qs, terms, batch_step, extra=None):
+    """The one training driver of both stages: SGD on each modality's encoder,
+    an epoch per q in qs.
+
+    Modalities of equal training-split size get equal batch sizes from
+    minibatch_iter, so they train in lockstep as one EncoderStack (groups in
+    order of first appearance; a unique size is a stack of one). Each member
+    draws from its own generator, make_rng(split_seed(seed, key, name)), so
+    its result is that of training it alone. Every member starts with a copy
+    of extra, if given, as its extra tensor. batch_step(stack, x, y, q, rngs,
+    out) sets the gradients and writes the batch's terms times its size into
+    out, the stack's one (len(terms), K) buffer; rngs are the group's
+    generators. Returns, in modality order, one (params, extra, records) per
+    modality, records holding an entry per epoch: epoch, q, each term's
+    mean, wall_seconds."""
+    groups = {}
+    for pos, mod in enumerate(mods):
+        groups.setdefault(mod.num_samples, []).append(pos)
+    results = [None] * len(mods)
+    for group in groups.values():
+        members = [mods[pos] for pos in group]
+        rngs = [make_rng(split_seed(seed, key, mod.name)) for mod in members]
+        stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
+                              for mod, rng in zip(members, rngs)],
+                             max_batch_rows(members[0], cfg.batch_size),
+                             None if extra is None else np.stack([extra] * len(members)))
+        step_sums = np.empty((len(terms), len(members)))
+        epochs = [[] for _ in members]
+        for epoch, q in enumerate(qs):
+            t0 = time.perf_counter()
+            sums = np.zeros_like(step_sums)
+            # check_finite reports what an overflow leads to; numpy's warnings
+            # would only print ahead of it
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for x, y in lockstep_batches(members, cfg.batch_size, rngs, num_classes,
+                                             stack.workspace):
+                    batch_step(stack, x, y, q, rngs, step_sums)
+                    sums += step_sums
+                    stack.step(cfg.lr)
+            stack.check_finite(sums, f"stage {stage}, epoch {epoch}")
+            wall_seconds = time.perf_counter() - t0
+            # an epoch visits every sample once
+            for records, means in zip(epochs, (sums / members[0].num_samples).T):
+                records.append({"epoch": epoch, "q": q, **dict(zip(terms, means.tolist())),
+                                "wall_seconds": wall_seconds})
+        extras = [None] * len(members) if extra is None else stack.extra
+        for pos, params, member_extra, records in zip(group, stack.members, extras, epochs):
+            results[pos] = (params, member_extra, records)
+    return results
 
 
 def save_checkpoint(path, params: EncoderParams, modality_name: str) -> None:

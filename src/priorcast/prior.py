@@ -4,10 +4,10 @@ Every modality trains its own encoder jointly with a transformation matrix
 that starts from one shared random orthogonal initialization. After training,
 each candidate gets a quality score on its training split; the highest-scoring
 transformation becomes the shared prior for stage two, and its pseudo-inverse
-is the recasting matrix. The stage-one encoders are throwaway. Modalities of
-equal training-split size train in lockstep as one EncoderStack, each with
-the result it would get alone; the epoch loop is encoder.train_stack, shared
-with stage two, and its per-epoch records go into the report.
+is the recasting matrix. The stage-one encoders are throwaway. run_spl
+hands its per-batch step to encoder.train_stack, the training driver of both
+stages, which trains each modality from its own seed (in lockstep with those
+of equal training-split size) and whose per-epoch records go into the report.
 """
 
 from dataclasses import dataclass
@@ -16,8 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .config import RunConfig
-from .data import (ModalityData, MultimodalDataset, lockstep_map, read_tensor_file,
-                   write_tensor_file)
+from .data import ModalityData, MultimodalDataset, read_tensor_file, write_tensor_file
 from .encoder import backward, embed, forward, train_stack
 from .errors import FormatError
 from .losses import label_loss, q_at, quality_score
@@ -40,27 +39,6 @@ class PriorMatrix:
     @property
     def num_classes(self) -> int:
         return self.w.shape[1]
-
-
-def train_prior_stack(mods, w0: np.ndarray, cfg: RunConfig, rngs):
-    """Joint SGD over each modality's encoder and candidate transformation.
-
-    The modalities must have equal training-split sizes; they train in
-    lockstep as one EncoderStack, each from its own generator, and each
-    result equals that of training the modality alone. Returns one
-    (w, params, epochs) per modality, with train_stack's label-loss records.
-    """
-    def label_step(stack, x, y, q):
-        f, cache = forward(stack, x)
-        loss, d_f, d_logits, _ = label_loss(f, y, stack.extra, q, stack.workspace)
-        np.matmul(f.swapaxes(-1, -2), d_logits, out=stack.extra_grad)
-        backward(stack, cache, d_f)
-        return loss[None] * y.shape[1]
-
-    qs = [q_at(cfg.q_start, cfg.spl_epochs, epoch) for epoch in range(cfg.spl_epochs)]
-    stack, epochs = train_stack("one", mods, cfg, rngs, w0.shape[1], qs, ("label",),
-                                label_step, extra=np.stack([w0] * len(mods)))
-    return list(zip(stack.extra, stack.members, epochs))
 
 
 def _candidate_score(mod: ModalityData, w: np.ndarray, params) -> float:
@@ -93,11 +71,19 @@ def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
                 {"scores": {}, "selected": None, "runner_up": None, "lead": None,
                  "epochs": 0, "seed": seed, "skipped": True, "modalities": []})
 
+    def label_step(stack, x, y, q, rngs, out):
+        f, cache = forward(stack, x)
+        loss, d_f, d_logits, _ = label_loss(f, y, stack.extra, q, stack.workspace)
+        np.matmul(f.swapaxes(-1, -2), d_logits, out=stack.extra_grad)
+        backward(stack, cache, d_f)
+        np.multiply(loss, y.shape[1], out=out[0])
+
     mods = dataset.splits["train"]
-    results = lockstep_map(mods, [make_rng(split_seed(seed, "spl", mod.name)) for mod in mods],
-                           lambda members, rngs: train_prior_stack(members, w0, cfg, rngs))
+    qs = [q_at(cfg.q_start, cfg.spl_epochs, epoch) for epoch in range(cfg.spl_epochs)]
+    results = train_stack("one", mods, cfg, seed, "spl", dataset.num_classes, qs, ("label",),
+                          label_step, extra=w0)
     candidates, scores = {}, {}
-    for mod, (w, params, _) in zip(mods, results):
+    for mod, (params, w, _) in zip(mods, results):
         candidates[mod.name] = w
         scores[mod.name] = _candidate_score(mod, w, params)
     best = select_prior(candidates, scores)

@@ -4,10 +4,10 @@ Each modality trains a fresh encoder while the selected prior stays frozen.
 Batches are mixed (embedding-space mixup by default), soft labels are recast
 into the embedding space through the prior's recasting matrix, and the
 encoders follow the combined objective from the losses module with plain
-SGD. Modalities of equal training-split size train in lockstep as one
-EncoderStack, and a modality whose size no other shares as a stack of one;
-each gets the result it would get alone. The epoch loop is
-encoder.train_stack, shared with stage one.
+SGD. train_rsc_all hands its per-batch step to encoder.train_stack, the
+training driver of both stages, which trains each modality from its own seed
+(in lockstep with those of equal training-split size) with the result it
+would get alone.
 """
 
 import dataclasses
@@ -16,10 +16,9 @@ import math
 import numpy as np
 
 from .config import RunConfig
-from .data import MultimodalDataset, lockstep_map
+from .data import MultimodalDataset
 from .encoder import backward, forward, train_stack
 from .losses import q_at, total_loss
-from .numerics import make_rng, split_seed
 from .prior import PriorMatrix
 
 
@@ -68,23 +67,22 @@ def recast_invariant(y_mix: np.ndarray, prior: PriorMatrix, out=None) -> np.ndar
     return np.matmul(y_mix, prior.l, out=out)
 
 
-def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
-    """Train one encoder per modality against the frozen prior.
+def train_rsc_all(dataset: MultimodalDataset, prior: PriorMatrix,
+                  cfg: RunConfig, seed: int):
+    """Stage two: train one encoder per modality against the frozen prior,
+    each from its own derived seed (encoder.train_stack).
 
-    The modalities must have equal training-split sizes; they train in
-    lockstep as one EncoderStack, each from its own generator, and each
-    result equals that of training the modality alone. Returns one
-    (params, epochs) per modality, where epochs is a list of per-epoch
+    Returns (encoders, report). Each modality's report entry holds per-epoch
     records: loss components, q, the label-recast gap diagnostic (the root
     mean square over the epoch's samples of the row norm of f W - Y), and
-    the stack's wall-clock for the epoch.
+    its stack's wall-clock for the epoch.
     """
     if cfg.use_transpose:
         # the transpose ablation swaps the recaster, not the classifier matrix
         prior = dataclasses.replace(prior, l=prior.w.T.copy())
-    step_sums = np.empty((5, len(mods)))  # label, disc, mse and total (each * b), gap^2
 
-    def rsc_step(stack, x_b, y_b, q):
+    def rsc_step(stack, x_b, y_b, q, rngs, out):
+        # out: label, disc, mse and total (each * b), gap^2
         ws = stack.workspace
         b = y_b.shape[1]
         if cfg.mixup == "input":
@@ -105,33 +103,20 @@ def train_rsc_stack(mods, prior: PriorMatrix, cfg: RunConfig, rngs):
         else:
             d_f = d_ft
         backward(stack, cache, d_f)
-        np.multiply(terms, b, out=step_sums[:4])
+        np.multiply(terms, b, out=out[:4])
         # the sum of squared row norms of each (B, C) slice of f W - Y
         gap = np.subtract(logits, y_t, out=logits)
-        step_sums[4] = [r.dot(r) for r in gap.reshape(len(mods), -1)]
-        return step_sums
+        out[4] = [r.dot(r) for r in gap.reshape(out.shape[1], -1)]
 
+    mods = dataset.splits["train"]
     qs = ([cfg.fixed_q] * cfg.rsc_epochs if cfg.fixed_q is not None else
           [q_at(cfg.q_start, cfg.rsc_epochs, epoch) for epoch in range(cfg.rsc_epochs)])
-    stack, epochs = train_stack("two", mods, cfg, rngs, prior.num_classes, qs,
-                                ("label", "disc", "mse", "total", "recast_gap"), rsc_step)
-    for records in epochs:
+    results = train_stack("two", mods, cfg, seed, "rsc", prior.num_classes, qs,
+                          ("label", "disc", "mse", "total", "recast_gap"), rsc_step)
+    for _, _, records in results:
         for record in records:
             # the epoch's mean squared row norm, to the root mean square
             record["recast_gap"] = math.sqrt(record["recast_gap"])
-    return list(zip(stack.members, epochs))
-
-
-def train_rsc_all(dataset: MultimodalDataset, prior: PriorMatrix,
-                  cfg: RunConfig, seed: int):
-    """Stage two only, for all modalities, each from its own derived seed;
-    modalities of equal training-split size train in lockstep.
-
-    Returns (encoders, report).
-    """
-    mods = dataset.splits["train"]
-    results = lockstep_map(mods, [make_rng(split_seed(seed, "rsc", mod.name)) for mod in mods],
-                           lambda members, rngs: train_rsc_stack(members, prior, cfg, rngs))
-    return ({mod.name: params for mod, (params, _) in zip(mods, results)},
-            {"seed": seed, "modalities": [{"name": mod.name, "epochs": epochs}
-                                          for mod, (_, epochs) in zip(mods, results)]})
+    return ({mod.name: params for mod, (params, _, _) in zip(mods, results)},
+            {"seed": seed, "modalities": [{"name": mod.name, "epochs": records}
+                                          for mod, (_, _, records) in zip(mods, results)]})

@@ -526,6 +526,14 @@ def _one_class(dataset):
             split[k] = ModalityData(mod.name, mod.features, np.zeros_like(mod.labels))
 
 
+def _widen_mod0(dataset):
+    # 46342 x 46340 is just over the 2**31-element cap; 46340 x 46340 is not
+    for split in dataset.splits.values():
+        mod = split[0]
+        wide = np.pad(mod.features, ((0, 0), (0, 46342 - mod.feature_dim)))
+        split[0] = ModalityData(mod.name, wide, mod.labels)
+
+
 def _eval_on_nan_checkpoint(tmp_path):
     assert main(_run()(tmp_path)) == 0
     path = tmp_path / "run" / "encoder_mod0.bin"
@@ -608,6 +616,9 @@ EXIT_CASES = {
     "negative-seed-flag": (2, "config error: --seed must be >= 0", _run("pipeline", "--seed", "-1")),
     "embed-dim-below-classes": (2, "config error: embed_dim 2 is below the dataset's 3 classes",
                                 _run(embed_dim=2)),
+    # synth refuses this width, so the set-up writes it with write_dataset
+    "first-layer-over-cap": (2, "config error: hidden_dim 46340 and the widest feature width "
+                                "46342 give", _run(edit=_widen_mod0, hidden_dim=46340)),
     "config-manifest-lone-surrogate": (2, "config error: manifest path must be UTF-8 text",
                                        _raw_config(b'{"manifest": "data/\\ud800.json"}')),
     # 3: I/O and file-format errors

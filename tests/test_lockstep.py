@@ -5,10 +5,11 @@ import pytest
 
 import reference_training as ref
 from priorcast.config import ABLATION_PRESETS, RunConfig, apply_ablation
-from priorcast.data import ModalityData, SynthConfig, lockstep_map, synth_generate
+from priorcast import encoder
+from priorcast import prior as prior_module
+from priorcast.data import ModalityData, SynthConfig, synth_generate
 from priorcast.encoder import EncoderParams
-from priorcast.numerics import make_rng, random_orthogonal, split_seed
-from priorcast.prior import run_spl, train_prior_stack
+from priorcast.prior import run_spl
 from priorcast.training import train_rsc_all
 
 
@@ -76,30 +77,37 @@ def test_stages_match_per_modality_reference(preset):
         assert all(type(v) in (int, float) for rec in got for v in rec.values())
 
 
-def test_stage_one_encoders_match_reference():
+def _spl_training(monkeypatch, ds, cfg, seed):
+    """run_spl's train_stack call: its arguments and its per-modality results."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        results = encoder.train_stack(*args, **kwargs)
+        calls.append((args, kwargs, results))
+        return results
+
+    monkeypatch.setattr(prior_module, "train_stack", recorded)
+    run_spl(ds, cfg, seed=seed)
+    [call] = calls
+    return call
+
+
+def test_stage_one_encoders_match_reference(monkeypatch):
     ds = _dataset()
     cfg = _cfg()
     _, _, ref_encoders = ref.run_spl(ds, cfg, seed=3)
-    w0 = random_orthogonal(cfg.embed_dim, ds.num_classes,
-                           make_rng(split_seed(3, "spl", "shared-w")))
-    mods = ds.splits["train"]
-    results = lockstep_map(mods, [make_rng(split_seed(3, "spl", m.name)) for m in mods],
-                           lambda members, rngs: train_prior_stack(members, w0, cfg, rngs))
-    for mod, (_, params, _) in zip(mods, results):
+    _, _, results = _spl_training(monkeypatch, ds, cfg, seed=3)
+    for mod, (params, _, _) in zip(ds.splits["train"], results):
         _assert_params_equal(params, ref_encoders[mod.name])
 
 
-def test_spl_modality_independence():
+def test_spl_modality_independence(monkeypatch):
     # a candidate does not depend on which other modalities train beside it
     ds = _dataset()
-    cfg = _cfg()
-    w0 = random_orthogonal(cfg.embed_dim, ds.num_classes, make_rng(0))
-    mods = ds.splits["train"]
-    together = lockstep_map(mods, [make_rng(split_seed(5, "spl", m.name)) for m in mods],
-                            lambda members, rngs: train_prior_stack(members, w0, cfg, rngs))
-    for mod, (w, params, epochs) in zip(mods, together):
-        rng = make_rng(split_seed(5, "spl", mod.name))
-        [(w_solo, params_solo, epochs_solo)] = train_prior_stack([mod], w0, cfg, [rng])
+    args, kwargs, together = _spl_training(monkeypatch, ds, _cfg(), seed=5)
+    stage, mods, *rest = args
+    for mod, (params, w, epochs) in zip(mods, together):
+        [(params_solo, w_solo, epochs_solo)] = encoder.train_stack(stage, [mod], *rest, **kwargs)
         assert np.array_equal(w, w_solo)
         _assert_params_equal(params, params_solo)
         assert _without_wall_seconds(epochs) == _without_wall_seconds(epochs_solo)

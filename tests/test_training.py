@@ -5,17 +5,12 @@ import pytest
 
 from conftest import check_grad, workspace_for
 from priorcast.config import RunConfig, apply_ablation
-from priorcast.data import ModalityData, SynthConfig, synth_generate
+from priorcast.data import ModalityData, MultimodalDataset, SynthConfig, synth_generate
 from priorcast.encoder import embed
 from priorcast.losses import total_loss
-from priorcast.numerics import make_rng, split_seed
-from priorcast.prior import PriorMatrix, run_spl, train_prior_stack
-from priorcast.training import (
-    feature_augment,
-    recast_invariant,
-    train_rsc_all,
-    train_rsc_stack,
-)
+from priorcast.numerics import make_rng
+from priorcast.prior import PriorMatrix, run_spl
+from priorcast.training import feature_augment, recast_invariant, train_rsc_all
 
 
 def _dataset(seed=0, noise=0.2):
@@ -156,11 +151,12 @@ def test_rsc_modality_independence():
     prior, _ = run_spl(ds, _cfg(), seed=0)
     together, report = train_rsc_all(ds, prior, _cfg(), seed=2)
     for mod, entry in zip(ds.splits["train"], report["modalities"]):
-        solo_rng = make_rng(split_seed(2, "rsc", mod.name))
-        [(solo, epochs)] = train_rsc_stack([mod], prior, _cfg(), [solo_rng])
-        for ta, tb in zip(together[mod.name].tensors(), solo.tensors()):
+        solo, solo_report = train_rsc_all(MultimodalDataset(ds.num_classes, {"train": [mod]}),
+                                          prior, _cfg(), seed=2)
+        for ta, tb in zip(together[mod.name].tensors(), solo[mod.name].tensors()):
             assert np.array_equal(ta, tb)
-        for a, b in zip(entry["epochs"], epochs):
+        [solo_entry] = solo_report["modalities"]
+        for a, b in zip(entry["epochs"], solo_entry["epochs"]):
             assert {**a, "wall_seconds": 0} == {**b, "wall_seconds": 0}
 
 
@@ -286,14 +282,13 @@ def test_stage_steps_allocate_no_batch_arrays(monkeypatch, stage):
         peaks.append(tracemalloc.get_traced_memory()[1] - start if traced else None)
 
     monkeypatch.setattr(encoder, "lockstep_batches", second_epoch_traced)
-    prior = _prior(cfg.embed_dim, 10)
-    rngs = [make_rng(split_seed(4, i)) for i in range(3)]
+    dataset = MultimodalDataset(10, {"train": mods})
     tracemalloc.start()
     try:
         if stage == "one":
-            train_prior_stack(mods, prior.w, cfg, rngs)
+            run_spl(dataset, cfg, seed=4)
         else:
-            train_rsc_stack(mods, prior, cfg, rngs)
+            train_rsc_all(dataset, _prior(cfg.embed_dim, 10), cfg, seed=4)
     finally:
         tracemalloc.stop()
     half_activation = 3 * 256 * cfg.hidden_dim * 8 // 2
