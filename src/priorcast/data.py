@@ -37,7 +37,7 @@ class ModalityData:
     """One modality's raw feature matrix plus single-label class indices."""
 
     name: str
-    features: np.ndarray  # (N, D) float64
+    features: np.ndarray  # (N, D); float32 and read-only as load_manifest reads it
     labels: np.ndarray  # (N,) int64, values in [0, C)
 
     @property
@@ -260,7 +260,12 @@ def usable_text(value) -> bool:
 
 
 def read_features_from(fh) -> np.ndarray:
-    """Read one DFM1 matrix from an open binary stream, consuming exactly its bytes."""
+    """Read one DFM1 matrix from an open binary stream, consuming exactly its bytes.
+
+    Returns the stored float32 values as a read-only view of the bytes read,
+    without a copy; a consumer that computes in float64 widens what it takes
+    (every float32 value is exact in float64).
+    """
     magic = fh.read(4)
     if magic != FEATURE_MAGIC:
         raise FormatError(f"malformed magic: expected {FEATURE_MAGIC!r}, got {magic!r}")
@@ -273,7 +278,7 @@ def read_features_from(fh) -> np.ndarray:
     if rows * cols > _MAX_ELEMS:
         raise FormatError(f"dimension overflow: {rows}x{cols} exceeds element cap")
     payload = _read_payload(fh, rows * cols * 4, f"{rows}x{cols}")
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, cols)
+    return np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
 
 
 def read_features(path) -> np.ndarray:
@@ -297,13 +302,13 @@ def read_tensor_file(path, count: int):
     """Read a file written by write_tensor_file; returns (header, matrices).
 
     The header must be a JSON object; count DFM1 matrices of finite values
-    follow it, and nothing after them.
+    follow it, and nothing after them. The matrices are widened to float64.
     """
     def parse(fh):
         header = parse_json(fh.readline(), "malformed header")
         if not isinstance(header, dict):
             raise FormatError("malformed header: not a JSON object")
-        mats = [read_features_from(fh) for _ in range(count)]
+        mats = [read_features_from(fh).astype(np.float64) for _ in range(count)]
         if not all(np.isfinite(m).all() for m in mats):
             raise FormatError("non-finite tensor values")
         return header, mats
@@ -519,7 +524,7 @@ def lockstep_batches(modalities, batch_size: int, rngs, num_classes: int, ws):
     """One epoch of minibatches for K modalities of equal size, in lockstep.
 
     Each modality draws its own order from its own generator, as
-    minibatch_iter does for it alone. Each step yields the K feature
+    minibatch_iter does for it alone. Each step yields the K float64 feature
     matrices of that step's batches and their one-hot label rows as one
     (K, B, C) stack, all gathered into the Workspace ws and overwritten by
     the next step.
@@ -532,9 +537,11 @@ def lockstep_batches(modalities, batch_size: int, rngs, num_classes: int, ws):
     start = 0
     for batch in zip(*orders):
         b = len(batch[0])
-        x = [mod.features.take(idx, axis=0, mode="clip", out=ws.get(
-                 ("x", k), b, mod.features.shape[1], dtype=mod.features.dtype, lead=()))
-             for k, (mod, idx) in enumerate(zip(modalities, batch))]
+        x = [ws.get(("x", k), b, mod.feature_dim, lead=()) for k, mod in enumerate(modalities)]
+        for mod, idx, out in zip(modalities, batch, x):
+            # take will not widen into a float64 out: the float32 rows that
+            # load_manifest holds are gathered, then widened (exactly) by one copy
+            out[...] = mod.features.take(idx, axis=0, mode="clip")
         y = eye.take(labels[:, start:start + b], axis=0, mode="clip",
                      out=ws.get("y", b, num_classes))
         start += b

@@ -4,7 +4,7 @@ representation layer, with hand-derived gradients and plain SGD updates.
 forward and backward run the K encoders of an EncoderStack at once, on
 (K, B, .) batches, and write into the stack's workspace; a single encoder
 runs as a stack of one. embed runs forward's layers for one encoder on
-fresh arrays, freeing each whole split's hidden activation early.
+fresh arrays, one block of a split's rows at a time.
 
 The backward pass includes the Jacobian of the row normalization
 (numerics.unit_rows_grad) and defines the ReLU subgradient at exactly 0 as
@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import lockstep_batches, max_batch_rows, read_tensor_file, write_tensor_file
 from .errors import FormatError, NumericError
-from .numerics import Workspace, make_rng, split_seed, unit_rows, unit_rows_grad
+from .numerics import Workspace, block_rows, make_rng, split_seed, unit_rows, unit_rows_grad
 
 _TENSOR_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -138,18 +138,28 @@ def forward(stack: "EncoderStack", x):
 
 def embed(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     """Embeddings of the rows of x under one encoder: forward's bits for a
-    stack of one, from the same calls and layouts on fresh arrays. Each
-    hidden activation is dropped once the next layer is formed, so at most
-    two (N, H) arrays are held at once."""
+    stack of one, from the same calls and layouts on fresh arrays.
+
+    x may be float32, as load_manifest holds features; each block of rows is
+    widened to float64 (exactly) before the first layer. Blocks are
+    block_rows(widest layer) high, so besides x and the (N, d) result only
+    one block's arrays are held at once."""
     n, width, out_dim = x.shape[0], params.hidden_dim, params.output_dim
-    # z3 is written over a1, which a2 no longer needs: one buffer fewer
-    # leaves less heap above the next stage's peak
-    first = np.empty(n * max(width, out_dim))
-    a1 = _first_layer([x], [params.w1], params.b1, first[:n * width].reshape(1, n, width))
-    a2 = _hidden(a1, params.w2, params.b2, np.empty((1, n, width)))
-    z3 = _affine(a2, params.w3, params.b3, first[:n * out_dim].reshape(1, n, out_dim))
-    del a1, a2
-    return _normalized(z3)[0][0]
+    # numpy sends a one-row product to gemv, whose bits may differ from
+    # gemm's, so no block but that of a one-row x has one row: a one-row
+    # tail joins the block before it
+    height = max(2, block_rows(max(params.input_dim, width, out_dim)))
+    out = np.empty((n, out_dim))
+    start = 0
+    for stop in (*range(height, n - 1, height), n):
+        block = np.ascontiguousarray(x[start:stop], dtype=np.float64)
+        b = stop - start
+        a1 = _first_layer([block], [params.w1], params.b1, np.empty((1, b, width)))
+        a2 = _hidden(a1, params.w2, params.b2, np.empty((1, b, width)))
+        z3 = _affine(a2, params.w3, params.b3, np.empty((1, b, out_dim)))
+        out[start:stop] = _normalized(z3)[0][0]
+        start = stop
+    return out
 
 
 def backward(stack: "EncoderStack", cache: ForwardCache, d_f: np.ndarray) -> None:

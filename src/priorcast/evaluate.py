@@ -19,12 +19,7 @@ import numpy as np
 
 from .data import MultimodalDataset, atomic_open
 from .encoder import EncoderParams, embed
-from .numerics import unit_rows
-
-
-# Sets the height of a query block: its cosines and each other (rows,
-# gallery) temporary stay near this many bytes whatever the gallery size.
-_BLOCK_BYTES = 1 << 18
+from .numerics import block_rows, unit_rows
 
 
 def _ranking(neg: np.ndarray, relevant: np.ndarray) -> np.ndarray:
@@ -121,7 +116,9 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
     recall_sum = np.zeros(n_g)
     precision_sum = np.zeros(n_g)
     count = 0
-    height = max(1, _BLOCK_BYTES // (8 * n_g))
+    # a query block's cosines and each other (rows, n_g) temporary stay
+    # within the block budget
+    height = block_rows(n_g)
     block = np.empty((min(height, len(queries)), n_g))
     for start in range(0, len(queries), height):
         rows = slice(start, start + height)

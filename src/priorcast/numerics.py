@@ -18,6 +18,15 @@ NORM_EPS = 1e-12
 # Relative singular-value cutoff for the pseudo-inverse.
 SVD_CUTOFF = 1e-10
 
+# Sets the height of a block of rows (block_rows): each of a block's
+# (rows, width) temporaries stays near this many bytes whatever the row count.
+BLOCK_BYTES = 1 << 18
+
+
+def block_rows(width: int) -> int:
+    """Rows of a block whose (rows, width) float64 arrays take about BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * width))
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; the single RNG algorithm used everywhere."""

@@ -43,9 +43,6 @@ class PriorMatrix:
 
 def _candidate_score(mod: ModalityData, w: np.ndarray, params) -> float:
     """quality_score of a trained candidate on the modality's full split."""
-    # only the embeddings outlive embed's hidden activations, so
-    # quality_score's temporaries can reuse their memory: on a large split
-    # embed's two (N, H) arrays are the peak of the stage
     return quality_score(embed(params, mod.features), mod.labels, w)
 
 

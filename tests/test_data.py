@@ -34,7 +34,7 @@ def test_features_round_trip(tmp_path):
         mat = rng.standard_normal(shape).astype(np.float32).astype(np.float64)
         write_features(path, mat)
         back = read_features(path)
-        assert back.dtype == np.float64
+        assert back.dtype == np.float32
         assert np.array_equal(back, mat)
 
 

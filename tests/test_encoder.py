@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import reference_training as ref
 from conftest import check_grad, stack_slice
+from priorcast import numerics
 from priorcast.encoder import (
     EncoderStack,
     backward,
@@ -90,9 +92,41 @@ def test_embed_gives_forward_bits_with_two_hidden_arrays_at_most():
     assert peak <= 8 * n * (2 * hidden + out_dim)
 
 
+@pytest.mark.parametrize("n", [4000, 3901])
+def test_embed_in_blocks_gives_forward_bits_within_the_block_budget(n):
+    """embed runs in row blocks of block_rows(hidden) = 300 rows here, on N
+    no multiple of that (3901 leaves a one-row tail, which joins the block
+    before it), with a degenerate row in a later block and float32 input
+    as load_manifest holds it. Its bytes must equal forward's for a stack
+    of one on the widened input, so a BLAS whose row-blocked gemm changes
+    bits fails here. At its traced peak it holds the (N, embed_dim) result
+    and one block's arrays (the widened input, two hidden activations, three
+    embed_dim-wide ones and numpy's 64 KiB buffer of a broadcasting ufunc),
+    within five block budgets."""
+    d_in, hidden, out_dim, height = 20, 64, 16, 300
+    params, _, rng = _toy(seed=8, d_in=d_in, hidden=hidden, d_out=out_dim)
+    params.b3 = np.full(out_dim, 1e-14)
+    x = rng.standard_normal((n, d_in)).astype(np.float32)
+    x[2 * height + 5] = 0.0  # zero biases elsewhere: z3 == b3, below NORM_EPS
+    want = forward(EncoderStack([params], n), [x.astype(np.float64)])[0][0]
+    budget = 8 * hidden * height
+    with mock.patch.object(numerics, "BLOCK_BYTES", budget):
+        assert numerics.block_rows(hidden) == height
+        assert embed(params, x.astype(np.float64)).tobytes() == want.tobytes()
+        tracemalloc.start()
+        try:
+            got = embed(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got[2 * height + 5], params.b3)
+    assert peak <= 8 * n * out_dim + 5 * budget
+
+
 def test_embed_wider_than_hidden_gives_forward_bits():
-    """z3 is written over the first hidden layer's buffer, which must then
-    hold an embedding row wider than a hidden one."""
+    """An embedding row wider than a hidden one: the block height follows
+    the widest layer."""
     params, x, _ = _toy(seed=7, hidden=4, d_out=9)
     assert embed(params, x).tobytes() == _embed(params, x)[0].tobytes()
 

@@ -7,9 +7,11 @@ import reference_training as ref
 from priorcast.config import ABLATION_PRESETS, RunConfig, apply_ablation
 from priorcast import encoder
 from priorcast import prior as prior_module
-from priorcast.data import ModalityData, SynthConfig, synth_generate
-from priorcast.encoder import EncoderParams
-from priorcast.prior import run_spl
+from priorcast.data import (SPLIT_NAMES, ModalityData, SynthConfig, load_manifest,
+                            read_tensor_file, synth_generate, write_dataset)
+from priorcast.encoder import EncoderParams, load_checkpoint, save_checkpoint
+from priorcast.evaluate import embed_split, rank_pair
+from priorcast.prior import run_spl, save_prior
 from priorcast.training import train_rsc_all
 
 
@@ -154,3 +156,35 @@ def test_short_tail_batch_matches_reference(preset):
         got = [{k: v for k, v in rec.items() if k != "wall_seconds"}
                for rec in entry["epochs"]]
         assert got == ref_epochs[entry["name"]]
+
+
+@pytest.mark.parametrize("preset", [None, "input-mixup"])
+def test_loaded_float32_features_give_the_bits_of_float64_ones(tmp_path, preset):
+    """load_manifest holds features as the stored float32, read-only; the
+    training gather and embed widen what they take, so a dataset read back
+    from its files gives the bits of the same values held as float64 in
+    memory: the prior, every encoder and every pair's APs. Tensor files
+    still read as float64."""
+    ds = _dataset()
+    write_dataset(ds, tmp_path)
+    loaded = load_manifest(tmp_path / "manifest.json")
+    for split in SPLIT_NAMES:
+        for mod, held in zip(loaded.splits[split], ds.splits[split]):
+            assert held.features.dtype == np.float64
+            assert mod.features.dtype == np.float32 and not mod.features.flags.writeable
+            assert np.array_equal(mod.features, held.features)
+    cfg = _cfg() if preset is None else apply_ablation(_cfg(), preset)
+    outputs = []
+    for data in (ds, loaded):
+        prior, _ = run_spl(data, cfg, seed=3)
+        encoders, _ = train_rsc_all(data, prior, cfg, seed=4)
+        embedded = embed_split(encoders, data)
+        aps = [rank_pair(*embedded[a], *embedded[b])[0]
+               for a in embedded for b in embedded if a != b]
+        outputs.append([prior.w, *(t for p in encoders.values() for t in p.tensors()), *aps])
+    assert [a.tobytes() for a in outputs[0]] == [b.tobytes() for b in outputs[1]]
+    save_prior(tmp_path / "prior.bin", prior)
+    save_checkpoint(tmp_path / "encoder.bin", encoders["mod0"], "mod0")
+    tensors = read_tensor_file(tmp_path / "prior.bin", 2)[1]
+    tensors += load_checkpoint(tmp_path / "encoder.bin")[0].tensors()
+    assert all(t.dtype == np.float64 for t in tensors)

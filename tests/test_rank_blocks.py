@@ -28,8 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ranking as ref
-from priorcast import evaluate
-from priorcast.numerics import make_rng, unit_rows
+from priorcast import evaluate, numerics
+from priorcast.numerics import block_rows, make_rng, unit_rows
 
 
 def _assert_same_bits(args, n_rank, curve):
@@ -82,10 +82,6 @@ def _case(kind, n_q, n_g, seed):
     return queries, q_labels, gallery, g_labels
 
 
-def _height(n_g):
-    return max(1, evaluate._BLOCK_BYTES // (8 * n_g))
-
-
 COUNTS = {"one": lambda h: 1, "block-1": lambda h: h - 1, "block": lambda h: h,
           "block+1": lambda h: h + 1}
 
@@ -96,7 +92,7 @@ COUNTS = {"one": lambda h: 1, "block-1": lambda h: h - 1, "block": lambda h: h,
                                   "straddle"])
 @pytest.mark.parametrize("n_g", [40, 700])
 def test_blocks_match_per_query_reference(n_g, kind, count, n_rank):
-    n_q = max(1, COUNTS[count](_height(n_g)))
+    n_q = max(1, COUNTS[count](block_rows(n_g)))
     args = _case(kind, n_q, n_g, seed=n_g + n_q)
     _assert_same_bits(args, n_rank, curve=True)
 
@@ -133,7 +129,7 @@ def test_small_blocks_match_per_query_reference(data):
     n_rank = data.draw(st.one_of(st.just("all"), st.integers(1, 50)))
     height = data.draw(st.integers(1, 8))
     curve = bool(np.isin(q_labels, g_labels).any())
-    with mock.patch.object(evaluate, "_BLOCK_BYTES", 8 * n_g * height):
+    with mock.patch.object(numerics, "BLOCK_BYTES", 8 * n_g * height):
         _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank, curve)
 
 
@@ -158,7 +154,7 @@ def test_ulp_perturbed_galleries_match_per_query_reference(data):
     q_labels[0] = g_labels[0] = 0
     n_rank = data.draw(st.one_of(st.just("all"), st.integers(1, 50)))
     height = data.draw(st.integers(1, 8))
-    with mock.patch.object(evaluate, "_BLOCK_BYTES", 8 * n_g * height):
+    with mock.patch.object(numerics, "BLOCK_BYTES", 8 * n_g * height):
         _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank, curve=True)
 
 
@@ -226,7 +222,7 @@ def _exact_path(args):
 
 @pytest.mark.parametrize("n_g", [700, 2000])
 def test_untied_rows_skip_the_exact_path(n_g):
-    n_q = 2 * _height(n_g) + 1
+    n_q = 2 * block_rows(n_g) + 1
     assert _exact_path(_case("gaussian", n_q, n_g, seed=n_g)) == ([], 0)
 
 
@@ -248,7 +244,7 @@ def test_tied_blocks_form_the_full_product_once():
     and they share one full product."""
     rng = make_rng(11)
     gallery = np.repeat(rng.standard_normal((200, 4)), 2, axis=0)
-    queries = rng.standard_normal((3 * _height(400) + 1, 4))
+    queries = rng.standard_normal((3 * block_rows(400) + 1, 4))
     queries[7] = 0.0
     q_labels, g_labels = rng.integers(0, 3, len(queries)), rng.integers(0, 3, 400)
     with mock.patch.object(evaluate, "_full_cosines", wraps=evaluate._full_cosines) as full:
@@ -280,7 +276,7 @@ def test_block_cosines_that_differ_from_the_full_product_rank_alike(kind):
 
     with mock.patch.object(evaluate, "_ranked_relevance", record):
         _assert_same_bits((queries, q_labels, gallery, g_labels), "all", curve=True)
-    assert _height(1500) == 21 and len(blocks) == -(-2000 // 21)
+    assert block_rows(1500) == 21 and len(blocks) == -(-2000 // 21)
     full = unit_rows(queries)[0] @ unit_rows(gallery)[0].T
     assert np.count_nonzero(np.concatenate(blocks) != full) > 0, \
         "this BLAS forms every block with the full product's bits"
