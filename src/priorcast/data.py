@@ -6,9 +6,8 @@ Label files ("DLB1") hold class indices: magic, rows u32-LE, num_classes
 u32-LE, then rows u32-LE indices. Tensor files (the prior and the encoder
 checkpoints) are one JSON header line followed by DFM1 blocks. The readers
 refuse a file with bytes after its last block. A manifest JSON ties the
-files of one dataset together. Because the payload is float32, the
-synthetic generator rounds features to float32 precision so write/read
-round trips are exact.
+files of one dataset together. Features are held as float32, the
+payload's type, so write/read round trips are exact.
 """
 
 import contextlib
@@ -37,7 +36,7 @@ class ModalityData:
     """One modality's raw feature matrix plus single-label class indices."""
 
     name: str
-    features: np.ndarray  # (N, D); float32 and read-only as load_manifest reads it
+    features: np.ndarray  # (N, D) float32
     labels: np.ndarray  # (N,) int64, values in [0, C)
 
     @property
@@ -489,8 +488,8 @@ def synth_generate(cfg: SynthConfig) -> MultimodalDataset:
         if not (feats.max() <= f32_max and feats.min() >= -f32_max):
             raise ConfigError(f"separation and noise: modality 'mod{k}' features overflow float32")
         for name, lo, hi in zip(SPLIT_NAMES, cuts, cuts[1:]):
-            # each split is the same rows of every class; round now so file round trips are exact
-            part = feats[:, lo:hi].astype(np.float32).astype(np.float64)
+            # each split is the same rows of every class
+            part = feats[:, lo:hi].astype(np.float32)
             splits[name].append(ModalityData(name=f"mod{k}", features=part.reshape(-1, dim),
                                              labels=np.repeat(classes, hi - lo)))
     dataset = MultimodalDataset(num_classes=cfg.num_classes, splits=splits)
@@ -498,51 +497,25 @@ def synth_generate(cfg: SynthConfig) -> MultimodalDataset:
     return dataset
 
 
-def minibatch_iter(modality: ModalityData, batch_size: int, rng: np.random.Generator):
-    """One epoch of index batches: a seeded permutation chunked into batches.
-
-    A final batch of size 1 is merged into the previous batch because the
-    mixing step needs a partner sample; a final batch of size >= 2 is kept.
-    RunConfig.validate guarantees batch_size >= 2.
-    """
-    num_samples = modality.num_samples
-    perm = rng.permutation(num_samples)
-    batches = [perm[i : i + batch_size] for i in range(0, num_samples, batch_size)]
-    if len(batches) > 1 and batches[-1].shape[0] < 2:
-        tail = batches.pop()
-        batches[-1] = np.concatenate([batches[-1], tail])
-    return batches
-
-
-def max_batch_rows(modality: ModalityData, batch_size: int) -> int:
-    """An upper bound on the rows of any batch minibatch_iter yields: a
-    merged one-row tail can make one batch_size + 1 rows."""
-    return min(batch_size + 1, modality.num_samples)
-
-
-def lockstep_batches(modalities, batch_size: int, rngs, num_classes: int, ws):
+def lockstep_batches(modalities, spans, rngs, num_classes: int, ws):
     """One epoch of minibatches for K modalities of equal size, in lockstep.
 
-    Each modality draws its own order from its own generator, as
-    minibatch_iter does for it alone. Each step yields the K float64 feature
-    matrices of that step's batches and their one-hot label rows as one
-    (K, B, C) stack, all gathered into the Workspace ws and overwritten by
-    the next step.
+    Each modality draws its order, rng.permutation(N), from its own
+    generator, and the batch of each (start, stop) span (numerics.row_spans)
+    is order[start:stop]. Each step yields the K float64 feature matrices of
+    that step's batches and their one-hot label rows as one (K, B, C) stack,
+    all gathered into the Workspace ws and overwritten by the next step.
     """
     eye = np.eye(num_classes)
-    orders = [minibatch_iter(mod, batch_size, rng) for mod, rng in zip(modalities, rngs)]
-    # each epoch's batches are consecutive runs of its order
-    labels = np.stack([mod.labels[np.concatenate(order)]
-                       for mod, order in zip(modalities, orders)])
-    start = 0
-    for batch in zip(*orders):
-        b = len(batch[0])
+    orders = [rng.permutation(mod.num_samples) for mod, rng in zip(modalities, rngs)]
+    labels = np.stack([mod.labels[order] for mod, order in zip(modalities, orders)])
+    for start, stop in spans:
+        b = stop - start
         x = [ws.get(("x", k), b, mod.feature_dim, lead=()) for k, mod in enumerate(modalities)]
-        for mod, idx, out in zip(modalities, batch, x):
-            # take will not widen into a float64 out: the float32 rows that
-            # load_manifest holds are gathered, then widened (exactly) by one copy
-            out[...] = mod.features.take(idx, axis=0, mode="clip")
-        y = eye.take(labels[:, start:start + b], axis=0, mode="clip",
+        for mod, order, out in zip(modalities, orders, x):
+            # take will not widen into a float64 out: the float32 rows are
+            # gathered, then widened (exactly) by one copy
+            out[...] = mod.features.take(order[start:stop], axis=0, mode="clip")
+        y = eye.take(labels[:, start:stop], axis=0, mode="clip",
                      out=ws.get("y", b, num_classes))
-        start += b
         yield x, y

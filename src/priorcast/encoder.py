@@ -22,9 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import lockstep_batches, max_batch_rows, read_tensor_file, write_tensor_file
+from .data import lockstep_batches, read_tensor_file, write_tensor_file
 from .errors import FormatError, NumericError
-from .numerics import Workspace, block_rows, make_rng, split_seed, unit_rows, unit_rows_grad
+from .numerics import (Workspace, block_rows, make_rng, row_spans, split_seed, unit_rows,
+                       unit_rows_grad)
 
 _TENSOR_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -141,24 +142,18 @@ def embed(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     stack of one, from the same calls and layouts on fresh arrays.
 
     x may be float32, as load_manifest holds features; each block of rows is
-    widened to float64 (exactly) before the first layer. Blocks are
-    block_rows(widest layer) high, so besides x and the (N, d) result only
-    one block's arrays are held at once."""
+    widened to float64 (exactly) before the first layer. Blocks are the
+    row_spans of block_rows(widest layer), so besides x and the (N, d)
+    result only one block's arrays are held at once."""
     n, width, out_dim = x.shape[0], params.hidden_dim, params.output_dim
-    # numpy sends a one-row product to gemv, whose bits may differ from
-    # gemm's, so no block but that of a one-row x has one row: a one-row
-    # tail joins the block before it
-    height = max(2, block_rows(max(params.input_dim, width, out_dim)))
     out = np.empty((n, out_dim))
-    start = 0
-    for stop in (*range(height, n - 1, height), n):
+    for start, stop in row_spans(n, block_rows(max(params.input_dim, width, out_dim))):
         block = np.ascontiguousarray(x[start:stop], dtype=np.float64)
         b = stop - start
         a1 = _first_layer([block], [params.w1], params.b1, np.empty((1, b, width)))
         a2 = _hidden(a1, params.w2, params.b2, np.empty((1, b, width)))
         z3 = _affine(a2, params.w3, params.b3, np.empty((1, b, out_dim)))
         out[start:stop] = _normalized(z3)[0][0]
-        start = stop
     return out
 
 
@@ -256,9 +251,10 @@ def train_stack(stage, mods, cfg, seed, key, num_classes, qs, terms, batch_step,
     """The one training driver of both stages: SGD on each modality's encoder,
     an epoch per q in qs.
 
-    Modalities of equal training-split size get equal batch sizes from
-    minibatch_iter, so they train in lockstep as one EncoderStack (groups in
-    order of first appearance; a unique size is a stack of one). Each member
+    Modalities of equal training-split size get the same batch spans,
+    row_spans(size, cfg.batch_size), so they train in lockstep as one
+    EncoderStack, its workspace sized for the largest span (groups in order
+    of first appearance; a unique size is a stack of one). Each member
     draws from its own generator, make_rng(split_seed(seed, key, name)), so
     its result is that of training it alone. Every member starts with a copy
     of extra, if given, as its extra tensor. batch_step(stack, x, y, q, rngs,
@@ -274,9 +270,10 @@ def train_stack(stage, mods, cfg, seed, key, num_classes, qs, terms, batch_step,
     for group in groups.values():
         members = [mods[pos] for pos in group]
         rngs = [make_rng(split_seed(seed, key, mod.name)) for mod in members]
+        spans = row_spans(members[0].num_samples, cfg.batch_size)
         stack = EncoderStack([init_params(mod.feature_dim, cfg.hidden_dim, cfg.embed_dim, rng)
                               for mod, rng in zip(members, rngs)],
-                             max_batch_rows(members[0], cfg.batch_size),
+                             max(stop - start for start, stop in spans),
                              None if extra is None else np.stack([extra] * len(members)))
         step_sums = np.empty((len(terms), len(members)))
         epochs = [[] for _ in members]
@@ -286,8 +283,7 @@ def train_stack(stage, mods, cfg, seed, key, num_classes, qs, terms, batch_step,
             # check_finite reports what an overflow leads to; numpy's warnings
             # would only print ahead of it
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for x, y in lockstep_batches(members, cfg.batch_size, rngs, num_classes,
-                                             stack.workspace):
+                for x, y in lockstep_batches(members, spans, rngs, num_classes, stack.workspace):
                     batch_step(stack, x, y, q, rngs, step_sums)
                     sums += step_sums
                     stack.step(cfg.lr)

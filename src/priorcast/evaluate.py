@@ -19,7 +19,8 @@ import numpy as np
 
 from .data import MultimodalDataset, atomic_open
 from .encoder import EncoderParams, embed
-from .numerics import block_rows, unit_rows
+from .errors import FormatError
+from .numerics import block_rows, row_spans, unit_rows
 
 
 def _ranking(neg: np.ndarray, relevant: np.ndarray) -> np.ndarray:
@@ -87,9 +88,9 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
     and precision hold the PR curve, one value per rank cutoff k = 1..n_g,
     averaged over queries: recall = retrieved-relevant / total-relevant,
     precision = retrieved-relevant / k. Queries with no relevant gallery
-    item have no defined recall and are left out, so some query must have
-    one: MultimodalDataset.validate makes every two test splits share a
-    class.
+    item have no defined recall and are left out; FormatError if no query
+    has one (MultimodalDataset.validate makes every two test splits share a
+    class).
 
     Queries are ranked in blocks of rows with the bits of one stable argsort
     of the full cosine product and one AP per query. Each block forms its
@@ -118,10 +119,10 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
     count = 0
     # a query block's cosines and each other (rows, n_g) temporary stay
     # within the block budget
-    height = block_rows(n_g)
-    block = np.empty((min(height, len(queries)), n_g))
-    for start in range(0, len(queries), height):
-        rows = slice(start, start + height)
+    spans = row_spans(len(queries), block_rows(n_g))
+    block = np.empty((max(stop - start for start, stop in spans), n_g))
+    for start, stop in spans:
+        rows = slice(start, stop)
         relevant = g_labels == q_labels[rows, None]
         sims = np.matmul(uq[rows], ug_t, out=block[:len(relevant)])
         rel, near = _ranked_relevance(sims, relevant, gap)
@@ -143,6 +144,8 @@ def rank_pair(queries: np.ndarray, query_labels: np.ndarray,
         precision_sum = np.add.reduce(np.concatenate((precision_sum[None], precision[found])),
                                       axis=0)
         count += len(recall)
+    if not count:
+        raise FormatError("no query has a relevant gallery item: the PR curve is undefined")
     return aps, recall_sum / count, precision_sum / count
 
 

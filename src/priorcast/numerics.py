@@ -28,6 +28,21 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_BYTES // (8 * width))
 
 
+def row_spans(n: int, height: int):
+    """(start, stop) spans that cut n >= 1 rows into blocks of
+    h = max(2, height) rows, in order; a last span of one row joins the one
+    before it, so no span has one row unless n == 1.
+
+    This is the one rule for training batches, embed blocks and ranking
+    blocks. A batch needs two rows because feature augmentation mixes each
+    row with a partner row, and numpy sends a one-row product to gemv,
+    whose bits may differ from gemm's.
+    """
+    h = max(2, height)
+    stops = (*range(h, n - 1, h), n)
+    return list(zip((0, *stops[:-1]), stops))
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; the single RNG algorithm used everywhere."""
     return np.random.Generator(np.random.PCG64(int(seed)))

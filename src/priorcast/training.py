@@ -33,8 +33,8 @@ def feature_augment(f, y: np.ndarray, lam: float, rng, ws):
     labels, so mixed label rows stay nonnegative and sum to 1. lam=1 is the
     identity up to the sign of zero (-0.0 may come back as +0.0). The
     results go into the Workspace ws. The caller guarantees B >= 2
-    (minibatch_iter on a split of at least two samples) and 0 < lam <= 1
-    (RunConfig.validate).
+    (numerics.row_spans on a split of at least two samples) and
+    0 < lam <= 1 (RunConfig.validate).
     """
     b = y.shape[-2]
     # shuffling row k of the index grid draws what g.permutation(b) + k * b

@@ -7,7 +7,8 @@ feature_augment, minibatch_iter, q_at and sgd_step here, the losses in
 reference_losses. From priorcast this module takes only containers, seeding,
 initialisers, pseudo_inverse and select_prior (test_surface.py holds the
 list). The lockstep stacks in priorcast.prior and priorcast.training must
-reproduce these results bit for bit.
+reproduce these results bit for bit. Features may be held as float32;
+both loops widen them (exactly) to float64 first, as priorcast does.
 """
 
 import dataclasses
@@ -101,7 +102,7 @@ def q_at(q_start, epochs, epoch):
 
 def train_prior_for_modality(mod, w0, cfg, rng):
     """Returns (w, params, score) for one modality."""
-    x = mod.features
+    x = mod.features.astype(np.float64)
     y = one_hot(mod.labels, w0.shape[1])
     params = init_params(x.shape[1], cfg.hidden_dim, cfg.embed_dim, rng)
     w = w0.copy()
@@ -138,7 +139,7 @@ def train_rsc_for_modality(mod, prior, cfg, rng):
     """Returns (params, epochs) for one modality; epochs omit wall_seconds."""
     if cfg.use_transpose:
         prior = dataclasses.replace(prior, l=prior.w.T.copy())
-    x = mod.features
+    x = mod.features.astype(np.float64)
     y = one_hot(mod.labels, prior.num_classes)
     params = init_params(x.shape[1], cfg.hidden_dim, cfg.embed_dim, rng)
     epochs = []

@@ -116,7 +116,8 @@ def runner(package, case):
         else:
             training.train_rsc_all(dataset, selected, cfg, 10)
 
-    return run, EPOCHS * len(data.minibatch_iter(mods[0], batch, numerics.make_rng(2)))
+    # ceil(ROWS / batch) batches, less one when a one-row tail joins the one before it
+    return run, EPOCHS * (-(-ROWS // batch) - (ROWS > 1 and ROWS % batch == 1))
 
 
 def traced_peak_mb(run):

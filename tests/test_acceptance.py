@@ -7,12 +7,14 @@ Numeric tolerances and time budgets are asserted inside the tests.
 import time
 
 import numpy as np
+import pytest
 
 from conftest import max_rel_err, numeric_grad, stack_slice, workspace_for
 from priorcast.cli import main
 from priorcast.config import RunConfig, apply_ablation
 from priorcast.data import SynthConfig, synth_generate
 from priorcast.encoder import EncoderStack, backward, forward, init_params
+from priorcast.errors import FormatError
 from priorcast.evaluate import embed_split, rank_pair, table_from_embeddings
 from priorcast.losses import disc_loss, label_loss, mse_loss, total_loss
 from priorcast.numerics import make_rng, pseudo_inverse, random_orthogonal
@@ -179,8 +181,12 @@ def test_c3_map_oracle():
         ql = rng.integers(0, 4, n_q)
         gl = rng.integers(0, 4, n_g)
         depth = int(rng.integers(1, n_g + 1))
-        with np.errstate(invalid="ignore"):  # no relevant item anywhere: a NaN curve
-            got = float(np.mean(rank_pair(queries, ql, gallery, gl, depth)[0]))
+        if not np.isin(ql, gl).any():
+            # no relevant item anywhere: no PR curve, and rank_pair refuses the pair
+            with pytest.raises(FormatError, match="no query has a relevant gallery item"):
+                rank_pair(queries, ql, gallery, gl, depth)
+            continue
+        got = float(np.mean(rank_pair(queries, ql, gallery, gl, depth)[0]))
         ref = _brute_map(queries, ql, gallery, gl, depth)
         worst = max(worst, abs(got - ref))
     # one query, gallery cosines 1, 1/sqrt(2), 0: relevance [1, 0, 1], then [1, 1, 1]

@@ -13,7 +13,6 @@ from priorcast.data import (
     ModalityData,
     SynthConfig,
     load_manifest,
-    minibatch_iter,
     read_features,
     read_labels,
     synth_generate,
@@ -24,7 +23,7 @@ from priorcast.data import (
     write_tensor_file,
 )
 from priorcast.errors import ConfigError, FormatError
-from priorcast.numerics import make_rng
+from priorcast.numerics import make_rng, row_spans
 
 
 def test_features_round_trip(tmp_path):
@@ -265,28 +264,28 @@ def test_synth_matches_frozen_generator(cfg):
         assert len(ds.splits[split]) == cfg.num_modalities
         for k, (mod, (feats, labels)) in enumerate(zip(ds.splits[split], expected[split])):
             assert mod.name == f"mod{k}"
-            assert mod.features.dtype == feats.dtype and mod.labels.dtype == labels.dtype
+            # the frozen generator widens its float32-rounded values back to
+            # float64; synth_generate holds them as float32, as they are stored
+            assert mod.features.dtype == np.float32 and feats.dtype == np.float64
+            assert mod.labels.dtype == labels.dtype
             assert mod.features.shape == feats.shape and mod.labels.shape == labels.shape
-            assert mod.features.tobytes() == feats.tobytes()
+            assert mod.features.astype(np.float64).tobytes() == feats.tobytes()
             assert np.array_equal(mod.labels, labels)
 
 
-def test_minibatch_iter_partition():
-    mod = ModalityData(name="m", features=np.zeros((37, 2)),
-                      labels=np.zeros(37, dtype=np.int64))
-    rng = make_rng(0)
-    batches = list(minibatch_iter(mod, 8, rng))
-    seen = np.concatenate(batches)
-    assert sorted(seen.tolist()) == list(range(37))
-    assert all(len(b) >= 2 for b in batches)
-
-
-def test_minibatch_iter_merges_singleton_tail():
-    mod = ModalityData(name="m", features=np.zeros((9, 2)),
-                      labels=np.zeros(9, dtype=np.int64))
-    batches = list(minibatch_iter(mod, 4, make_rng(1)))
-    # 4 + 4 + 1 would leave a singleton; the tail joins the previous batch
-    assert sorted(len(b) for b in batches) == [4, 5]
+def test_row_spans_cover_the_rows_in_blocks_of_at_least_two():
+    for n in range(1, 201):
+        for height in range(1, 41):
+            spans = row_spans(n, height)
+            h = max(2, height)
+            assert spans[0][0] == 0 and spans[-1][1] == n
+            assert all(stop == nxt for (_, stop), (nxt, _) in zip(spans, spans[1:]))
+            sizes = [stop - start for start, stop in spans]
+            # a one-row tail joins the span before it: 4 + 4 + 1 rows are 4 + 5
+            assert all(size >= min(2, n) for size in sizes)
+            assert all(size <= h + 1 for size in sizes)
+            assert all(size == h for size in sizes[:-1])
+    assert row_spans(9, 4) == [(0, 4), (4, 9)]
 
 
 @pytest.mark.parametrize("write", [

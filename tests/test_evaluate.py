@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from priorcast.config import RunConfig
 from priorcast.data import SynthConfig, synth_generate, write_json
+from priorcast.errors import FormatError
 from priorcast.evaluate import embed_split, rank_pair, table_from_embeddings, write_pr_csv
 from priorcast.numerics import make_rng
 from priorcast.prior import run_spl
@@ -128,8 +130,12 @@ def test_map_matches_brute_force():
         q_labels = rng.integers(0, 3, n_q)
         g_labels = rng.integers(0, 3, n_g)
         depth = int(rng.integers(1, n_g + 1))
-        with np.errstate(invalid="ignore"):  # no relevant item anywhere: a NaN curve
-            aps = rank_pair(queries, q_labels, gallery, g_labels, depth)[0]
+        if not np.isin(q_labels, g_labels).any():
+            # no relevant item anywhere: no PR curve, and rank_pair refuses the pair
+            with pytest.raises(FormatError, match="no query has a relevant gallery item"):
+                rank_pair(queries, q_labels, gallery, g_labels, depth)
+            continue
+        aps = rank_pair(queries, q_labels, gallery, g_labels, depth)[0]
         assert np.mean(aps) == pytest.approx(
             _brute_map(queries, q_labels, gallery, g_labels, depth), abs=1e-12)
 
@@ -172,6 +178,17 @@ def test_pr_curve_recall_monotone():
         _, recall, precision = rank_pair(queries, ql, gallery, gl)
         assert np.all(np.diff(recall) >= -1e-15)
         assert np.all((precision >= 0) & (precision <= 1))
+
+
+def test_pr_curve_without_a_relevant_query_is_a_format_error():
+    # class 2 is in no gallery, so no query has a relevant item and the PR
+    # curve (recall over the relevant items) is undefined
+    queries = make_rng(5).standard_normal((6, 3))
+    gallery = make_rng(6).standard_normal((9, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="no query has a relevant gallery item"):
+            rank_pair(queries, np.full(6, 2), gallery, np.arange(9) % 2)
 
 
 def _trained(seed=0):

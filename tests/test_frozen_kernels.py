@@ -15,11 +15,11 @@ import reference_losses as ref_losses
 import reference_training as ref
 from conftest import workspace_for
 from priorcast import prior
-from priorcast.data import ModalityData, MultimodalDataset, minibatch_iter
+from priorcast.data import ModalityData, MultimodalDataset
 from priorcast.encoder import init_params
 from priorcast.evaluate import embed_split
 from priorcast.losses import disc_loss, label_loss, mse_loss, q_at, quality_score, total_loss
-from priorcast.numerics import make_rng, softmax, unit_rows
+from priorcast.numerics import make_rng, row_spans, softmax, unit_rows
 from priorcast.training import feature_augment
 
 
@@ -94,8 +94,11 @@ def test_feature_augment_slices_match_frozen_copy(k, b, widths):
 
 @pytest.mark.parametrize("n, batch", [(2, 8), (9, 8), (33, 8), (480, 32), (480, 256)])
 def test_minibatch_iter_and_q_at_match_frozen_copies(n, batch):
+    """The training batches, one permutation cut at its row_spans as
+    data.lockstep_batches cuts it, are the frozen minibatch_iter's."""
     mod = ModalityData("m", np.zeros((n, 1)), np.zeros(n, dtype=np.int64))
-    got = minibatch_iter(mod, batch, make_rng(n))
+    perm = make_rng(n).permutation(n)
+    got = [perm[start:stop] for start, stop in row_spans(n, batch)]
     want = ref.minibatch_iter(mod, batch, make_rng(n))
     assert len(got) == len(want)
     assert all(np.array_equal(a, e) for a, e in zip(got, want))

@@ -7,8 +7,8 @@ import reference_training as ref
 from priorcast.config import ABLATION_PRESETS, RunConfig, apply_ablation
 from priorcast import encoder
 from priorcast import prior as prior_module
-from priorcast.data import (SPLIT_NAMES, ModalityData, SynthConfig, load_manifest,
-                            read_tensor_file, synth_generate, write_dataset)
+from priorcast.data import (SPLIT_NAMES, ModalityData, MultimodalDataset, SynthConfig,
+                            load_manifest, read_tensor_file, synth_generate, write_dataset)
 from priorcast.encoder import EncoderParams, load_checkpoint, save_checkpoint
 from priorcast.evaluate import embed_split, rank_pair
 from priorcast.prior import run_spl, save_prior
@@ -168,6 +168,10 @@ def test_loaded_float32_features_give_the_bits_of_float64_ones(tmp_path, preset)
     ds = _dataset()
     write_dataset(ds, tmp_path)
     loaded = load_manifest(tmp_path / "manifest.json")
+    # the same values held as float64 in memory (widening float32 is exact)
+    ds = MultimodalDataset(ds.num_classes, {
+        split: [ModalityData(mod.name, mod.features.astype(np.float64), mod.labels)
+                for mod in mods] for split, mods in ds.splits.items()})
     for split in SPLIT_NAMES:
         for mod, held in zip(loaded.splits[split], ds.splits[split]):
             assert held.features.dtype == np.float64

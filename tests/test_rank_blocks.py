@@ -29,14 +29,15 @@ from hypothesis import strategies as st
 
 import reference_ranking as ref
 from priorcast import evaluate, numerics
+from priorcast.errors import FormatError
 from priorcast.numerics import block_rows, make_rng, unit_rows
 
 
-def _assert_same_bits(args, n_rank, curve):
-    """curve: compare the PR curves too, which needs a query with a relevant item."""
+def _assert_same_bits(args, n_rank):
+    """APs and PR curves; the curve needs a query with a relevant item."""
     got = evaluate.rank_pair(*args, n_rank=n_rank)
-    want = ref.rank_pair(*args, n_rank=n_rank, curve=curve)
-    for got_part, want_part in zip(got, want if curve else want[:1]):
+    want = ref.rank_pair(*args, n_rank=n_rank, curve=True)
+    for got_part, want_part in zip(got, want):
         assert got_part.tobytes() == want_part.tobytes()
 
 
@@ -82,8 +83,10 @@ def _case(kind, n_q, n_g, seed):
     return queries, q_labels, gallery, g_labels
 
 
+# h + 1 queries are one block (numerics.row_spans merges a one-row tail),
+# h + 2 two blocks
 COUNTS = {"one": lambda h: 1, "block-1": lambda h: h - 1, "block": lambda h: h,
-          "block+1": lambda h: h + 1}
+          "block+1": lambda h: h + 1, "block+2": lambda h: h + 2}
 
 
 @pytest.mark.parametrize("n_rank", ["all", 1, 5])
@@ -94,7 +97,7 @@ COUNTS = {"one": lambda h: 1, "block-1": lambda h: h - 1, "block": lambda h: h,
 def test_blocks_match_per_query_reference(n_g, kind, count, n_rank):
     n_q = max(1, COUNTS[count](block_rows(n_g)))
     args = _case(kind, n_q, n_g, seed=n_g + n_q)
-    _assert_same_bits(args, n_rank, curve=True)
+    _assert_same_bits(args, n_rank)
 
 
 @pytest.mark.parametrize("n_rank", [3, 4, 6, 10])
@@ -109,13 +112,15 @@ def test_ties_across_the_cutoff(n_rank):
     q_labels = np.arange(9) % 3  # class 2: no relevant item
     sims = np.sort(-(unit_rows(queries)[0] @ unit_rows(gallery)[0].T), axis=1)
     assert (n_rank % 4 == 0) or np.all(sims[:, n_rank - 1] == sims[:, n_rank])
-    _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank, curve=True)
+    _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank)
 
 
 @settings(max_examples=200)
 @given(st.data())
 def test_small_blocks_match_per_query_reference(data):
-    """Integer-valued embeddings (many ties and zero rows), any block height."""
+    """Integer-valued embeddings (many ties and zero rows), any block height.
+    With no query that has a relevant item there is no PR curve, and
+    rank_pair raises FormatError."""
     n_q = data.draw(st.integers(1, 30))
     n_g = data.draw(st.integers(1, 40))
     dim = data.draw(st.integers(1, 3))
@@ -128,9 +133,13 @@ def test_small_blocks_match_per_query_reference(data):
     g_labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n_g, max_size=n_g)))
     n_rank = data.draw(st.one_of(st.just("all"), st.integers(1, 50)))
     height = data.draw(st.integers(1, 8))
-    curve = bool(np.isin(q_labels, g_labels).any())
+    args = (queries, q_labels, gallery, g_labels)
     with mock.patch.object(numerics, "BLOCK_BYTES", 8 * n_g * height):
-        _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank, curve)
+        if np.isin(q_labels, g_labels).any():
+            _assert_same_bits(args, n_rank)
+        else:
+            with pytest.raises(FormatError, match="no query has a relevant gallery item"):
+                evaluate.rank_pair(*args, n_rank=n_rank)
 
 
 @settings(max_examples=200)
@@ -155,7 +164,7 @@ def test_ulp_perturbed_galleries_match_per_query_reference(data):
     n_rank = data.draw(st.one_of(st.just("all"), st.integers(1, 50)))
     height = data.draw(st.integers(1, 8))
     with mock.patch.object(numerics, "BLOCK_BYTES", 8 * n_g * height):
-        _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank, curve=True)
+        _assert_same_bits((queries, q_labels, gallery, g_labels), n_rank)
 
 
 def _pairs_k_units_apart(rng):
@@ -240,7 +249,7 @@ def test_tied_rows_take_the_exact_path():
 
 def test_tied_blocks_form_the_full_product_once():
     """Every gallery item appears twice, so every row ties, and query 7 is
-    degenerate (cosine 0 with all): each of the four blocks has near rows,
+    degenerate (cosine 0 with all): each of the three blocks has near rows,
     and they share one full product."""
     rng = make_rng(11)
     gallery = np.repeat(rng.standard_normal((200, 4)), 2, axis=0)
@@ -248,7 +257,7 @@ def test_tied_blocks_form_the_full_product_once():
     queries[7] = 0.0
     q_labels, g_labels = rng.integers(0, 3, len(queries)), rng.integers(0, 3, 400)
     with mock.patch.object(evaluate, "_full_cosines", wraps=evaluate._full_cosines) as full:
-        _assert_same_bits((queries, q_labels, gallery, g_labels), "all", curve=True)
+        _assert_same_bits((queries, q_labels, gallery, g_labels), "all")
     assert full.call_count == 1
 
 
@@ -275,7 +284,7 @@ def test_block_cosines_that_differ_from_the_full_product_rank_alike(kind):
         return ranked_relevance(sims, *rest)
 
     with mock.patch.object(evaluate, "_ranked_relevance", record):
-        _assert_same_bits((queries, q_labels, gallery, g_labels), "all", curve=True)
+        _assert_same_bits((queries, q_labels, gallery, g_labels), "all")
     assert block_rows(1500) == 21 and len(blocks) == -(-2000 // 21)
     full = unit_rows(queries)[0] @ unit_rows(gallery)[0].T
     assert np.count_nonzero(np.concatenate(blocks) != full) > 0, \
