@@ -3,8 +3,8 @@ representation layer, with hand-derived gradients and plain SGD updates.
 
 forward and backward run the K encoders of an EncoderStack at once, on
 (K, B, .) batches, and write into the stack's workspace; a single encoder
-runs as a stack of one. embed runs forward's layers for one encoder on
-fresh arrays, one block of a split's rows at a time.
+runs as a stack of one. embed runs forward on a stack of one, one block of
+a split's rows at a time.
 
 The backward pass includes the Jacobian of the row normalization
 (numerics.unit_rows_grad) and defines the ReLU subgradient at exactly 0 as
@@ -15,6 +15,7 @@ a > 0, which holds exactly where z > 0 (a NaN pre-activation stays NaN and
 fails both).
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -87,36 +88,6 @@ def init_params(input_dim: int, hidden_dim: int, output_dim: int,
     )
 
 
-def _first_layer(x, w1, b1, out) -> np.ndarray:
-    """relu(x_k @ w1_k + b1) of each of the K inputs x_k, into out (K, B, H)."""
-    # np.dot is np.matmul's BLAS call, cheaper
-    for x_k, w1_k, out_k in zip(x, w1, out):
-        np.dot(x_k, w1_k, out=out_k)
-    out += b1
-    return np.maximum(out, 0.0, out=out)
-
-
-def _affine(a, w, b, out) -> np.ndarray:
-    """a @ w + b into out."""
-    np.matmul(a, w, out=out)
-    out += b
-    return out
-
-
-def _hidden(a, w, b, out) -> np.ndarray:
-    """relu(a @ w + b) into out."""
-    return np.maximum(_affine(a, w, b, out), 0.0, out=out)
-
-
-def _normalized(z3, out=(None, None, None)):
-    """(F, *unit_rows(z3)): F is the unit rows, degenerate rows passed through."""
-    unit, safe, degenerate = unit_rows(z3, out)
-    f = unit
-    if np.count_nonzero(degenerate):
-        f = np.where(degenerate[..., None], z3, unit)
-    return f, unit, safe, degenerate
-
-
 def forward(stack: "EncoderStack", x):
     """Embed K batches at once; returns (F, cache) with F row-normalized.
 
@@ -129,31 +100,41 @@ def forward(stack: "EncoderStack", x):
     params, ws = stack.params, stack.workspace
     b = x[0].shape[0]
     width, out_dim = params.b1.shape[-1], params.b3.shape[-1]
-    a1 = _first_layer(x, params.w1, params.b1, ws.get("a1", b, width))
-    a2 = _hidden(a1, params.w2, params.b2, ws.get("a2", b, width))
-    z3 = _affine(a2, params.w3, params.b3, ws.get("z3", b, out_dim))
-    f, unit, safe, degenerate = _normalized(z3, (ws.get("unit", b, out_dim), ws.get("safe", b),
-                                                 ws.get("degenerate", b, dtype=bool)))
+    a1 = ws.get("a1", b, width)
+    # np.dot is np.matmul's BLAS call, cheaper
+    for x_k, w1_k, a1_k in zip(x, params.w1, a1):
+        np.dot(x_k, w1_k, out=a1_k)
+    a1 += params.b1
+    np.maximum(a1, 0.0, out=a1)
+    a2 = np.matmul(a1, params.w2, out=ws.get("a2", b, width))
+    a2 += params.b2
+    np.maximum(a2, 0.0, out=a2)
+    z3 = np.matmul(a2, params.w3, out=ws.get("z3", b, out_dim))
+    z3 += params.b3
+    unit, safe, degenerate = unit_rows(z3, (ws.get("unit", b, out_dim), ws.get("safe", b),
+                                            ws.get("degenerate", b, dtype=bool)))
+    f = unit
+    if np.count_nonzero(degenerate):
+        f = np.where(degenerate[..., None], z3, unit)
     return f, ForwardCache(x, a1, a2, unit, safe, degenerate)
 
 
 def embed(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Embeddings of the rows of x under one encoder: forward's bits for a
-    stack of one, from the same calls and layouts on fresh arrays.
+    """Embeddings of the rows of x under one encoder: forward on a stack of
+    one, block by block.
 
     x may be float32, as load_manifest holds features; each block of rows is
-    widened to float64 (exactly) before the first layer. Blocks are the
-    row_spans of block_rows(widest layer), so besides x and the (N, d)
-    result only one block's arrays are held at once."""
-    n, width, out_dim = x.shape[0], params.hidden_dim, params.output_dim
-    out = np.empty((n, out_dim))
-    for start, stop in row_spans(n, block_rows(max(params.input_dim, width, out_dim))):
+    widened to float64 (exactly) before forward. Blocks are the row_spans of
+    block_rows(widest layer) and the stack's workspace holds one block, so
+    besides x and the (N, d) result only one block's arrays and the stack's
+    parameter and gradient vectors are held at once."""
+    n = x.shape[0]
+    spans = row_spans(n, block_rows(max(params.input_dim, params.hidden_dim, params.output_dim)))
+    stack = EncoderStack([params], max(stop - start for start, stop in spans))
+    out = np.empty((n, params.output_dim))
+    for start, stop in spans:
         block = np.ascontiguousarray(x[start:stop], dtype=np.float64)
-        b = stop - start
-        a1 = _first_layer([block], [params.w1], params.b1, np.empty((1, b, width)))
-        a2 = _hidden(a1, params.w2, params.b2, np.empty((1, b, width)))
-        z3 = _affine(a2, params.w3, params.b3, np.empty((1, b, out_dim)))
-        out[start:stop] = _normalized(z3)[0][0]
+        out[start:stop] = forward(stack, [block])[0][0]
     return out
 
 
@@ -213,18 +194,14 @@ class EncoderStack:
             (k, hidden, out_dim), (k, 1, out_dim)]
         if extra is not None:
             shapes.append(extra.shape)
-        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
         self.flat = np.empty(ends[-1])
         self.grad = np.zeros(ends[-1])
-        p, g = ([part.reshape(shape) for part, shape in zip(np.split(vec, ends[:-1]), shapes)]
+        p, g = ([vec[start:stop].reshape(shape)
+                 for start, stop, shape in zip([0, *ends], ends, shapes)]
                 for vec in (self.flat, self.grad))
         self.params = EncoderParams(tuple(p[:k]), *p[k:k + 5])
         self.grads = EncoderParams(tuple(g[:k]), *g[k:k + 5])
-        for w1, m in zip(self.params.w1, members):
-            w1[...] = m.w1
-        for name in _TENSOR_ORDER[1:]:
-            block = getattr(self.params, name)
-            block[...] = np.stack([getattr(m, name) for m in members]).reshape(block.shape)
         self.extra = self.extra_grad = None
         if extra is not None:
             self.extra, self.extra_grad = p[-1], g[-1]
@@ -232,6 +209,9 @@ class EncoderStack:
         s = self.params
         self.members = [EncoderParams(s.w1[i], s.b1[i, 0], s.w2[i], s.b2[i, 0],
                                       s.w3[i], s.b3[i, 0]) for i in range(k)]
+        for view, m in zip(self.members, members):
+            for dst, src in zip(view.tensors(), m.tensors()):
+                dst[...] = src
 
     def step(self, lr: float) -> None:
         """SGD on every parameter in place: theta <- theta - lr * g.

@@ -16,7 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .config import RunConfig
-from .data import ModalityData, MultimodalDataset, read_tensor_file, write_tensor_file
+from .data import MultimodalDataset, read_tensor_file, write_tensor_file
 from .encoder import backward, embed, forward, train_stack
 from .errors import FormatError
 from .losses import label_loss, q_at, quality_score
@@ -39,11 +39,6 @@ class PriorMatrix:
     @property
     def num_classes(self) -> int:
         return self.w.shape[1]
-
-
-def _candidate_score(mod: ModalityData, w: np.ndarray, params) -> float:
-    """quality_score of a trained candidate on the modality's full split."""
-    return quality_score(embed(params, mod.features), mod.labels, w)
 
 
 def select_prior(candidates: Dict[str, np.ndarray], scores: Dict[str, float]) -> str:
@@ -82,7 +77,7 @@ def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
     candidates, scores = {}, {}
     for mod, (params, w, _) in zip(mods, results):
         candidates[mod.name] = w
-        scores[mod.name] = _candidate_score(mod, w, params)
+        scores[mod.name] = quality_score(embed(params, mod.features), mod.labels, w)
     best = select_prior(candidates, scores)
     runner_up = select_prior({n: w for n, w in candidates.items() if n != best}, scores)
     prior = PriorMatrix(w=candidates[best], l=pseudo_inverse(candidates[best]),

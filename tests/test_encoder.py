@@ -72,9 +72,9 @@ def test_forward_identical_rows():
 
 
 def test_embed_gives_forward_bits_with_two_hidden_arrays_at_most():
-    """embed of a whole (N, D) split has forward's bits, a degenerate row
-    passed through, and at its traced peak holds no more than two
-    (N, hidden) float64 arrays and one (N, embed_dim)."""
+    """embed of an (N, D) split has the bits of one forward over all N rows,
+    a degenerate row passed through, and at its traced peak holds no more
+    than two (N, hidden) float64 arrays and one (N, embed_dim)."""
     n, hidden, out_dim = 4000, 64, 16
     params, _, rng = _toy(seed=6, d_in=20, hidden=hidden, d_out=out_dim)
     params.b3 = np.full(out_dim, 1e-14)
@@ -99,10 +99,12 @@ def test_embed_in_blocks_gives_forward_bits_within_the_block_budget(n):
     before it), with a degenerate row in a later block and float32 input
     as load_manifest holds it. Its bytes must equal forward's for a stack
     of one on the widened input, so a BLAS whose row-blocked gemm changes
-    bits fails here. At its traced peak it holds the (N, embed_dim) result
-    and one block's arrays (the widened input, two hidden activations, three
-    embed_dim-wide ones and numpy's 64 KiB buffer of a broadcasting ufunc),
-    within five block budgets."""
+    bits fails here. At its traced peak it holds the (N, embed_dim) result,
+    one block's widened input, the stack of one's workspace buffers for one
+    block (two hidden activations, three embed_dim-wide ones and the row
+    norms and flags), its parameter and gradient vectors (~104 KB here) and
+    numpy's 64 KiB buffer of a broadcasting ufunc, within five block
+    budgets."""
     d_in, hidden, out_dim, height = 20, 64, 16, 300
     params, _, rng = _toy(seed=8, d_in=d_in, hidden=hidden, d_out=out_dim)
     params.b3 = np.full(out_dim, 1e-14)

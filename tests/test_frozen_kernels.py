@@ -15,6 +15,7 @@ import reference_losses as ref_losses
 import reference_training as ref
 from conftest import workspace_for
 from priorcast import prior
+from priorcast.config import RunConfig
 from priorcast.data import ModalityData, MultimodalDataset
 from priorcast.encoder import init_params
 from priorcast.evaluate import embed_split
@@ -127,14 +128,18 @@ def test_embeddings_match_frozen_forward(rows, monkeypatch):
                                                                   mod.features)[0])
 
     # stage one scores each candidate on the embeddings of its whole split
+    mods = ds.splits["train"]
+    candidates = [(encoders[mod.name], rng.standard_normal((16, ds.num_classes)), [])
+                  for mod in mods]
+    monkeypatch.setattr(prior, "train_stack", lambda *args, **kwargs: candidates)
     scored = []
     original = prior.quality_score
     monkeypatch.setattr(prior, "quality_score",
                         lambda f, labels, w: scored.append(f) or original(f, labels, w))
-    for mod in ds.splits["train"]:
-        params, w = encoders[mod.name], rng.standard_normal((16, ds.num_classes))
-        score = prior._candidate_score(mod, w, params)
+    _, report = prior.run_spl(ds, RunConfig(), seed=rows)
+    assert len(scored) == len(mods)
+    for mod, (params, w, _), f in zip(mods, candidates, scored):
         want = ref.forward(params, mod.features)[0]
-        assert np.array_equal(scored.pop(), want)
+        assert np.array_equal(f, want)
         y = ref.one_hot(mod.labels, ds.num_classes)
-        assert score == ref_losses.quality_score(want, y, w)
+        assert report["scores"][mod.name] == ref_losses.quality_score(want, y, w)

@@ -134,9 +134,9 @@ def test_encoder_params_built_per_modality_not_per_step(monkeypatch):
         counts.append(len(built))
     # per stage: one init per modality, one view per modality, and the
     # stacked params and grads of each of the two stacks; stage one's
-    # candidate scoring embeds each split through its member view and
-    # builds none
-    assert counts == [2 * (2 * 3 + 2 * 2)] * 2
+    # candidate scoring embeds each split through a stack of one of its
+    # own, which builds stacked params, grads and one member view
+    assert counts == [2 * (2 * 3 + 2 * 2) + 3 * 3] * 2
 
 
 @pytest.mark.parametrize("preset", [None, "no-mixup", "input-mixup"])
