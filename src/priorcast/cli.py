@@ -3,7 +3,9 @@
 Subcommands share one JSON config file. Artifacts land in the --out
 directory under fixed names (prior.bin, encoder_<modality>.bin,
 map_table.json, pr_<query>_<gallery>.csv, reports, run_manifest.json),
-which is how later stages find the outputs of earlier ones.
+which is how later stages find the outputs of earlier ones. Before it
+writes, a stage removes the files that later stages made from an older
+run's outputs, so --out holds one generation of artifacts.
 
 Exit codes: 0 success, 2 config error, 3 I/O or format error, 4 numeric
 failure. Input is checked where it enters: the config and the dataset
@@ -28,11 +30,26 @@ from .errors import ConfigError, FormatError, NumericError
 
 PRIOR_FILE = "prior.bin"
 MAP_FILE = "map_table.json"
+TRAINING_REPORT = "training_report.json"
 RUN_MANIFEST = "run_manifest.json"
 
 
 def checkpoint_file(modality: str) -> str:
     return f"encoder_{modality}.bin"
+
+
+def _remove(out_dir, names) -> None:
+    """Remove the named files from out_dir, where present."""
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
+
+
+def _eval_files(dataset: MultimodalDataset) -> list:
+    """The names eval writes for this dataset: the MAP table and the PR
+    curve of each ordered modality pair."""
+    names = dataset.modality_names()
+    return [MAP_FILE] + [pr_curve_file(a, b) for a in names for b in names if a != b]
 
 
 def _sha256(path) -> str:
@@ -74,13 +91,17 @@ def cmd_synth(cfg: RunConfig, out_dir, config_path, seed_override=None):
 
 
 # Each stage reads what earlier stages wrote from --out and returns
-# (paths it read there, names it wrote there). Its stage modules are imported
-# here, not at the top, so that `synth` loads none of them.
+# (paths it read there, names it wrote there). Before it writes, it removes
+# what later stages made from the files it replaces; a stage that fails
+# before that leaves --out as it was. Its stage modules are imported here,
+# not at the top, so that `synth` loads none of them.
 
 def cmd_spl(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
     from .prior import run_spl, save_prior
 
     prior, report = run_spl(dataset, cfg, cfg.seed)
+    _remove(out_dir, [checkpoint_file(name) for name in dataset.modality_names()]
+            + [TRAINING_REPORT] + _eval_files(dataset))
     save_prior(os.path.join(out_dir, PRIOR_FILE), prior)
     write_json(os.path.join(out_dir, "spl_report.json"), report)
     if report["skipped"]:
@@ -103,13 +124,14 @@ def cmd_train(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
             f"{prior_path}: prior is {prior.embed_dim} x {prior.num_classes}, but the run "
             f"has embed_dim {cfg.embed_dim} and {dataset.num_classes} classes")
     encoders, report = train_rsc_all(dataset, prior, cfg, cfg.seed)
+    _remove(out_dir, _eval_files(dataset))
     outputs = []
     for name, params in encoders.items():
         ckpt = checkpoint_file(name)
         save_checkpoint(os.path.join(out_dir, ckpt), params, name)
         outputs.append(ckpt)
-    write_json(os.path.join(out_dir, "training_report.json"), report)
-    outputs.append("training_report.json")
+    write_json(os.path.join(out_dir, TRAINING_REPORT), report)
+    outputs.append(TRAINING_REPORT)
     print(f"trained {len(encoders)} encoders")
     return [prior_path], outputs
 
@@ -168,8 +190,7 @@ def _run_stages(command, stages, cfg: RunConfig, out_dir, config_path) -> int:
         raise ConfigError(f"hidden_dim {cfg.hidden_dim} and the widest feature width {width} "
                           f"give a first-layer tensor of more than {_MAX_ELEMS} elements")
     # a failed run must not leave an older run's manifest beside its outputs
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, RUN_MANIFEST))
+    _remove(out_dir, [RUN_MANIFEST])
     inputs = [config_path] + dataset.files
     records = []
     names = list(stages)

@@ -508,7 +508,10 @@ def lockstep_batches(modalities, spans, rngs, num_classes: int, ws):
     """
     eye = np.eye(num_classes)
     orders = [rng.permutation(mod.num_samples) for mod, rng in zip(modalities, rngs)]
-    labels = np.stack([mod.labels[order] for mod, order in zip(modalities, orders)])
+    labels = np.empty((len(modalities), modalities[0].num_samples), np.intp)
+    for mod, order, row in zip(modalities, orders, labels):
+        # an order is a permutation, in range; mode "raise" would buffer out
+        mod.labels.take(order, out=row, mode="clip")
     for start, stop in spans:
         b = stop - start
         x = [ws.get(("x", k), b, mod.feature_dim, lead=()) for k, mod in enumerate(modalities)]

@@ -3,8 +3,8 @@ representation layer, with hand-derived gradients and plain SGD updates.
 
 forward and backward run the K encoders of an EncoderStack at once, on
 (K, B, .) batches, and write into the stack's workspace; a single encoder
-runs as a stack of one. embed runs forward on a stack of one, one block of
-a split's rows at a time.
+runs as a stack of one. embed_blocks runs forward on a stack of one, one
+block of a split's rows at a time, and embed collects its blocks.
 
 The backward pass includes the Jacobian of the row normalization
 (numerics.unit_rows_grad) and defines the ReLU subgradient at exactly 0 as
@@ -119,22 +119,30 @@ def forward(stack: "EncoderStack", x):
     return f, ForwardCache(x, a1, a2, unit, safe, degenerate)
 
 
-def embed(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Embeddings of the rows of x under one encoder: forward on a stack of
-    one, block by block.
+def embed_blocks(params: EncoderParams, x: np.ndarray):
+    """Yield (start, stop, f): the embeddings f of rows start:stop of x under
+    one encoder, by forward on a stack of one, block by block.
 
     x may be float32, as load_manifest holds features; each block of rows is
     widened to float64 (exactly) before forward. Blocks are the row_spans of
-    block_rows(widest layer) and the stack's workspace holds one block, so
-    besides x and the (N, d) result only one block's arrays and the stack's
-    parameter and gradient vectors are held at once."""
+    block_rows(widest layer), in order, and the stack's workspace holds one
+    block: f is a view into it, overwritten by the next block. So besides x
+    only one block's arrays and the stack's parameter and gradient vectors
+    are held at once."""
     n = x.shape[0]
     spans = row_spans(n, block_rows(max(params.input_dim, params.hidden_dim, params.output_dim)))
     stack = EncoderStack([params], max(stop - start for start, stop in spans))
-    out = np.empty((n, params.output_dim))
     for start, stop in spans:
         block = np.ascontiguousarray(x[start:stop], dtype=np.float64)
-        out[start:stop] = forward(stack, [block])[0][0]
+        yield start, stop, forward(stack, [block])[0][0]
+
+
+def embed(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """Embeddings of the rows of x under one encoder: embed_blocks' blocks
+    collected into one (N, d) result."""
+    out = np.empty((x.shape[0], params.output_dim))
+    for start, stop, f in embed_blocks(params, x):
+        out[start:stop] = f
     return out
 
 

@@ -74,11 +74,19 @@ def label_loss(f: np.ndarray, y: np.ndarray, w: np.ndarray, q: float, ws=None):
     return loss, d_f, d_logits, logits
 
 
-def quality_score(f: np.ndarray, labels: np.ndarray, w: np.ndarray) -> float:
+def quality_score(blocks, labels: np.ndarray, w: np.ndarray) -> float:
     """Mean softmax mass on each row's own class (labels holds class
-    indices); higher means better label alignment."""
-    s = softmax(f @ w)
-    return float(np.mean(s[np.arange(labels.shape[0]), labels]))
+    indices); higher means better label alignment.
+
+    blocks yields (start, stop, f), the embeddings f of rows start:stop, in
+    any order that covers every row once, as encoder.embed_blocks does.
+    Each block's own-class probabilities go into one (N,) array, whose mean
+    is the score, so no (N, d) or (N, C) array is formed."""
+    own = np.empty(labels.shape[0])
+    for start, stop, f in blocks:
+        s = softmax(f @ w)
+        own[start:stop] = s[np.arange(stop - start), labels[start:stop]]
+    return float(np.mean(own))
 
 
 def mse_loss(f: np.ndarray, t: np.ndarray, ws):

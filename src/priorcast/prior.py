@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import MultimodalDataset, read_tensor_file, write_tensor_file
-from .encoder import backward, embed, forward, train_stack
+from .encoder import backward, embed_blocks, forward, train_stack
 from .errors import FormatError
 from .losses import label_loss, q_at, quality_score
 from .numerics import make_rng, pseudo_inverse, random_orthogonal, split_seed
@@ -77,7 +77,7 @@ def run_spl(dataset: MultimodalDataset, cfg: RunConfig, seed: int):
     candidates, scores = {}, {}
     for mod, (params, w, _) in zip(mods, results):
         candidates[mod.name] = w
-        scores[mod.name] = quality_score(embed(params, mod.features), mod.labels, w)
+        scores[mod.name] = quality_score(embed_blocks(params, mod.features), mod.labels, w)
     best = select_prior(candidates, scores)
     runner_up = select_prior({n: w for n, w in candidates.items() if n != best}, scores)
     prior = PriorMatrix(w=candidates[best], l=pseudo_inverse(candidates[best]),

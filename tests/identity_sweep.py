@@ -20,8 +20,8 @@ Each child is reaped with os.wait4, and both sides' peak RSS is printed
 for every command, with the largest increase of the checkout over REV at
 the end; memory does not change the exit status. The children are not
 pinned to one CPU, so OpenBLAS may start a thread per CPU and the peaks
-read higher than bench/run.py's one-CPU runs (`gallery_2k`: ~50 MB
-against ~48 MB).
+may read higher than bench/run.py's one-CPU runs (`gallery_2k`'s
+pipelines: 44.1-44.4 MB against ~44.2 MB; its synth: ~45.6 MB).
 
 The file name keeps pytest from collecting it. It needs git, and no
 network.

@@ -18,18 +18,20 @@ times evaluate.rank_pair on one pair at the gallery_2k workload's test
 shape: 2000 random 16-wide queries against 2000 gallery items, 10 classes,
 and prints the traced (tracemalloc) peak of one such call in MB, outside
 the timed rounds. The score case does the same for stage one's scoring of
-one candidate (encoder.embed, then losses.quality_score) at the gallery_2k
-workload's training shape: 16000 rows of 28 features, held the same way,
-hidden width 64, embedding width 16, 10 classes.
+one candidate at the gallery_2k workload's training shape: 16000 rows of 28
+features, held the same way, hidden width 64, embedding width 16, 10
+classes. Each side scores as its run_spl does: losses.quality_score over
+encoder.embed_blocks' row blocks, or, in a REV without embed_blocks,
+losses.quality_score on encoder.embed's whole (N, 16) result.
 
 With a git revision REV it also exports REV's src/priorcast (git archive)
 and times both in this one process, alternating round by round so that a
 busy host slows both alike, and prints the median of the per-round ratios
 of this checkout's time to REV's. Pin it to one CPU (taskset -c 0). It
 reads only the signatures of run_spl, train_rsc_all, apply_ablation,
-rank_pair, embed, quality_score, init_params, random_orthogonal and the DFM1
-stream writer and reader, not what they return, so REV may be any revision
-with them. It needs git for REV, and no network.
+rank_pair, embed_blocks (or embed), quality_score, init_params,
+random_orthogonal and the DFM1 stream writer and reader, not what they
+return, so REV may be any revision with them. It needs git for REV, and no network.
 
 The file name keeps pytest from collecting it.
 """
@@ -99,6 +101,9 @@ def runner(package, case):
         labels = rng.integers(0, NUM_CLASSES, SCORE_ROWS)
         params = encoder.init_params(SCORE_WIDTH, cfg.hidden_dim, cfg.embed_dim, rng)
         w = numerics.random_orthogonal(cfg.embed_dim, NUM_CLASSES, rng)
+        if hasattr(encoder, "embed_blocks"):
+            return lambda: losses.quality_score(encoder.embed_blocks(params, features),
+                                                labels, w), 1
         return lambda: losses.quality_score(encoder.embed(params, features), labels, w), 1
     batch, k, stage, ablation = case
     mods = [data.ModalityData(f"mod{i}", as_read((ROWS, WIDTHS[i])),

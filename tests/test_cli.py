@@ -742,6 +742,33 @@ def test_failed_pipeline_leaves_no_older_run_manifest(tmp_path):
     assert not (out / "run_manifest.json").exists()
 
 
+def test_a_new_prior_removes_what_was_made_from_the_old_one(tmp_path, capsys):
+    """spl removes the encoders, the training report and eval's outputs of
+    the prior it replaces, and train removes eval's outputs, so eval after a
+    new spl exits 3 on a missing checkpoint instead of scoring the old
+    encoders beside the new prior. Files priorcast does not write stay."""
+    run = _run_cfg(tmp_path, _synth_data(tmp_path))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", run, "--out", str(out), "--seed", "1"]) == 0
+    (out / "notes.txt").write_text("kept")
+    made = {"encoder_mod0.bin", "encoder_mod1.bin", "training_report.json", "map_table.json",
+            "pr_mod0_mod1.csv", "pr_mod1_mod0.csv"}
+    assert made <= set(os.listdir(out))
+
+    assert main(["spl", "--config", run, "--out", str(out), "--seed", "2"]) == 0
+    assert not made & set(os.listdir(out))
+    assert {"prior.bin", "spl_report.json", "notes.txt"} <= set(os.listdir(out))
+    capsys.readouterr()
+    assert main(["eval", "--config", run, "--out", str(out)]) == 3
+    assert "encoder_mod0.bin" in capsys.readouterr().err
+
+    assert main(["train", "--config", run, "--out", str(out), "--seed", "2"]) == 0
+    assert main(["eval", "--config", run, "--out", str(out), "--seed", "2"]) == 0
+    assert main(["train", "--config", run, "--out", str(out), "--seed", "3"]) == 0
+    assert not {"map_table.json", "pr_mod0_mod1.csv", "pr_mod1_mod0.csv"} & set(os.listdir(out))
+    assert (out / "notes.txt").read_text() == "kept"
+
+
 def _cli_process(*args):
     """A fresh interpreter running `python args...` against this checkout's priorcast."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -71,7 +71,7 @@ def test_softmax_quality_score_and_unit_rows_match_frozen_copies():
     for got, want in zip(unit_rows(f), ref_losses.unit_rows(f)):
         assert np.array_equal(got, want)
     labels = y[0].argmax(axis=1)
-    assert quality_score(f[0], labels, w) == ref_losses.quality_score(
+    assert quality_score([(0, 40, f[0])], labels, w) == ref_losses.quality_score(
         f[0], ref.one_hot(labels, w.shape[1]), w)
 
 
@@ -127,19 +127,34 @@ def test_embeddings_match_frozen_forward(rows, monkeypatch):
         assert np.array_equal(embedded[mod.name][0], ref.forward(encoders[mod.name],
                                                                   mod.features)[0])
 
-    # stage one scores each candidate on the embeddings of its whole split
+    # stage one scores each candidate on its whole split's embeddings, block
+    # by block: the blocks tile the split in order and hold the frozen
+    # forward's rows (the 16000-row split spans many blocks)
     mods = ds.splits["train"]
     candidates = [(encoders[mod.name], rng.standard_normal((16, ds.num_classes)), [])
                   for mod in mods]
     monkeypatch.setattr(prior, "train_stack", lambda *args, **kwargs: candidates)
     scored = []
     original = prior.quality_score
-    monkeypatch.setattr(prior, "quality_score",
-                        lambda f, labels, w: scored.append(f) or original(f, labels, w))
+
+    def capture(blocks, labels, w):
+        seen = []
+        scored.append(seen)
+
+        def tee():
+            for start, stop, f in blocks:
+                seen.append((start, stop, f.copy()))
+                yield start, stop, f
+        return original(tee(), labels, w)
+
+    monkeypatch.setattr(prior, "quality_score", capture)
     _, report = prior.run_spl(ds, RunConfig(), seed=rows)
     assert len(scored) == len(mods)
-    for mod, (params, w, _), f in zip(mods, candidates, scored):
+    for mod, (params, w, _), blocks in zip(mods, candidates, scored):
         want = ref.forward(params, mod.features)[0]
-        assert np.array_equal(f, want)
+        assert [start for start, _, _ in blocks] == [0] + [stop for _, stop, _ in blocks[:-1]]
+        assert blocks[-1][1] == rows
+        for start, stop, f in blocks:
+            assert np.array_equal(f, want[start:stop])
         y = ref.one_hot(mod.labels, ds.num_classes)
         assert report["scores"][mod.name] == ref_losses.quality_score(want, y, w)

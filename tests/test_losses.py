@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from priorcast.losses import (
     quality_score,
     total_loss,
 )
-from priorcast.numerics import make_rng
+from priorcast.encoder import embed_blocks, init_params
+from priorcast.numerics import BLOCK_BYTES, make_rng, random_orthogonal
 
 
 def _instance(seed, b=6, d=5, c=4):
@@ -46,7 +49,8 @@ def test_gce_small_q_approaches_log_loss():
         logits = np.log(np.array([[p, 1.0 - p]]))
         y = np.array([[1.0, 0.0]])
         loss, _, _, _ = label_loss(logits, y, np.eye(2), 1e-6)
-        assert quality_score(logits, np.array([0]), np.eye(2)) == pytest.approx(p, abs=1e-12)
+        assert quality_score([(0, 1, logits)], np.array([0]),
+                             np.eye(2)) == pytest.approx(p, abs=1e-12)
         assert abs(loss - (-np.log(p))) <= 1e-5
 
 
@@ -104,10 +108,10 @@ def test_label_loss_accepts_soft_labels():
 
 def test_quality_score_range_and_ceiling():
     f, y, w, _, _ = _instance(4)
-    s = quality_score(f, y.argmax(axis=1), w)
+    s = quality_score([(0, len(f), f)], y.argmax(axis=1), w)
     assert 0.0 < s < 1.0
     # logits hugely aligned with the labels push the score to 1
-    s_hot = quality_score(y @ np.linalg.pinv(w) * 50.0, y.argmax(axis=1), w)
+    s_hot = quality_score([(0, len(y), y @ np.linalg.pinv(w) * 50.0)], y.argmax(axis=1), w)
     assert s_hot > 0.99
 
 
@@ -117,7 +121,32 @@ def test_quality_score_is_mean_target_class_probability():
     f = np.eye(3)
     w = np.log(4.0) * np.eye(3)
     labels = np.array([0, 0, 2])
-    assert quality_score(f, labels, w) == pytest.approx((2 / 3 + 1 / 6 + 2 / 3) / 3, abs=1e-15)
+    assert quality_score([(0, 3, f)], labels, w) == pytest.approx((2 / 3 + 1 / 6 + 2 / 3) / 3,
+                                                                  abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [4000, 16000])
+def test_quality_score_of_embed_blocks_holds_one_row_array_and_a_few_blocks(n):
+    """Scoring a candidate on embed_blocks at gallery_2k's training shape
+    (float32 features 28 wide, hidden 64, embedding 16, 10 classes) holds at
+    its traced peak the (N,) own-class array and about four block budgets
+    (one block's widened input and workspace, the stack's parameter and
+    gradient vectors, a block's logits), whatever N: no (N, embed_dim) or
+    (N, C) array. Collecting embed's (N, 16) result and scoring it whole
+    peaks at 1.5 MB at N = 4000 and 4.8 MB at N = 16000, over this bound."""
+    rng = make_rng(n)
+    x = rng.standard_normal((n, 28)).astype(np.float32)
+    labels = rng.integers(0, 10, n)
+    params = init_params(28, 64, 16, rng)
+    w = random_orthogonal(16, 10, rng)
+    tracemalloc.start()
+    try:
+        score = quality_score(embed_blocks(params, x), labels, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < score < 1.0
+    assert peak <= 8 * n + 5 * BLOCK_BYTES
 
 
 # --- mse ---
