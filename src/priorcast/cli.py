@@ -3,9 +3,10 @@
 Subcommands share one JSON config file. Artifacts land in the --out
 directory under fixed names (prior.bin, encoder_<modality>.bin,
 map_table.json, pr_<query>_<gallery>.csv, reports, run_manifest.json),
-which is how later stages find the outputs of earlier ones. Before it
-writes, a stage removes the files that later stages made from an older
-run's outputs, so --out holds one generation of artifacts.
+which is how later stages find the outputs of earlier ones. stage_table
+says once which split each stage holds and which of these files it reads
+and writes; before it writes, a stage removes what later stages made from
+an older run's outputs, so --out holds one generation of artifacts.
 
 Exit codes: 0 success, 2 config error, 3 I/O or format error, 4 numeric
 failure. Input is checked where it enters: the config and the dataset
@@ -16,6 +17,7 @@ other exception is a bug and ends the run with a traceback (exit 1).
 import argparse
 import contextlib
 import dataclasses
+import functools
 import gc
 import hashlib
 import os
@@ -29,6 +31,7 @@ from .data import (_MAX_ELEMS, MultimodalDataset, load_manifest, pr_curve_file,
 from .errors import ConfigError, FormatError, NumericError
 
 PRIOR_FILE = "prior.bin"
+SPL_REPORT = "spl_report.json"
 MAP_FILE = "map_table.json"
 TRAINING_REPORT = "training_report.json"
 RUN_MANIFEST = "run_manifest.json"
@@ -45,11 +48,16 @@ def _remove(out_dir, names) -> None:
             os.remove(os.path.join(out_dir, name))
 
 
-def _eval_files(dataset: MultimodalDataset) -> list:
-    """The names eval writes for this dataset: the MAP table and the PR
-    curve of each ordered modality pair."""
-    names = dataset.modality_names()
-    return [MAP_FILE] + [pr_curve_file(a, b) for a in names for b in names if a != b]
+def stage_table(names) -> dict:
+    """The stages in order, each as (the split it holds, the files it reads
+    from --out, the files it writes there), for the dataset's modality names."""
+    checkpoints = [checkpoint_file(name) for name in names]
+    return {
+        "spl": ("train", [], [PRIOR_FILE, SPL_REPORT]),
+        "train": ("train", [PRIOR_FILE], checkpoints + [TRAINING_REPORT]),
+        "eval": ("test", checkpoints,
+                 [MAP_FILE] + [pr_curve_file(a, b) for a in names for b in names if a != b]),
+    }
 
 
 def _sha256(path) -> str:
@@ -62,13 +70,14 @@ def _sha256(path) -> str:
 
 def _write_run_manifest(out_dir, command, cfg, inputs, base, stages, t0) -> None:
     """Record what ran: inputs by hash, keyed by their paths relative to base,
-    and each stage's outputs and wall time."""
+    outputs by hash, keyed by name, and each stage's outputs and wall time."""
     write_json(os.path.join(out_dir, RUN_MANIFEST), {
         "command": command,
         "config": dataclasses.asdict(cfg),
         "version": __version__,
         "inputs": {os.path.relpath(p, base): _sha256(p) for p in inputs},
-        "outputs": sorted(name for stage in stages for name in stage["outputs"]),
+        "outputs": {name: _sha256(os.path.join(out_dir, name))
+                    for stage in stages for name in stage["outputs"]},
         "stages": stages,
         "wall_seconds": time.perf_counter() - t0,
     })
@@ -90,29 +99,27 @@ def cmd_synth(cfg: RunConfig, out_dir, config_path, seed_override=None):
     return 0
 
 
-# Each stage reads what earlier stages wrote from --out and returns
-# (paths it read there, names it wrote there). Before it writes, it removes
+# Each stage reads from --out and writes there the files stage_table names.
+# After computing and before its first write it calls clear(), which removes
 # what later stages made from the files it replaces; a stage that fails
 # before that leaves --out as it was. Its stage modules are imported here,
 # not at the top, so that `synth` loads none of them.
 
-def cmd_spl(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
+def cmd_spl(cfg: RunConfig, out_dir, dataset: MultimodalDataset, clear) -> None:
     from .prior import run_spl, save_prior
 
     prior, report = run_spl(dataset, cfg, cfg.seed)
-    _remove(out_dir, [checkpoint_file(name) for name in dataset.modality_names()]
-            + [TRAINING_REPORT] + _eval_files(dataset))
+    clear()
     save_prior(os.path.join(out_dir, PRIOR_FILE), prior)
-    write_json(os.path.join(out_dir, "spl_report.json"), report)
+    write_json(os.path.join(out_dir, SPL_REPORT), report)
     if report["skipped"]:
         print("prior: random orthogonal (selection skipped)")
     else:
         print(f"prior: modality {prior.source_modality!r} "
               f"(score {prior.score:.4f})")
-    return [], [PRIOR_FILE, "spl_report.json"]
 
 
-def cmd_train(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
+def cmd_train(cfg: RunConfig, out_dir, dataset: MultimodalDataset, clear) -> None:
     from .encoder import save_checkpoint
     from .prior import load_prior
     from .training import train_rsc_all
@@ -124,24 +131,18 @@ def cmd_train(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
             f"{prior_path}: prior is {prior.embed_dim} x {prior.num_classes}, but the run "
             f"has embed_dim {cfg.embed_dim} and {dataset.num_classes} classes")
     encoders, report = train_rsc_all(dataset, prior, cfg, cfg.seed)
-    _remove(out_dir, _eval_files(dataset))
-    outputs = []
+    clear()
     for name, params in encoders.items():
-        ckpt = checkpoint_file(name)
-        save_checkpoint(os.path.join(out_dir, ckpt), params, name)
-        outputs.append(ckpt)
+        save_checkpoint(os.path.join(out_dir, checkpoint_file(name)), params, name)
     write_json(os.path.join(out_dir, TRAINING_REPORT), report)
-    outputs.append(TRAINING_REPORT)
     print(f"trained {len(encoders)} encoders")
-    return [prior_path], outputs
 
 
-def cmd_eval(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
+def cmd_eval(cfg: RunConfig, out_dir, dataset: MultimodalDataset, clear) -> None:
     from .encoder import load_checkpoint
     from .evaluate import embed_split, table_from_embeddings, write_pr_csv
 
     encoders = {}
-    ckpt_paths = []
     for mod in dataset.splits["test"]:
         path = os.path.join(out_dir, checkpoint_file(mod.name))
         params, _ = load_checkpoint(path)
@@ -150,31 +151,24 @@ def cmd_eval(cfg: RunConfig, out_dir, dataset: MultimodalDataset):
                               f"{params.output_dim}, but modality {mod.name!r} has "
                               f"{mod.feature_dim} and the run has embed_dim {cfg.embed_dim}")
         encoders[mod.name] = params
-        ckpt_paths.append(path)
     n_rank = "all" if cfg.n_rank == 0 else cfg.n_rank
     table, curves = table_from_embeddings(embed_split(encoders, dataset, "test"), n_rank)
+    clear()
     write_json(os.path.join(out_dir, MAP_FILE), table)
-    outputs = [MAP_FILE]
     for (a, b), (recall, precision) in curves.items():
-        name = pr_curve_file(a, b)
-        write_pr_csv(os.path.join(out_dir, name), recall, precision)
-        outputs.append(name)
+        write_pr_csv(os.path.join(out_dir, pr_curve_file(a, b)), recall, precision)
     print(f"MAP@{table['n_rank']} avg {table['avg']:.4f} "
           f"over {len(table['pairs'])} pairs")
-    return ckpt_paths, outputs
 
 
-# The dataset split each stage reads.
-STAGE_SPLITS = {"spl": "train", "train": "train", "eval": "test"}
+def _run_stages(command, cfg: RunConfig, out_dir, config_path) -> int:
+    """Load and hash the dataset once, run the command's stages in order, write one manifest.
 
-
-def _run_stages(command, stages, cfg: RunConfig, out_dir, config_path) -> int:
-    """Load and hash the dataset once, run the stages in order, write one manifest.
-
-    Each stage holds only the splits it or a later stage reads (STAGE_SPLITS):
-    `val` is checked at load and released before the first stage, and in a
-    pipeline the training split is released before eval embeds and ranks.
-    The manifest's inputs still list every file read at load.
+    From stage_table: each stage holds only the splits it or a later stage
+    of the command reads (`val` is released before the first stage, and in
+    a pipeline the training split before eval); its clear() removes the
+    writes of every later stage, whatever the command; the manifest's
+    inputs add each file it reads from --out that no earlier stage wrote.
     """
     t0 = time.perf_counter()
     if not cfg.manifest:
@@ -192,21 +186,27 @@ def _run_stages(command, stages, cfg: RunConfig, out_dir, config_path) -> int:
     # a failed run must not leave an older run's manifest beside its outputs
     _remove(out_dir, [RUN_MANIFEST])
     inputs = [config_path] + dataset.files
+    table = stage_table(dataset.modality_names())  # before `train` is released
+    order = list(table)
+    names = order if command == "pipeline" else [command]
+    # looked up per run, so that a wrapped cmd_* (test spies, bench/tracing.py) is the one run
+    run = {"spl": cmd_spl, "train": cmd_train, "eval": cmd_eval}
     records = []
-    names = list(stages)
-    for i, (name, stage) in enumerate(stages.items()):
-        needed = {STAGE_SPLITS[later] for later in names[i:]}
+    for i, name in enumerate(names):
+        _, reads, writes = table[name]
+        needed = {table[later][0] for later in names[i:]}
         dataset.splits = {s: mods for s, mods in dataset.splits.items() if s in needed}
+        stale = [f for later in order[order.index(name) + 1:] for f in table[later][2]]
         start = time.perf_counter()
         try:
-            read, written = stage(cfg, out_dir, dataset)
+            run[name](cfg, out_dir, dataset, functools.partial(_remove, out_dir, stale))
         except Exception as exc:
-            if len(stages) > 1:
+            if len(names) > 1:
                 print(f"{command} stage {name!r} failed: {exc}", file=sys.stderr)
             raise
-        made_here = {out for rec in records for out in rec["outputs"]}
-        inputs += [p for p in read if os.path.basename(p) not in made_here]
-        records.append({"stage": name, "outputs": sorted(written),
+        made = {f for earlier in names[:i] for f in table[earlier][2]}
+        inputs += [os.path.join(out_dir, f) for f in reads if f not in made]
+        records.append({"stage": name, "outputs": sorted(writes),
                         "wall_seconds": time.perf_counter() - start})
     base = os.path.dirname(os.path.abspath(cfg.manifest))
     _write_run_manifest(out_dir, command, cfg, inputs, base, records, t0)
@@ -261,10 +261,7 @@ def _run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.command == "synth":
         return cmd_synth(cfg, args.out, args.config, seed_override=args.seed)
-    stages = {"spl": cmd_spl, "train": cmd_train, "eval": cmd_eval}
-    if args.command != "pipeline":
-        stages = {args.command: stages[args.command]}
-    return _run_stages(args.command, stages, cfg, args.out, args.config)
+    return _run_stages(args.command, cfg, args.out, args.config)
 
 
 def main(argv=None) -> int:

@@ -73,7 +73,7 @@ class MultimodalDataset:
     """Train/val/test splits, each a list of K unpaired modalities.
 
     `validate` needs all three splits. After it, the CLI drops from `splits`
-    each split that no remaining stage reads (cli.STAGE_SPLITS), so a stage
+    each split that no remaining stage reads (cli.stage_table), so a stage
     finds only its own; `files` keeps every file read at load.
     """
 

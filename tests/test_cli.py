@@ -1,5 +1,6 @@
 import ctypes
 import gc
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,10 @@ from priorcast.data import ModalityData, load_manifest, write_dataset
 from priorcast.encoder import load_checkpoint, save_checkpoint
 from priorcast.losses import q_at
 from priorcast.prior import load_prior, save_prior
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write(path, doc):
@@ -63,7 +68,8 @@ def test_synth_run_manifest_lists_only_the_files_it_wrote(tmp_path):
         assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         written = sorted(set(os.listdir(out)) - {"unrelated.txt", "run_manifest.json"})
-        assert manifest["outputs"] == written
+        assert sorted(manifest["outputs"]) == written
+        assert manifest["outputs"] == {name: _sha256(out / name) for name in written}
         assert [stage["outputs"] for stage in manifest["stages"]] == [written]
 
 
@@ -249,10 +255,54 @@ def test_pipeline_matches_stages_run_one_by_one(tmp_path):
     assert [s["stage"] for s in manifest["stages"]] == ["spl", "train", "eval"]
     assert all(s["wall_seconds"] >= 0 for s in manifest["stages"])
     assert set(artifacts) <= set(manifest["outputs"])
-    assert manifest["outputs"] == sorted(n for s in manifest["stages"] for n in s["outputs"])
+    assert sorted(manifest["outputs"]) == sorted(n for s in manifest["stages"] for n in s["outputs"])
+    assert manifest["outputs"] == {name: _sha256(piped / name) for name in manifest["outputs"]}
     # files the pipeline wrote itself are outputs, not inputs
-    assert "prior.bin" not in manifest["inputs"]
+    assert not [p for p in manifest["inputs"] if p.startswith(os.path.join("..", "piped"))]
     assert "manifest.json" in manifest["inputs"]
+
+
+def test_a_stage_run_alone_lists_what_it_reads_from_out_as_inputs(tmp_path):
+    """train alone reads prior.bin and eval alone both checkpoints from --out;
+    each is an input by hash, keyed by its path relative to the dataset."""
+    run = _run_cfg(tmp_path, _synth_data(tmp_path))
+    out = tmp_path / "run"
+    reads = {"spl": [], "train": ["prior.bin"], "eval": ["encoder_mod0.bin", "encoder_mod1.bin"]}
+    for command, names in reads.items():
+        assert main([command, "--config", run, "--out", str(out)]) == 0
+        inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+        from_out = {k: v for k, v in inputs.items() if k.startswith(os.path.join("..", "run", ""))}
+        assert from_out == {os.path.join("..", "run", name): _sha256(out / name)
+                            for name in names}
+
+
+def test_run_manifest_outputs_are_the_stage_table_writes(tmp_path):
+    """After each command, the manifest's outputs are stage_table's writes of
+    the stages that ran, each with its file's hash; --out holds no other file
+    of priorcast's than the writes of the stages up to the last one run; a
+    foreign file is neither listed nor removed."""
+    manifest = _synth_data(tmp_path, num_modalities=3, feature_dims=[10, 8, 6],
+                           noise=[0.1, 0.1, 0.1])
+    table = cli.stage_table(load_manifest(manifest).modality_names())
+    assert len(table["eval"][2]) == 1 + 3 * 2
+    run = _run_cfg(tmp_path, manifest)
+    staged, piped = tmp_path / "staged", tmp_path / "piped"
+    piped.mkdir()
+    (piped / "notes.txt").write_text("kept")
+    order = ["spl", "train", "eval"]
+    for command, out, seed in (("spl", staged, "1"), ("train", staged, "1"),
+                               ("eval", staged, "1"), ("pipeline", piped, "1"),
+                               ("spl", staged, "2")):
+        assert main([command, "--config", run, "--out", str(out), "--seed", seed]) == 0
+        ran = order if command == "pipeline" else [command]
+        kept = order[:order.index(ran[-1]) + 1]
+        doc = json.loads((out / "run_manifest.json").read_text())
+        assert sorted(doc["outputs"]) == sorted(f for name in ran for f in table[name][2])
+        assert doc["outputs"] == {name: _sha256(out / name) for name in doc["outputs"]}
+        assert [s["outputs"] for s in doc["stages"]] == [sorted(table[name][2]) for name in ran]
+        left = set(os.listdir(out)) - {"run_manifest.json", "notes.txt"}
+        assert left == {f for name in kept for f in table[name][2]}
+    assert (piped / "notes.txt").read_text() == "kept"
 
 
 def _spy_on_stages(monkeypatch, on_start):
@@ -260,9 +310,9 @@ def _spy_on_stages(monkeypatch, on_start):
     for name in ("spl", "train", "eval"):
         real = getattr(cli, f"cmd_{name}")
 
-        def spy(cfg, out_dir, dataset, name=name, real=real):
+        def spy(cfg, out_dir, dataset, clear, name=name, real=real):
             on_start(name, dataset)
-            return real(cfg, out_dir, dataset)
+            return real(cfg, out_dir, dataset, clear)
         monkeypatch.setattr(cli, f"cmd_{name}", spy)
 
 
