@@ -61,10 +61,13 @@ def stage_table(names) -> dict:
 
 
 def _sha256(path) -> str:
+    # one small buffer, read into again and again: a fresh bytes per chunk,
+    # or a larger buffer, would fault in new pages at the end of a run
     h = hashlib.sha256()
+    chunk = memoryview(bytearray(1 << 16))
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+        while size := fh.readinto(chunk):
+            h.update(chunk[:size])
     return h.hexdigest()
 
 

@@ -198,7 +198,7 @@ def write_features_to(fh, features: np.ndarray) -> None:
         raise FormatError(f"dimension overflow: {rows}x{cols} exceeds u32 header range")
     fh.write(FEATURE_MAGIC)
     fh.write(struct.pack("<III", rows, cols, 0))
-    fh.write(features.astype("<f4").tobytes(order="C"))
+    fh.write(np.ascontiguousarray(features, dtype="<f4"))
 
 
 def write_features(path, features: np.ndarray) -> None:
@@ -325,7 +325,7 @@ def write_labels(path, labels: np.ndarray, num_classes: int) -> None:
     with atomic_open(path) as fh:
         fh.write(LABEL_MAGIC)
         fh.write(struct.pack("<II", rows, num_classes))
-        fh.write(labels.astype("<u4").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(labels, dtype="<u4"))
 
 
 def read_labels(path):
@@ -464,9 +464,10 @@ def synth_generate(cfg: SynthConfig) -> MultimodalDataset:
     if min_dist < cfg.separation:
         centers *= cfg.separation / min_dist
 
-    n = cfg.samples_per_class
-    cuts = np.cumsum((0, *_split_counts(n)))
-    classes = np.arange(cfg.num_classes, dtype=np.int64)
+    n, num_classes = cfg.samples_per_class, cfg.num_classes
+    counts = _split_counts(n)
+    cuts = np.cumsum((0, *counts))
+    classes = np.arange(num_classes, dtype=np.int64)
     f32_max = np.finfo(np.float32).max
     splits = {name: [] for name in SPLIT_NAMES}
     for k in range(cfg.num_modalities):
@@ -474,9 +475,11 @@ def synth_generate(cfg: SynthConfig) -> MultimodalDataset:
         rng_map = make_rng(split_seed(cfg.seed, "map", k))
         lin_map = rng_map.standard_normal((latent_dim, dim)) / np.sqrt(latent_dim)
         rng_noise = make_rng(split_seed(cfg.seed, "noise", k))
-        # class c's rows are feats[c]: its noise drawn in place, scaled, plus its center
-        feats = np.empty((cfg.num_classes, n, dim))
-        for c, block in enumerate(feats):
+        # each split is the same rows of every class, class after class
+        parts = [np.empty((num_classes * m, dim), np.float32) for m in counts]
+        block = np.empty((n, dim))
+        for c in range(num_classes):
+            # class c's rows: its noise drawn in place, scaled, plus its center
             base = centers[c] @ lin_map
             if cfg.noise[k] > 0:
                 rng_noise.standard_normal(out=block)
@@ -484,14 +487,15 @@ def synth_generate(cfg: SynthConfig) -> MultimodalDataset:
                 block += base
             else:
                 block[...] = base
-        # stored payload is float32; NaN fails both comparisons
-        if not (feats.max() <= f32_max and feats.min() >= -f32_max):
-            raise ConfigError(f"separation and noise: modality 'mod{k}' features overflow float32")
-        for name, lo, hi in zip(SPLIT_NAMES, cuts, cuts[1:]):
-            # each split is the same rows of every class
-            part = feats[:, lo:hi].astype(np.float32)
-            splits[name].append(ModalityData(name=f"mod{k}", features=part.reshape(-1, dim),
-                                             labels=np.repeat(classes, hi - lo)))
+            # stored payload is float32; NaN fails both comparisons
+            if not (block.max() <= f32_max and block.min() >= -f32_max):
+                raise ConfigError(f"separation and noise: modality 'mod{k}' features "
+                                  f"overflow float32")
+            for part, m, lo, hi in zip(parts, counts, cuts, cuts[1:]):
+                part[c * m:(c + 1) * m] = block[lo:hi]
+        for name, part, m in zip(SPLIT_NAMES, parts, counts):
+            splits[name].append(ModalityData(name=f"mod{k}", features=part,
+                                             labels=np.repeat(classes, m)))
     dataset = MultimodalDataset(num_classes=cfg.num_classes, splits=splits)
     dataset.validate()
     return dataset

@@ -109,7 +109,7 @@ def forward(stack: "EncoderStack", x):
     a2 = np.matmul(a1, params.w2, out=ws.get("a2", b, width))
     a2 += params.b2
     np.maximum(a2, 0.0, out=a2)
-    z3 = np.matmul(a2, params.w3, out=ws.get("z3", b, out_dim))
+    z3 = np.matmul(a2, params.w3, out=ws.scratch(b, out_dim)[0])
     z3 += params.b3
     unit, safe, degenerate = unit_rows(z3, (ws.get("unit", b, out_dim), ws.get("safe", b),
                                             ws.get("degenerate", b, dtype=bool)))
@@ -157,7 +157,7 @@ def backward(stack: "EncoderStack", cache: ForwardCache, d_f: np.ndarray) -> Non
     unit, safe, a1, a2 = cache.unit, cache.safe, cache.a1, cache.a2
     b, out_dim = d_f.shape[-2:]
     # through row normalization; identity on degenerate rows
-    d_z3 = unit_rows_grad(d_f, unit, safe, ws.get("d_z3", b, out_dim))
+    d_z3 = unit_rows_grad(d_f, unit, safe, ws.scratch(b, out_dim)[0])
     if np.count_nonzero(cache.degenerate):
         np.copyto(d_z3, d_f, where=cache.degenerate[..., None])
 

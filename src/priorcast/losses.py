@@ -18,9 +18,14 @@ shared w, or one w per slice). Each value is a (K,) array, and each
 slice's value and gradient depend on that slice alone, bit for bit.
 
 Every batch-sized array a loss forms goes into ws, the Workspace the
-caller passes (in training, the stack's), so the gradients returned are
-overwritten by the next call with that workspace. Only label_loss still
-builds a one-shot workspace when called without one.
+caller passes (in training, the stack's). What the training step reads
+(the logits, d_logits, label_loss's gradient and total_loss's gradient
+sum) goes into named buffers, overwritten by the next call with that
+workspace. A loss's own temporaries are views into ws's scratch region,
+valid only until the next scratch request on ws. disc_loss and mse_loss,
+which only total_loss calls, return their gradients there, so total_loss
+adds each into its sum before it runs the next term.
+Only label_loss still builds a one-shot workspace when called without one.
 
 Arguments are not checked here: RunConfig.validate guarantees q > 0 and
 alpha, beta >= 0, and the training loops pass matching shapes and
@@ -45,8 +50,9 @@ def gce_from_logits(logits: np.ndarray, y: np.ndarray, q: float, ws):
     Returns (value, d_logits).
     """
     b, c = y.shape[-2:]
-    s = softmax(logits, out=ws.get("softmax", b, c))
-    scratch = np.multiply(y, s, out=ws.get("gce_scratch", b, c))
+    s, scratch = ws.scratch(b, c, c)
+    softmax(logits, out=s)
+    np.multiply(y, s, out=scratch)
     p = np.maximum(np.add.reduce(scratch, axis=-1), 1e-300)
     loss = np.add.reduce(1.0 - p**q, axis=-1) / (q * b)
     # dJ/dp_i = -p^(q-1)/B; dp_i/dl_ij = s_ij (y_ij - p_i); -(x)/b == x/(-b)
@@ -92,11 +98,13 @@ def quality_score(blocks, labels: np.ndarray, w: np.ndarray) -> float:
 def mse_loss(f: np.ndarray, t: np.ndarray, ws):
     """Mean squared distance between embeddings and recast targets t = y L.
 
-    Returns (value, d_f).
+    Returns (value, d_f), d_f a view into ws's scratch region, valid until
+    the next scratch request on ws.
     """
     b, d = f.shape[-2:]
-    diff = np.subtract(f, t, out=ws.get("mse_diff", b, d))
-    square = np.multiply(diff, diff, out=ws.get("mse_square", b, d))
+    diff, square = ws.scratch(b, d, d)
+    np.subtract(f, t, out=diff)
+    np.multiply(diff, diff, out=square)
     loss = np.add.reduce(square, axis=(-2, -1)) / b
     diff *= 2.0 / b
     return loss, diff
@@ -119,15 +127,16 @@ def disc_loss(f: np.ndarray, t: np.ndarray, ws):
     times B. The value is the inner product of two positive semidefinite
     matrices of the differences and the sums, so it is exactly 0.0 at f = t
     and keeps its relative accuracy near f = t, where expanding the squares
-    would leave an absolute error of ~1e-16.
+    would leave an absolute error of ~1e-16. The gradient is a view into
+    ws's scratch region, valid until the next scratch request on ws.
     """
     b, d = f.shape[-2:]
     pair = (2, *f.shape[:-2])  # f's rows and t's, or D and P, side by side
-    rows = np.concatenate((f[None], t[None]), out=ws.get("disc_rows", b, d, lead=pair))
+    rows, units, dp = ws.scratch(b, d, d, d, lead=pair)
+    rows = np.concatenate((f[None], t[None]), out=rows)
     (fn, tn), (f_safe, _), (f_deg, _) = unit_rows(rows, (
-        ws.get("disc_units", b, d, lead=pair), ws.get("disc_safe", b, lead=pair),
+        units, ws.get("disc_safe", b, lead=pair),
         ws.get("disc_degenerate", b, lead=pair, dtype=bool)))
-    dp = ws.get("disc_dp", b, d, lead=pair)
     diff, both = np.subtract(fn, tn, out=dp[0]), np.add(fn, tn, out=dp[1])
     moments = dp.swapaxes(-1, -2) @ dp  # D^T D and P^T P
     loss = np.add.reduce((moments[0] * moments[1]).reshape(*f.shape[:-2], -1), axis=-1) / (b * b)

@@ -6,7 +6,9 @@ identical output. Generators must not be shared across threads; derive
 per-task seeds with split_seed instead.
 """
 
+import itertools
 import math
+import mmap
 
 import numpy as np
 
@@ -110,19 +112,36 @@ def softmax(logits: np.ndarray, out=None) -> np.ndarray:
 class Workspace:
     """Scratch arrays for batches of up to `rows` rows, reused step after step.
 
-    get(name, b, *tail) views buffer `name` as (*lead, b, *tail): the front
-    of one flat array, allocated for `rows` rows when the name is first
-    asked for, so every batch size shares its memory and each step
-    overwrites what the last one wrote there. A view starts where a fresh
-    array would, so numpy and BLAS see the layout of a fresh result. A name
-    belongs to the one function that asks for it, and its views hold
-    garbage until that function writes them; what another function needs
-    is passed on as an argument or a return value, never by name.
+    It holds memory of two kinds. get(name, b, *tail) views buffer `name`
+    as (*lead, b, *tail): the front of one flat array, allocated for `rows`
+    rows when the name is first asked for, so every batch size shares its
+    memory and each step overwrites what the last one wrote there. A named
+    buffer holds a value that crosses a kernel boundary: a batch, the
+    forward cache, a mixed batch, the logits, a gradient that a caller
+    reads. Its views hold garbage until a kernel writes them.
+
+    scratch(b, *widths) hands out the temporaries of one kernel call: one
+    (*lead, b, width) float64 view per width, packed into one region that
+    every scratch request of this workspace shares. The views stay valid
+    until the next scratch request on this workspace, which may overwrite
+    or move them. So a kernel takes all its temporaries in one request and
+    calls no kernel that requests scratch while it still reads them, and a
+    scratch view that a kernel returns is consumed before its caller runs
+    another kernel. The region is sized for `rows` rows and grows only at a
+    request, when by that rule no earlier scratch view is live. It is an
+    anonymous memory map of its own, so a region that grows leaves no hole
+    in the heap, and freeing it gives its pages back to the system.
+
+    A view starts where a fresh array would: a named view at the start of
+    its own array, a scratch view on a 64-byte boundary (the map starts on
+    a page), which is at least a fresh array's alignment; so numpy and BLAS
+    see the layout of a fresh result.
     """
 
     def __init__(self, lead, rows: int):
         self.lead, self.rows = tuple(lead), rows
         self._flat, self._views = {}, {}
+        self._region, self._scratch_views = np.empty(0, np.uint8), {}
 
     def get(self, name, b: int, *tail: int, dtype=np.float64, lead=None) -> np.ndarray:
         view = self._views.get((name, b))
@@ -133,6 +152,26 @@ class Workspace:
                 self._flat[name] = np.empty(per_row * self.rows, dtype)
             view = self._views[name, b] = self._flat[name][:per_row * b].reshape(shape)
         return view
+
+    def scratch(self, b: int, *widths: int, lead=None):
+        lead = self.lead if lead is None else tuple(lead)
+        views = self._scratch_views.get((b, widths, lead))
+        if views is None:
+            per_row = [math.prod(lead) * width for width in widths]
+            # a slot per width, for `rows` rows, each on a 64-byte boundary
+            ends = list(itertools.accumulate(-(-8 * n * self.rows // 64) * 64 for n in per_row))
+            if ends[-1] > self._region.size:
+                self._region = np.frombuffer(mmap.mmap(-1, ends[-1]), np.uint8)
+                self._scratch_views = {}
+            views = self._scratch_views[b, widths, lead] = tuple(
+                self._region[start:end].view(np.float64)[:n * b].reshape(*lead, b, width)
+                for start, end, n, width in zip([0, *ends], ends, per_row, widths))
+        return views
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the named buffers and the scratch region."""
+        return sum(flat.nbytes for flat in self._flat.values()) + self._region.nbytes
 
 
 def pseudo_inverse(w: np.ndarray) -> np.ndarray:

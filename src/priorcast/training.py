@@ -55,7 +55,7 @@ def _mix(a, perm, lam, ws, name):
     """lam * a + (1 - lam) * a's rows at perm modulo its row count, in ws's `name`."""
     *lead, b, width = a.shape
     partner = a.reshape(-1, width).take(perm, axis=0, mode="wrap",
-                                        out=ws.get(("partner", name), b, width, lead=lead))
+                                        out=ws.scratch(b, width, lead=lead)[0])
     partner *= 1.0 - lam
     out = np.multiply(a, lam, out=ws.get(name, b, width, lead=lead))
     out += partner

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -271,6 +272,26 @@ def test_synth_matches_frozen_generator(cfg):
             assert mod.features.shape == feats.shape and mod.labels.shape == labels.shape
             assert mod.features.astype(np.float64).tobytes() == feats.tobytes()
             assert np.array_equal(mod.labels, labels)
+
+
+def test_synth_holds_one_float64_class_block():
+    """synth_generate draws each class of a modality into one reused
+    (samples_per_class, dim) float64 block and stores the block's rows in the
+    float32 split arrays. So its traced peak is the dataset it returns plus
+    that block, the widest (latent, dim) map and validate's finite mask of
+    the widest training split, within 64 KiB. A modality held whole as one
+    (C, n, dim) float64 array adds 640 KB here, over the bound."""
+    cfg = SynthConfig(num_modalities=3, num_classes=20, feature_dims=[64, 48, 80],
+                      samples_per_class=50, noise=[0.5, 0.5, 0.5], seed=3)
+    tracemalloc.start()
+    try:
+        ds = synth_generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(m.features.nbytes + m.labels.nbytes for mods in ds.splits.values() for m in mods)
+    block, lin_map, mask = 50 * 80 * 8, 80 * 80 * 8, 20 * 40 * 80
+    assert peak <= held + block + lin_map + mask + (1 << 16)
 
 
 def test_row_spans_cover_the_rows_in_blocks_of_at_least_two():

@@ -164,3 +164,27 @@ def test_workspace_batches_of_every_size_share_one_buffer():
     assert not np.shares_memory(flags, full)
     with pytest.raises(ValueError):
         ws.get("a", 34, 16)  # more rows than the workspace was sized for
+
+
+def test_workspace_scratch_packs_one_call_s_views_into_one_region():
+    ws = Workspace((3,), 33)
+    named = ws.get("a", 33, 16)
+    full = ws.scratch(33, 16, 5, 16)
+    assert [v.shape for v in full] == [(3, 33, 16), (3, 33, 5), (3, 33, 16)]
+    for i, view in enumerate(full):
+        assert view.flags.c_contiguous and view.ctypes.data % 64 == 0
+        assert not np.shares_memory(view, named)
+        assert not any(np.shares_memory(view, other) for other in full[i + 1:])
+    assert ws.scratch(33, 16, 5, 16) is full
+    # a short batch takes the front of each slot; another request reuses the region
+    short = ws.scratch(6, 16, 5, 16)
+    assert [v.ctypes.data for v in short] == [v.ctypes.data for v in full]
+    pair, = ws.scratch(33, 4, lead=(2, 3))
+    assert pair.shape == (2, 3, 33, 4) and pair.ctypes.data == full[0].ctypes.data
+    assert ws.nbytes == named.nbytes + 3 * 33 * (16 + 5 + 16) * 8 + 8  # 5-wide slot padded
+    # a request larger than the region grows it, and only then
+    wide, = ws.scratch(33, 64)
+    assert not np.shares_memory(wide, full[0]) and wide.ctypes.data % 64 == 0
+    assert ws.nbytes == named.nbytes + wide.nbytes
+    with pytest.raises(ValueError):
+        ws.scratch(34, 16, 16)  # more rows than the workspace was sized for

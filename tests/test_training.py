@@ -6,8 +6,8 @@ import pytest
 from conftest import check_grad, workspace_for
 from priorcast.config import RunConfig, apply_ablation
 from priorcast.data import ModalityData, MultimodalDataset, SynthConfig, synth_generate
-from priorcast.encoder import embed
-from priorcast.losses import total_loss
+from priorcast.encoder import EncoderStack, backward, embed, forward, init_params
+from priorcast.losses import label_loss, total_loss
 from priorcast.numerics import make_rng
 from priorcast.prior import PriorMatrix, run_spl
 from priorcast.training import feature_augment, recast_invariant, train_rsc_all
@@ -293,3 +293,69 @@ def test_stage_steps_allocate_no_batch_arrays(monkeypatch, stage):
         tracemalloc.stop()
     half_activation = 3 * 256 * cfg.hidden_dim * 8 // 2
     assert len(peaks) == 2 and peaks[1] < half_activation
+
+
+def test_stage_two_workspace_at_batch_256_holds_under_2_5_mib(monkeypatch):
+    """Stage two's step holds more batch-sized arrays than any other step.
+    After one epoch at K = 3, B = 256 with default widths, its stack's
+    workspace holds named buffers for the values that cross a kernel
+    boundary and one scratch region for the kernels' own temporaries:
+    2.32 MiB. A named buffer per temporary holds 2.97 MiB."""
+    from priorcast import encoder
+
+    rng = make_rng(3)
+    mods = [ModalityData(f"mod{i}", rng.standard_normal((480, width)),
+                         rng.integers(0, 10, 480)) for i, width in enumerate((20, 24, 28))]
+    workspaces = []
+    original = encoder.lockstep_batches
+
+    def capture(*args):
+        workspaces.append(args[-1])
+        yield from original(*args)
+
+    monkeypatch.setattr(encoder, "lockstep_batches", capture)
+    train_rsc_all(MultimodalDataset(10, {"train": mods}), _prior(16, 10),
+                  RunConfig(batch_size=256, rsc_epochs=1), seed=4)
+    assert len(workspaces) == 1 and workspaces[0].nbytes < 2.5 * 2**20
+
+
+@pytest.mark.parametrize("mixup", ["embedding", "input"])
+def test_scratch_holds_no_value_that_outlives_its_kernel(mixup):
+    """A scratch view is valid only until the next scratch request, so
+    nothing that a later kernel or the caller reads may lie in the scratch
+    region: not the batch, the forward cache, the mixed labels, the recast
+    targets, the logits, d_logits, label_loss's or total_loss's gradient or
+    the stack's gradients. Every scratch view handed out over two stage-two
+    steps on one workspace (the first grows the region) is checked against
+    them."""
+    rng = make_rng(5)
+    b, widths = 32, (20, 24)
+    stack = EncoderStack([init_params(width, 64, 16, rng) for width in widths], b)
+    ws, prior, scratch = stack.workspace, _prior(16, 10), []
+    request = ws.scratch
+
+    def recorded(*args, **kwargs):
+        views = request(*args, **kwargs)
+        scratch.extend(views)
+        return views
+
+    ws.scratch = recorded
+    for _ in range(2):
+        rngs = [make_rng(k) for k in range(len(widths))]
+        x = [ws.get(("x", k), b, width, lead=()) for k, width in enumerate(widths)]
+        for x_k in x:
+            x_k[...] = rng.standard_normal(x_k.shape)
+        y = np.eye(10)[rng.integers(0, 10, (len(widths), b))]
+        if mixup == "input":
+            x, y, _ = feature_augment(x, y, 0.7, rngs, ws)
+        f, cache = forward(stack, x)
+        if mixup == "embedding":
+            f, y, _ = feature_augment(f, y, 0.7, rngs, ws)
+        t = recast_invariant(y, prior, out=ws.get("recast", b, 16))
+        _, d_f, logits = total_loss(f, y, prior.w, t, 0.5, 0.1, 0.1, ws=ws)
+        backward(stack, cache, d_f)
+        kept = [*x, cache.a1, cache.a2, cache.unit, cache.safe, cache.degenerate, f, y, t,
+                logits, d_f, stack.grad]
+        kept += label_loss(f, y, prior.w, 0.5, ws)[1:]  # stage one reads d_f and d_logits
+        assert scratch and not any(np.shares_memory(a, v) for a in kept for v in scratch)
+
